@@ -22,14 +22,14 @@
 //!   jobs off a bounded channel and answer through
 //!   [`HttpHandler::handle_async`]; the serialized response comes back
 //!   on a completion list and a wake byte. Response bytes come from the
-//!   same `write_response_with` serializer as the threaded engine, so
-//!   the two engines are byte-identical on the wire.
+//!   same `Reply::write_to` as the threaded engine's, so the two
+//!   engines are byte-identical on the wire.
 //!
 //! The event loop doubles as the idle heartbeat: `on_idle` ticks on
 //! the same ~2ms cadence the threaded accept loop provides, so the SLO
 //! sentinel and control loops behave identically under either engine.
 
-use crate::http::{write_response_with, HttpError, Request, RequestAssembler};
+use crate::http::{HttpError, Request, RequestAssembler};
 use crate::server::{
     error_body, record_socket_config_failure, HttpHandler, Reply, ReplySink, ServerConfig,
 };
@@ -166,22 +166,10 @@ fn token_for(index: usize, generation: u32) -> u64 {
 /// Serialize one reply exactly as the threaded engine would put it on
 /// the wire (infallible: the sink is a `Vec`).
 fn serialize_reply(reply: &Reply, is_head: bool, keep_alive: bool) -> Vec<u8> {
-    let body = if is_head {
-        &[][..]
-    } else {
-        reply.body.as_bytes()
-    };
-    let mut bytes = Vec::with_capacity(256 + body.len());
-    write_response_with(
-        &mut bytes,
-        reply.status,
-        reply.reason,
-        reply.content_type,
-        &reply.headers,
-        body,
-        keep_alive,
-    )
-    .expect("serializing to a Vec cannot fail");
+    let mut bytes = Vec::with_capacity(256 + reply.body.len());
+    reply
+        .write_to(&mut bytes, is_head, keep_alive)
+        .expect("serializing to a Vec cannot fail");
     bytes
 }
 

@@ -25,14 +25,14 @@
 //! `POST /drain`. The accept loop doubles as the sentinel's heartbeat:
 //! idle polls tick the sliding SLO window.
 
-use crate::admission::{AdmissionController, AdmissionDecision, BrownoutLevel};
+use crate::admission::{AdmissionDecision, BrownoutLevel, InFlight};
 use crate::doc::{capacity_object, events_document, windows_document};
 use crate::http::{
     read_request, write_response, write_response_with, Limits, Request, RULES_EPOCH_HEADER,
     TRACE_ID_HEADER,
 };
 use crate::metrics::{admission_object, metrics_document, supervisor_object};
-use crate::obs::CacheEvent;
+use crate::obs::{CacheEvent, Observability};
 use crate::service::{CacheAdmitTicket, CacheServed, ComputeOutcome, ComputeService, ServiceError};
 use crate::stats::stats_document;
 use parking_lot::Mutex;
@@ -335,16 +335,7 @@ impl<H: HttpHandler> Server<H> {
         if let Err(refused) = pool.try_execute(task) {
             drop(refused);
             if let Some(mut stream) = slot.lock().take() {
-                let reply = self.service.shed();
-                let _ = write_response_with(
-                    &mut stream,
-                    reply.status,
-                    reply.reason,
-                    reply.content_type,
-                    &reply.headers,
-                    reply.body.as_bytes(),
-                    false,
-                );
+                let _ = self.service.shed().write_to(&mut stream, false, false);
             }
         }
     }
@@ -434,53 +425,58 @@ impl Reply {
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
+
+    /// Put this reply on the wire — the one serializer call both
+    /// engines and their shed paths share. A `HEAD` reply keeps its
+    /// headers and drops its body.
+    pub(crate) fn write_to(
+        &self,
+        writer: &mut impl io::Write,
+        is_head: bool,
+        keep_alive: bool,
+    ) -> io::Result<()> {
+        let body = if is_head {
+            &[][..]
+        } else {
+            self.body.as_bytes()
+        };
+        write_response_with(
+            writer,
+            self.status,
+            self.reason,
+            self.content_type,
+            &self.headers,
+            body,
+            keep_alive,
+        )
+    }
 }
 
 impl HttpHandler for ComputeService {
-    /// Route a request through this node, enforcing the rules-epoch
-    /// protocol at the door: a malformed stamp is a 400, a stamp ahead
-    /// of this node's epoch means the node missed a broadcast and must
-    /// refuse rather than serve stale rules (409), and every reply
-    /// carries the epoch it was served under.
+    /// Route a request through this node behind the rules-epoch gate
+    /// ([`epoch_gate`]); every reply carries the epoch it was served
+    /// under.
     fn handle(&self, request: &Request, shutdown: &AtomicBool) -> Reply {
-        let epoch = self.rules_epoch();
-        let reply = match request.rules_epoch() {
-            Err(err) => Reply::json(400, "Bad Request", error_body(&err.to_string())),
-            Ok(Some(expected)) if expected > epoch => Reply::json(
-                409,
-                "Conflict",
-                JsonObject::new()
-                    .with_str("error", "stale rules epoch")
-                    .with_int("node", self.node_id() as i64)
-                    .with_int("node_epoch", epoch as i64)
-                    .with_int("expected_epoch", expected as i64)
-                    .render(),
-            ),
-            Ok(_) => route(self, shutdown, request),
-        };
-        reply.with_header(RULES_EPOCH_HEADER, epoch.to_string())
+        let (epoch, refusal) = epoch_gate(self, request);
+        refusal
+            .unwrap_or_else(|| route(self, shutdown, request))
+            .with_header(RULES_EPOCH_HEADER, epoch.to_string())
     }
 
     /// The reactor's entry point: `POST /compute` goes through the
     /// async execution path (so batched requests park in the
     /// coalescing queue instead of pinning a worker), every other
-    /// route — and the epoch-protocol error paths, which never
-    /// execute — answers synchronously through [`HttpHandler::handle`].
+    /// route answers synchronously through [`HttpHandler::handle`].
     fn handle_async(&self, request: &Request, shutdown: &AtomicBool, done: ReplySink) {
         if request.method != "POST" || request.path() != "/compute" {
             return done(self.handle(request, shutdown));
         }
-        let epoch = self.rules_epoch();
-        match request.rules_epoch() {
-            Ok(Some(expected)) if expected > epoch => done(self.handle(request, shutdown)),
-            Err(_) => done(self.handle(request, shutdown)),
-            Ok(_) => compute_async(
-                self,
-                request,
-                Box::new(move |reply| {
-                    done(reply.with_header(RULES_EPOCH_HEADER, epoch.to_string()))
-                }),
-            ),
+        let (epoch, refusal) = epoch_gate(self, request);
+        let done: ReplySink =
+            Box::new(move |reply| done(reply.with_header(RULES_EPOCH_HEADER, epoch.to_string())));
+        match refusal {
+            Some(reply) => done(reply),
+            None => compute_async(self, request, done),
         }
     }
 
@@ -562,6 +558,34 @@ pub(crate) fn error_body(message: &str) -> String {
     JsonObject::new().with_str("error", message).render()
 }
 
+/// The rules-epoch protocol at the door, once for both entry points:
+/// the epoch this node serves under, and the refusal when the
+/// request's stamp breaks protocol. A malformed stamp is a 400; a
+/// stamp ahead of this node's epoch means the node missed a broadcast
+/// and must refuse rather than serve stale rules (409).
+fn epoch_gate(service: &ComputeService, request: &Request) -> (u64, Option<Reply>) {
+    let epoch = service.rules_epoch();
+    let refusal = match request.rules_epoch() {
+        Err(err) => Some(Reply::json(
+            400,
+            "Bad Request",
+            error_body(&err.to_string()),
+        )),
+        Ok(Some(expected)) if expected > epoch => Some(Reply::json(
+            409,
+            "Conflict",
+            JsonObject::new()
+                .with_str("error", "stale rules epoch")
+                .with_int("node", service.node_id() as i64)
+                .with_int("node_epoch", epoch as i64)
+                .with_int("expected_epoch", expected as i64)
+                .render(),
+        )),
+        Ok(_) => None,
+    };
+    (epoch, refusal)
+}
+
 /// Serve requests off one connection until it closes, errors, times
 /// out idle, or the server begins draining.
 fn handle_connection<H: HttpHandler>(
@@ -587,23 +611,8 @@ fn handle_connection<H: HttpHandler>(
             Ok(Some(request)) => {
                 let reply = service.handle(&request, shutdown);
                 let keep_alive = request.keep_alive && !shutdown.load(Ordering::SeqCst);
-                let body = if request.method == "HEAD" {
-                    &[][..]
-                } else {
-                    reply.body.as_bytes()
-                };
-                if write_response_with(
-                    &mut writer,
-                    reply.status,
-                    reply.reason,
-                    reply.content_type,
-                    &reply.headers,
-                    body,
-                    keep_alive,
-                )
-                .is_err()
-                    || !keep_alive
-                {
+                let written = reply.write_to(&mut writer, request.method == "HEAD", keep_alive);
+                if written.is_err() || !keep_alive {
                     return;
                 }
                 // The next request gets a fresh deadline.
@@ -942,17 +951,6 @@ fn payload_for(request: &Request, payloads: usize) -> Result<usize, String> {
     }
 }
 
-/// What the shared front half of `POST /compute` decided: answer
-/// immediately (parse error, admission rejection), or execute under
-/// the given brownout plan.
-enum Prepared {
-    Reply(Reply),
-    Execute {
-        service_request: ServiceRequest,
-        brownout: Option<(Policy, f64, BrownoutLevel)>,
-    },
-}
-
 /// Whether the client forbade cache use for this request
 /// (`Cache-Control: no-cache` or `no-store`).
 fn client_no_cache(request: &Request) -> bool {
@@ -964,247 +962,233 @@ fn client_no_cache(request: &Request) -> bool {
     })
 }
 
-/// How the cache front half disposed of one admitted request.
-enum CacheDisposition {
-    /// Answered and settled from the cache; build the reply directly.
-    Hit {
-        outcome: ComputeOutcome,
-        exact: bool,
-    },
-    /// Execute. `ticket` is the pre-resolved insert permit for a miss
-    /// (`None` on bypass or when admission filtered the key); `tag` is
-    /// the `X-Cache` header value, `None` when no cache is configured
-    /// so cache-off replies carry no cache header at all.
-    Execute {
-        ticket: Option<CacheAdmitTicket>,
-        tag: Option<&'static str>,
-    },
+/// An admission brownout verdict: the substitute plan, the tier it is
+/// billed at, and the rung that chose it.
+type BrownoutPlan = (Policy, f64, BrownoutLevel);
+
+/// One `POST /compute` past its front half: parsed, admitted, through
+/// the cache consult, and owning everything the back half needs — so
+/// the reply is built the same way whoever calls the continuation
+/// (the handler thread, or a batch executor after the group flushes).
+/// Only the tracer is lent by that caller: the threaded engine borrows
+/// the service's, so its hot path never touches the shared refcount,
+/// and the reactor's continuation carries a clone.
+struct ComputeCall {
+    service_request: ServiceRequest,
+    brownout: Option<BrownoutPlan>,
+    /// The request's trace, when observability is on.
+    handle: Option<TraceHandle>,
+    /// The `Retry-After` hint a `503` carries.
+    retry_after_secs: u64,
+    /// The request counts against the admission limit until its reply
+    /// is built.
+    _in_flight: InFlight,
+    /// The insert permit of a cache miss.
+    ticket: Option<CacheAdmitTicket>,
+    /// The `X-Cache` value; `None` when no cache is configured, so
+    /// cache-off replies carry no cache header at all.
+    cache_tag: Option<&'static str>,
+    /// A hit's `X-Cache-Match`: bit-exact, or semantic
+    /// (tolerance-rule admissible).
+    cache_match: Option<&'static str>,
 }
 
-/// The cache consult shared verbatim by both engines: brownout-shaped
-/// requests and client `Cache-Control: no-cache` bypass (a browned-out
-/// answer must not shadow the tier's real one, and a bypass must not
-/// be admitted either — the entry would be indistinguishable from a
-/// clean answer), everything else asks the service's semantic cache.
-fn cache_front(
-    service: &ComputeService,
-    request: &Request,
-    service_request: &ServiceRequest,
-    brownout_shaped: bool,
-    handle: Option<&TraceHandle>,
-) -> CacheDisposition {
-    if service.cache().is_none() {
-        return CacheDisposition::Execute {
-            ticket: None,
-            tag: None,
+impl ComputeCall {
+    /// The front half of `POST /compute`, the same on both engines:
+    /// begin (or join) the trace, parse and admit, raise the in-flight
+    /// guard, consult the cache. `Err` is a reply that needs no
+    /// execution — a 400, a 429, or a cache hit — already sealed like
+    /// any other.
+    fn prepare(service: &ComputeService, request: &Request) -> Result<ComputeCall, Reply> {
+        // When observability is on, the whole handler runs under a
+        // traced request: parsing gets its own span, and the handle
+        // rides into the service (and across its worker pool) for the
+        // rest. A request stamped with a remote trace context (proxied
+        // by a front tier) joins that trace instead of starting its
+        // own.
+        let obs = service.observability();
+        let handle = obs.map(|o| match request.trace_context() {
+            Some(context) => o.tracer().begin_remote(context),
+            None => o.tracer().begin(),
+        });
+        let (service_request, brownout) = match parse_and_admit(service, request, handle.as_ref()) {
+            Ok(admitted) => admitted,
+            Err(reply) => return Err(seal(obs, handle.as_ref(), reply)),
         };
-    }
-    if brownout_shaped || client_no_cache(request) {
-        service.note_cache_event(service_request, CacheEvent::Bypass);
-        return CacheDisposition::Execute {
+        let mut call = ComputeCall {
+            service_request,
+            brownout,
+            handle,
+            retry_after_secs: service.admission().retry_after_secs(),
+            _in_flight: service.admission().begin(),
             ticket: None,
-            tag: Some("bypass"),
+            cache_tag: None,
+            cache_match: None,
         };
+        match call.consult_cache(service, request) {
+            // A hit already settled: answer on the calling thread,
+            // never touching the batcher or a worker pool.
+            Some(outcome) => Err(call.finish(obs, Ok(outcome))),
+            None => Ok(call),
+        }
     }
-    let fingerprint = fnv1a(&request.body);
-    match service.cache_serve(service_request, fingerprint, handle) {
-        CacheServed::Hit { outcome, exact } => CacheDisposition::Hit { outcome, exact },
-        CacheServed::Miss => CacheDisposition::Execute {
-            ticket: service.cache_ticket(service_request, fingerprint),
-            tag: Some("miss"),
-        },
-        CacheServed::Bypass => CacheDisposition::Execute {
-            ticket: None,
-            tag: Some("bypass"),
-        },
+
+    /// The cache consult: brownout-shaped requests and client
+    /// `Cache-Control: no-cache` bypass (a browned-out answer must not
+    /// shadow the tier's real one, and a bypass must not be admitted
+    /// either — the entry would be indistinguishable from a clean
+    /// answer), everything else asks the service's semantic cache.
+    /// Returns a hit's settled outcome; otherwise the call goes on to
+    /// execute, holding the insert permit when it missed.
+    fn consult_cache(
+        &mut self,
+        service: &ComputeService,
+        request: &Request,
+    ) -> Option<ComputeOutcome> {
+        service.cache()?;
+        if self.brownout.is_some() || client_no_cache(request) {
+            service.note_cache_event(&self.service_request, CacheEvent::Bypass);
+            self.cache_tag = Some("bypass");
+            return None;
+        }
+        let fingerprint = fnv1a(&request.body);
+        match service.cache_serve(&self.service_request, fingerprint, self.handle.as_ref()) {
+            CacheServed::Hit { outcome, exact } => {
+                self.cache_tag = Some("hit");
+                self.cache_match = Some(if exact { "exact" } else { "semantic" });
+                Some(outcome)
+            }
+            CacheServed::Miss => {
+                self.cache_tag = Some("miss");
+                self.ticket = service.cache_ticket(&self.service_request, fingerprint);
+                None
+            }
+            CacheServed::Bypass => {
+                self.cache_tag = Some("bypass");
+                None
+            }
+        }
+    }
+
+    /// The back half, and the only place a `/compute` reply is built
+    /// from an execution result — so a batched request's bytes cannot
+    /// differ from an unbatched one's: offer a miss's answer to the
+    /// cache, render the outcome, tag the cache disposition, seal.
+    fn finish(
+        self,
+        obs: Option<&Arc<Observability>>,
+        result: Result<ComputeOutcome, ServiceError>,
+    ) -> Reply {
+        if let (Some(ticket), Ok(outcome)) = (&self.ticket, &result) {
+            ticket.admit(outcome);
+        }
+        let request = &self.service_request;
+        let request_id = self
+            .handle
+            .as_ref()
+            .map(|handle| handle.request_id() as i64);
+        let mut reply = match result {
+            Ok(outcome) => {
+                let mut body = JsonObject::new()
+                    .with_str("answered_by", &outcome.version_name)
+                    .with_int("version", outcome.answered_by as i64)
+                    .with_int("payload", request.payload as i64)
+                    .with_num("tolerance", request.tolerance.value())
+                    .with_num("billed_tolerance", outcome.billed_tolerance)
+                    .with_str("objective", &request.objective.to_string())
+                    .with_num("quality_err", outcome.quality_err)
+                    .with_num("confidence", outcome.confidence)
+                    .with_int("latency_us", outcome.simulated_latency_us as i64)
+                    .with_num("price_usd", outcome.price.as_dollars())
+                    .with("degraded", Json::Bool(outcome.degraded));
+                if let Some(level) = outcome.brownout {
+                    body = body.with_str("brownout", level.label());
+                }
+                if let Some(id) = request_id {
+                    body = body.with_int("request_id", id);
+                }
+                let reply = Reply::json(200, "OK", body.render());
+                match outcome.brownout {
+                    Some(level) => reply.with_header("Brownout", level.label().to_string()),
+                    None => reply,
+                }
+            }
+            Err(ServiceError::Unavailable) => {
+                let mut body =
+                    JsonObject::new().with_str("error", &ServiceError::Unavailable.to_string());
+                if let Some(id) = request_id {
+                    body = body.with_int("request_id", id);
+                }
+                Reply::json(503, "Service Unavailable", body.render())
+                    .with_header("Retry-After", self.retry_after_secs.to_string())
+            }
+        };
+        if let Some(tag) = self.cache_tag {
+            reply = reply.with_header("X-Cache", tag.to_string());
+        }
+        if let Some(kind) = self.cache_match {
+            reply = reply.with_header("X-Cache-Match", kind.to_string());
+        }
+        seal(obs, self.handle.as_ref(), reply)
     }
 }
 
-/// Stamp a reply with its `X-Cache` disposition (no-op when the node
-/// runs without a cache).
-fn tag_cache(reply: Reply, tag: Option<&'static str>) -> Reply {
-    match tag {
-        Some(tag) => reply.with_header("X-Cache", tag.to_string()),
+/// The exit every `/compute` reply takes, early or executed: finish
+/// the request's trace, and echo its id so a client (or the relaying
+/// front tier) can drill into `GET /trace/{id}` with one curl.
+fn seal(obs: Option<&Arc<Observability>>, handle: Option<&TraceHandle>, reply: Reply) -> Reply {
+    match obs.zip(handle) {
+        Some((obs, handle)) => {
+            obs.tracer().finish(handle);
+            reply.with_header(TRACE_ID_HEADER, handle.trace_id().to_string())
+        }
         None => reply,
     }
 }
 
-/// Stamp a cache hit's reply: `X-Cache: hit` plus whether the match
-/// was bit-exact or semantic (tolerance-rule admissible).
-fn tag_cache_hit(reply: Reply, exact: bool) -> Reply {
-    reply.with_header("X-Cache", "hit".to_string()).with_header(
-        "X-Cache-Match",
-        if exact { "exact" } else { "semantic" }.to_string(),
-    )
-}
-
-/// `POST /compute`: the paper's API over a real wire (the synchronous
-/// path — the threaded engine, and every error path of the reactor).
+/// `POST /compute`, the paper's API over a real wire, answered on the
+/// calling thread (the threaded engine).
 fn compute(service: &ComputeService, request: &Request) -> Reply {
-    // When observability is on, the whole handler runs under a traced
-    // request: parsing gets its own span, and the handle rides into
-    // the service (and across its worker pool) for the rest. A request
-    // stamped with a remote trace context (proxied by a front tier)
-    // joins that trace instead of starting its own.
-    let obs = service.observability();
-    let handle = obs.map(|o| match request.trace_context() {
-        Some(context) => o.tracer().begin_remote(context),
-        None => o.tracer().begin(),
-    });
-    let reply = match prepare_compute(service, request, handle.as_ref()) {
-        Prepared::Reply(reply) => reply,
-        Prepared::Execute {
-            service_request,
-            brownout,
-        } => {
-            let _in_flight = service.admission().begin();
-            match cache_front(
-                service,
-                request,
-                &service_request,
-                brownout.is_some(),
-                handle.as_ref(),
-            ) {
-                CacheDisposition::Hit { outcome, exact } => tag_cache_hit(
-                    render_outcome(
-                        &service_request,
-                        handle.as_ref(),
-                        service.admission(),
-                        Ok(outcome),
-                    ),
-                    exact,
-                ),
-                CacheDisposition::Execute { ticket, tag } => {
-                    let result =
-                        service.execute_shaped(&service_request, brownout, handle.as_ref());
-                    if let (Some(ticket), Ok(outcome)) = (&ticket, &result) {
-                        ticket.admit(outcome);
-                    }
-                    tag_cache(
-                        render_outcome(
-                            &service_request,
-                            handle.as_ref(),
-                            service.admission(),
-                            result,
-                        ),
-                        tag,
-                    )
-                }
-            }
+    match ComputeCall::prepare(service, request) {
+        Ok(call) => {
+            let result =
+                service.execute_shaped(&call.service_request, call.brownout, call.handle.as_ref());
+            call.finish(service.observability(), result)
         }
-    };
-    if let (Some(o), Some(h)) = (obs, handle.as_ref()) {
-        o.tracer().finish(h);
-    }
-    // Echo the trace id so a client (or the relaying front tier) can
-    // drill into `GET /trace/{id}` with one curl.
-    match handle {
-        Some(h) => reply.with_header(TRACE_ID_HEADER, h.trace_id().to_string()),
-        None => reply,
+        Err(reply) => reply,
     }
 }
 
-/// `POST /compute` in continuation-passing style for the reactor
-/// engine: the front half (parse, admission) runs synchronously on the
-/// calling worker, execution goes through
-/// [`ComputeService::execute_shaped_async`] — so a batched request
-/// parks in the coalescing queue without pinning the worker — and
+/// `POST /compute` in continuation-passing style (the reactor engine):
+/// the same two halves as [`compute`], differing only in who calls the
+/// continuation — execution goes through
+/// [`ComputeService::execute_shaped_async`], so a batched request
+/// parks in the coalescing queue without pinning the worker, and
 /// `done` fires with the finished reply wherever settlement happens.
-/// The admission in-flight guard rides inside the continuation: the
-/// request counts against the limit until its reply is built.
 fn compute_async(service: &ComputeService, request: &Request, done: ReplySink) {
-    let obs = service.observability().cloned();
-    let handle = obs.as_ref().map(|o| match request.trace_context() {
-        Some(context) => o.tracer().begin_remote(context),
-        None => o.tracer().begin(),
-    });
-    // Stamp the trace id on whichever reply path fires, exactly as the
-    // synchronous engine does.
-    let done: ReplySink = match handle.as_ref().map(|h| h.trace_id()) {
-        Some(trace_id) => Box::new(move |reply: Reply| {
-            done(reply.with_header(TRACE_ID_HEADER, trace_id.to_string()));
-        }),
-        None => done,
-    };
-    match prepare_compute(service, request, handle.as_ref()) {
-        Prepared::Reply(reply) => {
-            if let (Some(o), Some(h)) = (&obs, handle.as_ref()) {
-                o.tracer().finish(h);
-            }
-            done(reply);
-        }
-        Prepared::Execute {
-            service_request,
-            brownout,
-        } => {
-            let in_flight = service.admission().begin();
-            match cache_front(
-                service,
-                request,
-                &service_request,
-                brownout.is_some(),
+    match ComputeCall::prepare(service, request) {
+        Ok(call) => {
+            let obs = service.observability().cloned();
+            let (executed, handle) = (call.service_request.clone(), call.handle.clone());
+            service.execute_shaped_async(
+                &executed,
+                call.brownout,
                 handle.as_ref(),
-            ) {
-                // A hit already settled: answer on the calling thread,
-                // never touching the batcher or a worker pool.
-                CacheDisposition::Hit { outcome, exact } => {
-                    let _in_flight = in_flight;
-                    let reply = tag_cache_hit(
-                        render_outcome(
-                            &service_request,
-                            handle.as_ref(),
-                            service.admission(),
-                            Ok(outcome),
-                        ),
-                        exact,
-                    );
-                    if let (Some(o), Some(h)) = (&obs, handle.as_ref()) {
-                        o.tracer().finish(h);
-                    }
-                    done(reply);
-                }
-                CacheDisposition::Execute { ticket, tag } => {
-                    let admission = Arc::clone(service.admission());
-                    let continuation_handle = handle.clone();
-                    let executed = service_request.clone();
-                    service.execute_shaped_async(
-                        &executed,
-                        brownout,
-                        handle.as_ref(),
-                        Box::new(move |result| {
-                            let _in_flight = in_flight;
-                            if let (Some(ticket), Ok(outcome)) = (&ticket, &result) {
-                                ticket.admit(outcome);
-                            }
-                            let reply = tag_cache(
-                                render_outcome(
-                                    &service_request,
-                                    continuation_handle.as_ref(),
-                                    &admission,
-                                    result,
-                                ),
-                                tag,
-                            );
-                            if let (Some(o), Some(h)) = (&obs, continuation_handle.as_ref()) {
-                                o.tracer().finish(h);
-                            }
-                            done(reply);
-                        }),
-                    );
-                }
-            }
+                Box::new(move |result| done(call.finish(obs.as_ref(), result))),
+            );
         }
+        Err(reply) => done(reply),
     }
 }
 
 /// Parse annotations and payload, stamp the parse span, and run
-/// admission — everything before execution, shared verbatim by the
-/// synchronous and async compute paths.
-fn prepare_compute(
+/// admission: the request to execute and its brownout plan, or the
+/// reply (400, 429) that ends it here.
+fn parse_and_admit(
     service: &ComputeService,
     request: &Request,
     handle: Option<&TraceHandle>,
-) -> Prepared {
+) -> Result<(ServiceRequest, Option<BrownoutPlan>), Reply> {
     let parse_span = handle.map(|h| h.open("parse", None, service.wall_us()));
 
     // Only the API's own annotation headers are forwarded to the
@@ -1233,7 +1217,7 @@ fn prepare_compute(
         Err(err) => {
             let why = err.to_string();
             close_parse(Some(&why));
-            return Prepared::Reply(Reply::json(400, "Bad Request", error_body(&why)));
+            return Err(Reply::json(400, "Bad Request", error_body(&why)));
         }
     };
     // The tier is known: this request is an arrival on the open
@@ -1245,7 +1229,7 @@ fn prepare_compute(
         Ok(p) => p,
         Err(why) => {
             close_parse(Some(&why));
-            return Prepared::Reply(Reply::json(400, "Bad Request", error_body(&why)));
+            return Err(Reply::json(400, "Bad Request", error_body(&why)));
         }
     };
     if let (Some(h), Some(id)) = (handle, parse_span) {
@@ -1274,74 +1258,21 @@ fn prepare_compute(
     if let Some(o) = service.observability() {
         o.record_admission(objective, tolerance.value(), outcome);
     }
-    if let AdmissionDecision::Reject { retry_after_secs } = decision {
-        let mut body = JsonObject::new().with_str("error", "overloaded, retry later");
-        if let Some(h) = handle {
-            body = body.with_int("request_id", h.request_id() as i64);
+    match decision {
+        AdmissionDecision::Reject { retry_after_secs } => {
+            let mut body = JsonObject::new().with_str("error", "overloaded, retry later");
+            if let Some(h) = handle {
+                body = body.with_int("request_id", h.request_id() as i64);
+            }
+            Err(Reply::json(429, "Too Many Requests", body.render())
+                .with_header("Retry-After", retry_after_secs.to_string()))
         }
-        return Prepared::Reply(
-            Reply::json(429, "Too Many Requests", body.render())
-                .with_header("Retry-After", retry_after_secs.to_string()),
-        );
-    }
-    let brownout = match decision {
         AdmissionDecision::Brownout {
             policy,
             billed_tolerance,
             level,
-        } => Some((policy, billed_tolerance, level)),
-        _ => None,
-    };
-    Prepared::Execute {
-        service_request,
-        brownout,
-    }
-}
-
-/// Render an execution result into the `POST /compute` reply — one
-/// body-building path for both engines, so a batched request's bytes
-/// cannot differ from an unbatched one's.
-fn render_outcome(
-    service_request: &ServiceRequest,
-    handle: Option<&TraceHandle>,
-    admission: &AdmissionController,
-    result: Result<ComputeOutcome, ServiceError>,
-) -> Reply {
-    match result {
-        Ok(outcome) => {
-            let mut body = JsonObject::new()
-                .with_str("answered_by", &outcome.version_name)
-                .with_int("version", outcome.answered_by as i64)
-                .with_int("payload", service_request.payload as i64)
-                .with_num("tolerance", service_request.tolerance.value())
-                .with_num("billed_tolerance", outcome.billed_tolerance)
-                .with_str("objective", &service_request.objective.to_string())
-                .with_num("quality_err", outcome.quality_err)
-                .with_num("confidence", outcome.confidence)
-                .with_int("latency_us", outcome.simulated_latency_us as i64)
-                .with_num("price_usd", outcome.price.as_dollars())
-                .with("degraded", Json::Bool(outcome.degraded));
-            if let Some(level) = outcome.brownout {
-                body = body.with_str("brownout", level.label());
-            }
-            if let Some(h) = handle {
-                body = body.with_int("request_id", h.request_id() as i64);
-            }
-            let mut reply = Reply::json(200, "OK", body.render());
-            if let Some(level) = outcome.brownout {
-                reply = reply.with_header("Brownout", level.label().to_string());
-            }
-            reply
-        }
-        Err(ServiceError::Unavailable) => {
-            let mut body =
-                JsonObject::new().with_str("error", &ServiceError::Unavailable.to_string());
-            if let Some(h) = handle {
-                body = body.with_int("request_id", h.request_id() as i64);
-            }
-            Reply::json(503, "Service Unavailable", body.render())
-                .with_header("Retry-After", admission.retry_after_secs().to_string())
-        }
+        } => Ok((service_request, Some((policy, billed_tolerance, level)))),
+        _ => Ok((service_request, None)),
     }
 }
 
@@ -1711,6 +1642,77 @@ mod tests {
         );
         assert_eq!(reply.status, 200);
         assert_eq!(reply.header("X-Cache"), None);
+    }
+
+    #[test]
+    fn handle_and_handle_async_reply_alike_off_the_happy_path() {
+        use crate::admission::AdmissionConfig;
+        use crate::batch::BatchConfig;
+        let twin = |batching: bool| {
+            Arc::new(demo_service(
+                60,
+                9,
+                ServiceConfig {
+                    admission: AdmissionConfig {
+                        initial_limit: 1,
+                        min_limit: 1,
+                        ..AdmissionConfig::defaults()
+                    },
+                    cache: Some(Arc::new(tt_cache::SemanticCache::new(
+                        tt_cache::CacheConfig::defaults(),
+                    ))),
+                    batch: BatchConfig {
+                        enabled: batching,
+                        ..BatchConfig::defaults()
+                    },
+                    ..ServiceConfig::defaults()
+                },
+            ))
+        };
+        // The async twin batches, as the reactor deployment does.
+        let (sync_svc, async_svc) = (twin(false), twin(true));
+        let off = AtomicBool::new(false);
+        let both = |request: &Request| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            async_svc.handle_async(
+                request,
+                &off,
+                Box::new(move |reply| tx.send(reply).unwrap()),
+            );
+            (sync_svc.handle(request, &off), rx.recv().unwrap())
+        };
+        let tolerant = [
+            ("Tolerance", "0.05"),
+            ("Objective", "cost"),
+            ("Payload", "3"),
+        ];
+        let mut no_cache = tolerant.to_vec();
+        no_cache.push(("Cache-Control", "no-cache"));
+        for (what, headers, status, cache) in [
+            ("bad annotation", vec![("Tolerance", "lots")], 400, None),
+            ("bad payload", vec![("Payload", "banana")], 400, None),
+            ("malformed epoch", vec![("Rules-Epoch", "soon")], 400, None),
+            ("stale epoch", vec![("Rules-Epoch", "99")], 409, None),
+            ("cache miss", tolerant.to_vec(), 200, Some("miss")),
+            ("cache hit", tolerant.to_vec(), 200, Some("hit")),
+            ("cache bypass", no_cache, 200, Some("bypass")),
+        ] {
+            let (sync_reply, async_reply) = both(&req("POST", "/compute", &headers, b"q"));
+            assert_eq!(sync_reply.status, status, "{what}: {}", sync_reply.body);
+            assert_eq!(sync_reply.header("X-Cache"), cache, "{what}");
+            assert!(sync_reply.header(RULES_EPOCH_HEADER).is_some(), "{what}");
+            assert_eq!(sync_reply, async_reply, "{what}");
+        }
+        // Saturate both twins: the tolerant tier is turned away with
+        // the same 429 and the same Retry-After hint.
+        let _held: Vec<_> = [&sync_svc, &async_svc]
+            .iter()
+            .flat_map(|svc| (0..4).map(|_| svc.admission().begin()))
+            .collect();
+        let (sync_reply, async_reply) = both(&req("POST", "/compute", &tolerant, b"q2"));
+        assert_eq!(sync_reply.status, 429, "{}", sync_reply.body);
+        assert!(sync_reply.header("Retry-After").is_some());
+        assert_eq!(sync_reply, async_reply);
     }
 
     #[test]

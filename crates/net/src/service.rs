@@ -382,7 +382,9 @@ struct Ledgered {
     tiers: BTreeMap<(String, u32), TierEconomics>,
 }
 
-/// The outcome of executing one policy on the worker pool.
+/// The outcome of walking one policy, on the worker pool or against
+/// the profile matrix.
+#[derive(Default)]
 struct StageOutcome {
     answered_by: usize,
     degraded: bool,
@@ -392,6 +394,11 @@ struct StageOutcome {
     busy_us: u64,
     /// Model invocations launched (for per-invocation billing).
     invocations: u64,
+    /// The versions invoked, in launch order. Only the table walk
+    /// fills this in (the batched flush replays it into the health
+    /// and breaker bookkeeping); the live walk's model calls do that
+    /// bookkeeping themselves and leave it empty.
+    invoked: Vec<usize>,
 }
 
 type StageCall = ModelCall<Result<usize, ()>>;
@@ -401,8 +408,11 @@ type StageCall = ModelCall<Result<usize, ()>>;
 /// synchronously, or on a batch-executor thread after a group flush.
 pub type OutcomeSink = Box<dyn FnOnce(Result<ComputeOutcome, ServiceError>) + Send>;
 
-/// Everything one settled request needs from the execution phase.
-struct SettleCtx {
+/// One request past the execute prologue
+/// ([`ComputeService::open_request`]): counted, its `execute` span
+/// open, its plan resolved — everything settlement needs bar the
+/// execution facts.
+struct Opened {
     objective: Objective,
     /// The tolerance the customer declared (governs the
     /// degradation-violation check).
@@ -413,7 +423,8 @@ struct SettleCtx {
     policy: Policy,
     payload: usize,
     arrival: SimTime,
-    stage: StageOutcome,
+    /// The open `execute` span, when the request is traced.
+    root: Option<u32>,
 }
 
 /// The settlement half of the service, detached from `&self`: billing,
@@ -441,8 +452,13 @@ impl Accounts {
     /// Bill, trace, and count one executed request, closing its
     /// `execute` span. This is the single settlement path for every
     /// answered request, whatever engine or batch carried it.
-    fn settle(&self, ctx: SettleCtx, span: Option<(&TraceHandle, u32)>) -> ComputeOutcome {
-        let SettleCtx {
+    fn settle(
+        &self,
+        opened: Opened,
+        stage: StageOutcome,
+        trace: Option<&TraceHandle>,
+    ) -> ComputeOutcome {
+        let Opened {
             objective,
             declared_tolerance,
             billed_tolerance,
@@ -450,8 +466,9 @@ impl Accounts {
             policy,
             payload,
             arrival,
-            stage,
-        } = ctx;
+            root,
+        } = opened;
+        let span = trace.zip(root);
         let obs = self.matrix.get(payload, stage.answered_by);
         let quality_err = obs.quality_err;
         let confidence = obs.confidence;
@@ -887,6 +904,13 @@ impl ComputeService {
         self.health.sheds[version].fetch_add(1, Ordering::SeqCst);
     }
 
+    /// The policy walk's gate on `version`. The table walk (`!LIVE`)
+    /// asks no breaker: its caller checks the versions it invoked
+    /// once the walk is done.
+    fn admits<const LIVE: bool>(&self, version: usize) -> bool {
+        !LIVE || self.allows(version)
+    }
+
     /// Build one model invocation: an optionally-slept table lookup
     /// whose failure behaviour comes from the seeded fault plan, with
     /// breaker bookkeeping folded in.
@@ -967,15 +991,25 @@ impl ComputeService {
         })
     }
 
-    /// Run one stage through `call_with_retry`, charging every attempt
-    /// to the outcome's invocation/busy tallies.
-    fn run_stage(
+    /// Run one stage, charging every attempt to the outcome's
+    /// invocation/busy tallies. Live, that is `call_with_retry` on the
+    /// worker pool. The table walk's invoker (`!LIVE`) touches no
+    /// pool, sleep or breaker: it answers with the profiled confidence
+    /// and appends the version to the outcome's invocation list.
+    fn run_stage<const LIVE: bool>(
         &self,
         version: usize,
         payload: usize,
         out: &mut StageOutcome,
         span: Option<(&TraceHandle, u32)>,
     ) -> Result<f64, ()> {
+        let profiled = self.matrix.get(payload, version);
+        if !LIVE {
+            out.invoked.push(version);
+            out.invocations += 1;
+            out.busy_us += profiled.latency_us;
+            return Ok(profiled.confidence);
+        }
         let attempts = Arc::new(AtomicU32::new(0));
         let counter = Arc::clone(&attempts);
         let result = self.pool.call_with_retry(
@@ -990,9 +1024,8 @@ impl ComputeService {
             &self.config.retry,
         );
         let attempts = attempts.load(Ordering::SeqCst) as u64;
-        let latency = self.matrix.get(payload, version).latency_us;
         out.invocations += attempts;
-        out.busy_us += latency * attempts;
+        out.busy_us += profiled.latency_us * attempts;
         if attempts > 1 {
             self.stats.lock().retries += (attempts - 1) as usize;
             if let Some((handle, parent)) = span {
@@ -1032,7 +1065,9 @@ impl ComputeService {
                     handle.attr_int(id, "to", alt as i64);
                     (handle, id)
                 });
-                let served = self.run_stage(alt, payload, &mut out, degrade_span).is_ok();
+                let served = self
+                    .run_stage::<true>(alt, payload, &mut out, degrade_span)
+                    .is_ok();
                 if let Some((handle, id)) = degrade_span {
                     handle.attr_str(id, "outcome", if served { "served" } else { "failed" });
                     handle.close(id, self.wall_us());
@@ -1048,30 +1083,30 @@ impl ComputeService {
         Err(ServiceError::Unavailable)
     }
 
-    /// Execute `policy` for `payload` on the worker pool.
-    fn run_policy(
+    /// Walk `policy` for `payload`: the one implementation of the
+    /// service's policy arithmetic. `LIVE` walks it on the worker
+    /// pool, under breakers, retries and the fault plan. `!LIVE` is
+    /// the same walk against the profile matrix alone — what the live
+    /// walk accounts when every version it asks for is allowed and no
+    /// call fails, which is the batched path's precondition — so it
+    /// never reaches a shed or degrade arm.
+    fn run_policy<const LIVE: bool>(
         &self,
         policy: Policy,
         payload: usize,
         span: Option<(&TraceHandle, u32)>,
     ) -> Result<StageOutcome, ServiceError> {
-        let mut out = StageOutcome {
-            answered_by: 0,
-            degraded: false,
-            sim_latency_us: 0,
-            busy_us: 0,
-            invocations: 0,
-        };
+        let mut out = StageOutcome::default();
         match policy {
             Policy::Single { version } => {
-                if !self.allows(version) {
+                if !self.admits::<LIVE>(version) {
                     self.shed(version);
                     if let Some((handle, parent)) = span {
                         handle.attr_str(parent, "breaker", "shed");
                     }
                     return self.degrade_or_fail(version, payload, out, span);
                 }
-                match self.run_stage(version, payload, &mut out, span) {
+                match self.run_stage::<LIVE>(version, payload, &mut out, span) {
                     Ok(_) => {
                         out.answered_by = version;
                         out.sim_latency_us = self.matrix.get(payload, version).latency_us;
@@ -1086,7 +1121,7 @@ impl ComputeService {
                 threshold,
                 scheduling,
                 termination,
-            } => self.run_cascade(
+            } => self.run_cascade::<LIVE>(
                 cheap,
                 accurate,
                 threshold,
@@ -1112,11 +1147,12 @@ impl ComputeService {
                 let mut last = third;
                 for (version, gate) in stages {
                     last = version;
-                    if !self.allows(version) {
+                    if !self.admits::<LIVE>(version) {
                         self.shed(version);
                         continue;
                     }
-                    if let Ok(confidence) = self.run_stage(version, payload, &mut out, span) {
+                    if let Ok(confidence) = self.run_stage::<LIVE>(version, payload, &mut out, span)
+                    {
                         out.sim_latency_us += self.matrix.get(payload, version).latency_us;
                         match gate {
                             Some(threshold) if confidence < threshold => {
@@ -1142,7 +1178,7 @@ impl ComputeService {
     /// Two-version cascades, both schedulings, with the live-pool
     /// analogue of early termination for the concurrent case.
     #[allow(clippy::too_many_arguments)]
-    fn run_cascade(
+    fn run_cascade<const LIVE: bool>(
         &self,
         cheap: usize,
         accurate: usize,
@@ -1155,28 +1191,37 @@ impl ComputeService {
     ) -> Result<StageOutcome, ServiceError> {
         let cheap_obs = *self.matrix.get(payload, cheap);
         let accurate_lat = self.matrix.get(payload, accurate).latency_us;
-        let cheap_allowed = self.allows(cheap);
+        let cheap_allowed = self.admits::<LIVE>(cheap);
         if !cheap_allowed {
             self.shed(cheap);
         }
 
-        if scheduling == Scheduling::Concurrent && cheap_allowed && self.allows(accurate) {
+        if scheduling == Scheduling::Concurrent && cheap_allowed && self.admits::<LIVE>(accurate) {
             // Launch both; answer with a confident cheap result and
             // cancel the accurate call (the ET refund), otherwise wait
-            // for the accurate answer.
+            // for the accurate answer. The table walk's pair has
+            // already landed: no pending accurate call to cancel or
+            // await.
             out.invocations += 2;
-            let hedge_span = span.map(|(handle, parent)| (handle.clone(), parent, 1));
-            let (acc_rx, acc_cancel) =
-                self.pool
-                    .submit_cancellable(self.make_call(accurate, payload, hedge_span.clone()));
-            let cheap_result = Some(
-                self.pool
-                    .run_inline(self.make_call(cheap, payload, hedge_span)),
-            );
+            let (cheap_result, accurate_call) = if LIVE {
+                let hedge_span = span.map(|(handle, parent)| (handle.clone(), parent, 1));
+                let launched = self.pool.submit_cancellable(self.make_call(
+                    accurate,
+                    payload,
+                    hedge_span.clone(),
+                ));
+                let cheap_call = self.make_call(cheap, payload, hedge_span);
+                (self.pool.run_inline(cheap_call), Some(launched))
+            } else {
+                out.invoked.extend([accurate, cheap]);
+                ((Ok(cheap), cheap_obs.confidence), None)
+            };
             match cheap_result {
-                Some((Ok(_), confidence)) if confidence >= threshold => {
+                (Ok(_), confidence) if confidence >= threshold => {
                     if termination == Termination::EarlyTerminate {
-                        acc_cancel.store(true, Ordering::Relaxed);
+                        if let Some((_, cancel)) = &accurate_call {
+                            cancel.store(true, Ordering::Relaxed);
+                        }
                         // Busy time for a cancelled launch is charged in
                         // full only under FinishOut; ET refunds it.
                         out.busy_us += cheap_obs.latency_us;
@@ -1189,31 +1234,29 @@ impl ComputeService {
                 }
                 _ => {
                     out.busy_us += cheap_obs.latency_us + accurate_lat;
-                    match acc_rx.recv().ok() {
-                        Some((Ok(_), _)) => {
-                            out.answered_by = accurate;
-                            out.sim_latency_us = cheap_obs.latency_us.max(accurate_lat);
-                            return Ok(out);
-                        }
-                        _ => {
-                            // Accurate failed; an unconfident cheap
-                            // answer is still an answer.
-                            if matches!(cheap_result, Some((Ok(_), _))) {
-                                out.answered_by = cheap;
-                                out.degraded = true;
-                                out.sim_latency_us = cheap_obs.latency_us;
-                                return Ok(out);
-                            }
-                            return self.degrade_or_fail(accurate, payload, out, span);
-                        }
+                    let accurate_landed =
+                        accurate_call.is_none_or(|(rx, _)| matches!(rx.recv(), Ok((Ok(_), _))));
+                    if accurate_landed {
+                        out.answered_by = accurate;
+                        out.sim_latency_us = cheap_obs.latency_us.max(accurate_lat);
+                        return Ok(out);
                     }
+                    // Accurate failed; an unconfident cheap answer is
+                    // still an answer.
+                    if cheap_result.0.is_ok() {
+                        out.answered_by = cheap;
+                        out.degraded = true;
+                        out.sim_latency_us = cheap_obs.latency_us;
+                        return Ok(out);
+                    }
+                    return self.degrade_or_fail(accurate, payload, out, span);
                 }
             }
         }
 
         // Sequential (or breaker-constrained concurrent): cheap first.
         let cheap_confidence = if cheap_allowed {
-            self.run_stage(cheap, payload, &mut out, span).ok()
+            self.run_stage::<LIVE>(cheap, payload, &mut out, span).ok()
         } else {
             None
         };
@@ -1221,17 +1264,20 @@ impl ComputeService {
             out.sim_latency_us += cheap_obs.latency_us;
             if confidence >= threshold {
                 out.answered_by = cheap;
-                if termination == Termination::FinishOut && self.allows(accurate) {
+                if termination == Termination::FinishOut && self.admits::<LIVE>(accurate) {
                     // FO semantics: the accurate version computes
                     // regardless — cost, no latency.
-                    let _ = self.run_stage(accurate, payload, &mut out, span);
+                    let _ = self.run_stage::<LIVE>(accurate, payload, &mut out, span);
                 }
                 return Ok(out);
             }
         }
-        if !self.allows(accurate) {
+        if !self.admits::<LIVE>(accurate) {
             self.shed(accurate);
-        } else if self.run_stage(accurate, payload, &mut out, span).is_ok() {
+        } else if self
+            .run_stage::<LIVE>(accurate, payload, &mut out, span)
+            .is_ok()
+        {
             // Escalation to the accurate version is the policy's own
             // intended path, never a degradation.
             out.answered_by = accurate;
@@ -1255,34 +1301,21 @@ impl ComputeService {
     ///
     /// [`ServiceError::Unavailable`] when no version could answer.
     pub fn execute(&self, request: &ServiceRequest) -> Result<ComputeOutcome, ServiceError> {
-        self.execute_traced(request, None)
+        self.execute_shaped(request, None, None)
     }
 
-    /// [`ComputeService::execute`] with request-scoped tracing: when a
-    /// [`TraceHandle`] is supplied, the request's journey — routing,
-    /// every model invocation (across the worker-pool hand-off),
-    /// retries, degradation, billing — is recorded as timed child
-    /// spans on it.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Unavailable`] when no version could answer.
-    pub fn execute_traced(
-        &self,
-        request: &ServiceRequest,
-        trace: Option<&TraceHandle>,
-    ) -> Result<ComputeOutcome, ServiceError> {
-        self.execute_shaped(request, None, trace)
-    }
-
-    /// [`ComputeService::execute_traced`] under an admission verdict:
-    /// when `brownout` is `Some((policy, billed_tolerance, level))`,
-    /// the request is served on that substitute plan instead of the
-    /// frontend's route, and billed — in the ledger, the per-tier
-    /// economics, and the per-tier telemetry — at the tier actually
-    /// served. The declared tolerance still governs the
-    /// degradation-violation check: a brownout never loosens the
-    /// customer's contract, only the plan used to honor it.
+    /// [`ComputeService::execute`] with request-scoped tracing and
+    /// under an admission verdict. When a [`TraceHandle`] is supplied,
+    /// the request's journey — routing, every model invocation (across
+    /// the worker-pool hand-off), retries, degradation, billing — is
+    /// recorded as timed child spans on it. When `brownout` is
+    /// `Some((policy, billed_tolerance, level))`, the request is
+    /// served on that substitute plan instead of the frontend's route,
+    /// and billed — in the ledger, the per-tier economics, and the
+    /// per-tier telemetry — at the tier actually served. The declared
+    /// tolerance still governs the degradation-violation check: a
+    /// brownout never loosens the customer's contract, only the plan
+    /// used to honor it.
     ///
     /// # Errors
     ///
@@ -1293,11 +1326,24 @@ impl ComputeService {
         brownout: Option<(Policy, f64, BrownoutLevel)>,
         trace: Option<&TraceHandle>,
     ) -> Result<ComputeOutcome, ServiceError> {
+        self.run_opened(self.open_request(request, brownout, trace, true), trace)
+    }
+
+    /// The execute prologue, once for every way a request is answered
+    /// (live walk, batched flush, cache hit): stamp the arrival, count
+    /// the request, open its `execute` span, and resolve the plan and
+    /// the billed tier from the brownout verdict or the frontend.
+    /// Executed requests (`routed`) also record the resolution as a
+    /// `route` span; a cache hit's tree shows a `cache` span instead.
+    fn open_request(
+        &self,
+        request: &ServiceRequest,
+        brownout: Option<(Policy, f64, BrownoutLevel)>,
+        trace: Option<&TraceHandle>,
+        routed: bool,
+    ) -> Opened {
         let arrival = self.now();
-        {
-            let mut stats = self.stats.lock();
-            stats.total_requests += 1;
-        }
+        self.stats.lock().total_requests += 1;
         let payload = request.payload % self.matrix.requests().max(1);
         let root = trace.map(|handle| {
             let id = handle.open("execute", None, self.wall_us());
@@ -1310,9 +1356,9 @@ impl ComputeService {
             handle.attr_int(id, "payload", payload as i64);
             id
         });
-        let span = trace.zip(root);
-
-        let route_span = span
+        let route_span = trace
+            .zip(root)
+            .filter(|_| routed)
             .map(|(handle, parent)| (handle, handle.open("route", Some(parent), self.wall_us())));
         let (policy, billed_tolerance) = match brownout {
             Some((policy, billed, _)) => (policy, billed),
@@ -1331,35 +1377,40 @@ impl ComputeService {
             }
             handle.close(id, self.wall_us());
         }
+        Opened {
+            objective: request.objective,
+            declared_tolerance: request.tolerance.value(),
+            billed_tolerance,
+            brownout: brownout.map(|(_, _, level)| level),
+            policy,
+            payload,
+            arrival,
+            root,
+        }
+    }
 
-        let stage = match self.run_policy(policy, payload, span) {
-            Ok(stage) => stage,
+    /// Walk an opened request's policy on the worker pool and settle
+    /// it, or count it dropped.
+    fn run_opened(
+        &self,
+        opened: Opened,
+        trace: Option<&TraceHandle>,
+    ) -> Result<ComputeOutcome, ServiceError> {
+        let span = trace.zip(opened.root);
+        match self.run_policy::<true>(opened.policy, opened.payload, span) {
+            Ok(stage) => Ok(self.accounts().settle(opened, stage, trace)),
             Err(e) => {
                 self.stats.lock().dropped_requests += 1;
                 if let Some(obs) = &self.obs {
-                    obs.record_dropped(request.objective, request.tolerance.value());
+                    obs.record_dropped(opened.objective, opened.declared_tolerance);
                 }
                 if let Some((handle, id)) = span {
                     handle.attr_str(id, "outcome", "unavailable");
                     handle.close(id, self.wall_us());
                 }
-                return Err(e);
+                Err(e)
             }
-        };
-
-        Ok(self.accounts().settle(
-            SettleCtx {
-                objective: request.objective,
-                declared_tolerance: request.tolerance.value(),
-                billed_tolerance,
-                brownout: brownout.map(|(_, _, level)| level),
-                policy,
-                payload,
-                arrival,
-                stage,
-            },
-            span,
-        ))
+        }
     }
 
     /// The clonable settlement bundle: every component billing and
@@ -1427,48 +1478,24 @@ impl ComputeService {
             Lookup::Semantic(answer) => (answer, false),
         };
 
-        let arrival = self.now();
-        self.stats.lock().total_requests += 1;
-        let root = trace.map(|handle| {
-            let id = handle.open("execute", None, self.wall_us());
-            handle.attr_str(id, "objective", request.objective.to_string());
-            handle.attr_int(
-                id,
-                "tolerance_milli",
-                (request.tolerance.value() * 1000.0).round() as i64,
-            );
-            handle.attr_int(id, "payload", payload as i64);
-            id
-        });
-        let span = trace.zip(root);
-        if let Some((handle, parent)) = span {
+        // Bill exactly what the miss path would bill: the declared
+        // tier, the frontend's route (brownouts never reach here) —
+        // only the execution facts are synthetic.
+        let opened = self.open_request(request, None, trace, false);
+        if let Some((handle, parent)) = trace.zip(opened.root) {
             let id = handle.open("cache", Some(parent), self.wall_us());
             handle.attr_str(id, "match", if exact { "exact" } else { "semantic" });
             handle.attr_int(id, "answered_by", answer.answered_by as i64);
             handle.close(id, self.wall_us());
         }
-        // Bill exactly what the miss path would bill: the declared
-        // tier, the frontend's route (brownouts never reach here) —
-        // only the execution facts are synthetic.
-        let policy = self.frontend.read().route(request);
         let outcome = self.accounts().settle(
-            SettleCtx {
-                objective: request.objective,
-                declared_tolerance: request.tolerance.value(),
-                billed_tolerance: request.tolerance.value(),
-                brownout: None,
-                policy,
-                payload,
-                arrival,
-                stage: StageOutcome {
-                    answered_by: answer.answered_by,
-                    degraded: false,
-                    sim_latency_us: CACHE_HIT_SIM_LATENCY_US,
-                    busy_us: 0,
-                    invocations: 0,
-                },
+            opened,
+            StageOutcome {
+                answered_by: answer.answered_by,
+                sim_latency_us: CACHE_HIT_SIM_LATENCY_US,
+                ..StageOutcome::default()
             },
-            span,
+            trace,
         );
         self.note_cache_event(
             request,
@@ -1526,129 +1553,6 @@ impl ComputeService {
         }
     }
 
-    /// The fault-free accounting twin of [`ComputeService::run_policy`]:
-    /// the same per-request invocation, busy-time, and latency math as
-    /// a pure function of `(policy, payload)`, plus the list of
-    /// versions the live path would have invoked (one entry per
-    /// invocation, for health bookkeeping). Valid only when every
-    /// version the policy names is allowed and no fault plan is
-    /// configured — exactly the batch-eligibility precondition.
-    fn accounted(&self, policy: Policy, payload: usize) -> (StageOutcome, Vec<usize>) {
-        let mut out = StageOutcome {
-            answered_by: 0,
-            degraded: false,
-            sim_latency_us: 0,
-            busy_us: 0,
-            invocations: 0,
-        };
-        let mut invoked = Vec::new();
-        match policy {
-            Policy::Single { version } => {
-                invoked.push(version);
-                out.invocations = 1;
-                let latency = self.matrix.get(payload, version).latency_us;
-                out.busy_us = latency;
-                out.sim_latency_us = latency;
-                out.answered_by = version;
-            }
-            Policy::Cascade {
-                cheap,
-                accurate,
-                threshold,
-                scheduling,
-                termination,
-            } => {
-                let cheap_obs = *self.matrix.get(payload, cheap);
-                let accurate_lat = self.matrix.get(payload, accurate).latency_us;
-                let confident = cheap_obs.confidence >= threshold;
-                match scheduling {
-                    Scheduling::Concurrent => {
-                        out.invocations = 2;
-                        invoked.push(accurate);
-                        invoked.push(cheap);
-                        if confident {
-                            out.answered_by = cheap;
-                            out.sim_latency_us = cheap_obs.latency_us;
-                            out.busy_us = if termination == Termination::EarlyTerminate {
-                                cheap_obs.latency_us
-                            } else {
-                                cheap_obs.latency_us + accurate_lat
-                            };
-                        } else {
-                            out.answered_by = accurate;
-                            out.sim_latency_us = cheap_obs.latency_us.max(accurate_lat);
-                            out.busy_us = cheap_obs.latency_us + accurate_lat;
-                        }
-                    }
-                    Scheduling::Sequential => {
-                        invoked.push(cheap);
-                        out.invocations = 1;
-                        out.busy_us = cheap_obs.latency_us;
-                        out.sim_latency_us = cheap_obs.latency_us;
-                        if confident {
-                            out.answered_by = cheap;
-                            if termination == Termination::FinishOut {
-                                invoked.push(accurate);
-                                out.invocations += 1;
-                                out.busy_us += accurate_lat;
-                            }
-                        } else {
-                            invoked.push(accurate);
-                            out.invocations += 1;
-                            out.busy_us += accurate_lat;
-                            out.sim_latency_us += accurate_lat;
-                            out.answered_by = accurate;
-                        }
-                    }
-                }
-            }
-            Policy::Chain3 {
-                first,
-                second,
-                third,
-                threshold_first,
-                threshold_second,
-            } => {
-                let stages = [
-                    (first, Some(threshold_first)),
-                    (second, Some(threshold_second)),
-                    (third, None),
-                ];
-                for (version, gate) in stages {
-                    invoked.push(version);
-                    out.invocations += 1;
-                    let obs = *self.matrix.get(payload, version);
-                    out.busy_us += obs.latency_us;
-                    out.sim_latency_us += obs.latency_us;
-                    match gate {
-                        Some(threshold) if obs.confidence < threshold => {}
-                        _ => {
-                            out.answered_by = version;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        (out, invoked)
-    }
-
-    /// Every version `policy` can invoke.
-    fn policy_versions(policy: Policy) -> Vec<usize> {
-        match policy {
-            Policy::Single { version } => vec![version],
-            Policy::Cascade {
-                cheap, accurate, ..
-            } => vec![cheap, accurate],
-            Policy::Chain3 {
-                first,
-                second,
-                third,
-                ..
-            } => vec![first, second, third],
-        }
-    }
-
     /// [`ComputeService::execute_shaped`] in continuation-passing
     /// style, with request coalescing: a tolerant, fault-free request
     /// whose plan's versions are all healthy — the frontend's route,
@@ -1661,11 +1565,11 @@ impl ComputeService {
     /// disabled — executes synchronously and `done` runs before this
     /// returns.
     ///
-    /// Batch membership is invisible in the result: the batched path
-    /// settles through the same [`Accounts::settle`] as the
-    /// synchronous path, on outcomes computed by the fault-free
-    /// accounting twin of the live executor, so response fields and
-    /// billed totals are bit-identical either way.
+    /// Batch membership is invisible in the result: both arms share
+    /// the prologue ([`ComputeService::open_request`]), the policy
+    /// walk ([`ComputeService::run_policy`], here against the profile
+    /// matrix) and the settlement ([`Accounts::settle`]), so response
+    /// fields and billed totals are bit-identical either way.
     pub fn execute_shaped_async(
         &self,
         request: &ServiceRequest,
@@ -1673,7 +1577,7 @@ impl ComputeService {
         trace: Option<&TraceHandle>,
         done: OutcomeSink,
     ) {
-        let eligible = self.batcher.is_some() && self.faults.is_none();
+        let opened = self.open_request(request, brownout, trace, true);
         // The tuner's surge knob scales formation deadlines down so
         // tolerant requests stop waiting for batchmates while the
         // system is under pressure.
@@ -1681,71 +1585,31 @@ impl ComputeService {
             request.tolerance.value(),
             self.batch_slack_permille.load(Ordering::SeqCst),
         );
-        let (Some(batcher), Some(deadline_in), true) = (&self.batcher, deadline_in, eligible)
-        else {
-            return done(self.execute_shaped(request, brownout, trace));
+        // The table walk stands for the live one only while every
+        // version it invoked would have been let through.
+        let parked = match (&self.batcher, deadline_in, &self.faults) {
+            (Some(batcher), Some(deadline_in), None) => self
+                .run_policy::<false>(opened.policy, opened.payload, None)
+                .ok()
+                .filter(|stage| stage.invoked.iter().all(|&v| self.allows(v)))
+                .map(|stage| (batcher, deadline_in, stage)),
+            _ => None,
         };
-        let (policy, billed_tolerance) = match brownout {
-            Some((policy, billed, _)) => (policy, billed),
-            None => (
-                self.frontend.read().route(request),
-                request.tolerance.value(),
-            ),
+        let Some((batcher, deadline_in, mut stage)) = parked else {
+            return done(self.run_opened(opened, trace));
         };
-        if !Self::policy_versions(policy)
-            .iter()
-            .all(|&v| self.allows(v))
-        {
-            return done(self.execute_shaped(request, brownout, trace));
-        }
 
-        // The batched fast path: the prologue mirrors
-        // `execute_shaped`, the settlement is deferred to the group
-        // flush.
-        let arrival = self.now();
-        self.stats.lock().total_requests += 1;
-        let payload = request.payload % self.matrix.requests().max(1);
-        let root = trace.map(|handle| {
-            let id = handle.open("execute", None, self.wall_us());
-            handle.attr_str(id, "objective", request.objective.to_string());
-            handle.attr_int(
-                id,
-                "tolerance_milli",
-                (request.tolerance.value() * 1000.0).round() as i64,
-            );
-            handle.attr_int(id, "payload", payload as i64);
-            id
-        });
-        let span = trace.zip(root);
-        if let Some((handle, parent)) = span {
-            let id = handle.open("route", Some(parent), self.wall_us());
-            handle.attr_str(id, "policy", format!("{policy:?}"));
-            if let Some((_, _, level)) = brownout {
-                handle.attr_str(id, "brownout", level.label());
-            }
-            handle.close(id, self.wall_us());
-        }
-        policy
-            .validate(self.matrix.versions())
-            .expect("frontend produced a valid policy");
-        let (stage, invoked) = self.accounted(policy, payload);
         // The batch span stays open across the hand-off; the executor
         // stamps the group facts and closes it before settling.
-        let batch_span =
-            span.map(|(handle, parent)| handle.open("batch", Some(parent), self.wall_us()));
-
-        let key = (request.objective.to_string(), format!("{policy:?}"));
+        let batch_span = trace
+            .zip(opened.root)
+            .map(|(handle, parent)| handle.open("batch", Some(parent), self.wall_us()));
+        let key = (
+            request.objective.to_string(),
+            format!("{:?}", opened.policy),
+        );
         let sim_latency_us = stage.sim_latency_us;
-        let ctx = SettleCtx {
-            objective: request.objective,
-            declared_tolerance: request.tolerance.value(),
-            billed_tolerance,
-            brownout: brownout.map(|(_, _, level)| level),
-            policy,
-            payload,
-            arrival,
-            stage,
-        };
+        let invoked = std::mem::take(&mut stage.invoked);
         let accounts = self.accounts();
         let health = Arc::clone(&self.health);
         let breakers = Arc::clone(&self.breakers);
@@ -1760,13 +1624,12 @@ impl ComputeService {
                     b.record(true, now);
                 }
             }
-            let span = handle.as_ref().zip(root);
-            if let (Some((handle, _)), Some(id)) = (span, batch_span) {
+            if let (Some(handle), Some(id)) = (&handle, batch_span) {
                 handle.attr_int(id, "batch_size", batch_size as i64);
                 handle.attr_int(id, "waited_us", waited_us as i64);
                 handle.close(id, accounts.wall_us());
             }
-            done(Ok(accounts.settle(ctx, span)));
+            done(Ok(accounts.settle(opened, stage, handle.as_ref())));
         });
         batcher.enqueue(BatchItem {
             key,
@@ -2359,7 +2222,7 @@ mod tests {
         let svc = service(ServiceConfig::defaults());
         let handle = TraceHandle::detached(77);
         let req = ServiceRequest::new(3, Tolerance::ZERO, Objective::ResponseTime);
-        svc.execute_traced(&req, Some(&handle)).unwrap();
+        svc.execute_shaped(&req, None, Some(&handle)).unwrap();
         // Wait for any FinishOut stragglers, then finish via a tracer.
         let tracer = tt_obs::Tracer::new(4);
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -2404,7 +2267,7 @@ mod tests {
         for payload in 0..20 {
             let handle = tracer.begin();
             let req = ServiceRequest::new(payload, Tolerance::ZERO, Objective::ResponseTime);
-            let out = svc.execute_traced(&req, Some(&handle)).unwrap();
+            let out = svc.execute_shaped(&req, None, Some(&handle)).unwrap();
             tracer.finish(&handle);
             if out.degraded {
                 let trace = tracer.recent(1).pop().unwrap();
@@ -2638,6 +2501,132 @@ mod tests {
         let billed: Vec<_> = snap.billing.tiers.keys().cloned().collect();
         assert!(billed.iter().any(|(_, milli)| *milli == 100), "{billed:?}");
         assert!(!billed.iter().any(|(_, milli)| *milli == 50), "{billed:?}");
+    }
+
+    /// Every policy flavour the walk knows, over three versions. The
+    /// thresholds straddle the matrix's confidences (fast 0.2/0.9,
+    /// mid 0.8, accurate 0.9) so each cascade both answers cheap and
+    /// escalates, and the chain stops at every one of its stages.
+    fn every_policy_flavour() -> Vec<Policy> {
+        let mut policies: Vec<Policy> = (0..3).map(|version| Policy::Single { version }).collect();
+        for threshold_second in [0.7, 0.85] {
+            policies.push(Policy::Chain3 {
+                first: 0,
+                second: 1,
+                third: 2,
+                threshold_first: 0.5,
+                threshold_second,
+            });
+        }
+        for scheduling in [Scheduling::Sequential, Scheduling::Concurrent] {
+            for termination in [Termination::EarlyTerminate, Termination::FinishOut] {
+                for (cheap, accurate, threshold) in [(0, 2, 0.5), (1, 2, 0.85), (0, 1, 0.5)] {
+                    policies.push(Policy::Cascade {
+                        cheap,
+                        accurate,
+                        threshold,
+                        scheduling,
+                        termination,
+                    });
+                }
+            }
+        }
+        policies
+    }
+
+    #[test]
+    fn batched_and_synchronous_execution_agree_for_every_policy_flavour() {
+        let m = matrix3();
+        let sync_svc =
+            ComputeService::new(Arc::clone(&m), frontend3(&m), ServiceConfig::defaults());
+        let batched_svc = ComputeService::new(
+            Arc::clone(&m),
+            frontend3(&m),
+            ServiceConfig {
+                batch: BatchConfig {
+                    enabled: true,
+                    // Zero formation slack: every group flushes at
+                    // once, so requests settle in submission order and
+                    // the f64 ledger sums compare bit for bit.
+                    slack_us_per_unit_tolerance: 0,
+                    ..BatchConfig::defaults()
+                },
+                ..ServiceConfig::defaults()
+            },
+        );
+        let attempts = |svc: &ComputeService| {
+            svc.health
+                .attempts
+                .iter()
+                .map(|a| a.load(Ordering::SeqCst))
+                .collect::<Vec<_>>()
+        };
+        let tolerance = Tolerance::new(0.10).unwrap();
+        for policy in every_policy_flavour() {
+            for payload in 0..m.requests() {
+                let req = ServiceRequest::new(payload, tolerance, Objective::ResponseTime);
+                let plan = Some((policy, 0.05, BrownoutLevel::LooserTier));
+                let sync_out = sync_svc.execute_shaped(&req, plan, None);
+                let handle = TraceHandle::detached(payload as u64);
+                let (tx, rx) = std::sync::mpsc::channel();
+                batched_svc.execute_shaped_async(
+                    &req,
+                    plan,
+                    Some(&handle),
+                    Box::new(move |result| tx.send(result).unwrap()),
+                );
+                let batched_out = rx.recv().unwrap();
+                assert_eq!(sync_out, batched_out, "{policy:?} payload {payload}");
+                let tracer = tt_obs::Tracer::new(1);
+                tracer.finish(&handle);
+                assert!(
+                    tracer.recent(1)[0].span("batch").is_some(),
+                    "{policy:?} payload {payload} must take the batched arm"
+                );
+            }
+            // The per-version invocation tallies pin the invocation
+            // list. The concurrent flavours come last and are exempt:
+            // their live hedge races its own cancellation.
+            let concurrent = matches!(
+                policy,
+                Policy::Cascade {
+                    scheduling: Scheduling::Concurrent,
+                    ..
+                }
+            );
+            if !concurrent {
+                assert_eq!(attempts(&sync_svc), attempts(&batched_svc), "{policy:?}");
+            }
+        }
+        let (sync_snap, batched_snap) = (sync_svc.snapshot(), batched_svc.snapshot());
+        assert_eq!(sync_snap.served, batched_snap.served);
+        assert_eq!(sync_snap.resilience, batched_snap.resilience);
+        assert_eq!(sync_snap.billing, batched_snap.billing);
+        let ledger_rows = |snap: &ServiceSnapshot| {
+            snap.trace
+                .events()
+                .iter()
+                .map(|e| {
+                    let latency = e.responded.saturating_since(e.arrival);
+                    (
+                        e.tolerance,
+                        e.objective,
+                        e.answered_by,
+                        e.quality_err,
+                        latency,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ledger_rows(&sync_snap), ledger_rows(&batched_snap));
+        let counters = |svc: &ComputeService| {
+            svc.observability()
+                .expect("defaults enable obs")
+                .registry()
+                .snapshot()
+                .counters
+        };
+        assert_eq!(counters(&sync_svc), counters(&batched_svc));
     }
 
     #[test]
