@@ -17,6 +17,15 @@ impl Objective {
         [Objective::ResponseTime, Objective::Cost].into_iter()
     }
 
+    /// The annotation-header spelling, which is also how the objective
+    /// prints.
+    pub fn name(self) -> &'static str {
+        match self {
+            Objective::ResponseTime => "response-time",
+            Objective::Cost => "cost",
+        }
+    }
+
     /// Parse the annotation-header spelling used by the serving layer.
     ///
     /// # Errors
@@ -33,10 +42,7 @@ impl Objective {
 
 impl std::fmt::Display for Objective {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Objective::ResponseTime => write!(f, "response-time"),
-            Objective::Cost => write!(f, "cost"),
-        }
+        f.write_str(self.name())
     }
 }
 

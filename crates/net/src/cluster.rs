@@ -478,7 +478,7 @@ impl FrontTier {
         for id in self.order(strict) {
             let slot = &self.slots[id];
             let attempt = handle.open("proxy", Some(route), self.now_us());
-            handle.attr_str(attempt, "node", slot.name());
+            handle.attr_text(attempt, "node", slot.name());
             let downstream = TraceContext {
                 trace_id,
                 parent_span: Some(attempt),

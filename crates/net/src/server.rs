@@ -1207,7 +1207,7 @@ fn parse_and_admit(
     let close_parse = |error: Option<&str>| {
         if let (Some(h), Some(id)) = (handle, parse_span) {
             if let Some(why) = error {
-                h.attr_str(id, "error", why);
+                h.attr_text(id, "error", why);
             }
             h.close(id, service.wall_us());
         }
@@ -1372,6 +1372,85 @@ mod tests {
         assert_eq!(reply.status, 200);
         assert!(reply.body.contains("\"tolerance\": 0"));
         assert!(reply.body.contains("\"objective\": \"response-time\""));
+    }
+
+    /// `body` with every span timestamp zeroed: the one part of a
+    /// trace document that reads the wall clock.
+    fn without_clock(body: &str) -> String {
+        let mut out = String::with_capacity(body.len());
+        let mut rest = body;
+        while let Some(at) = ["\"start_us\": ", "\"end_us\": "]
+            .iter()
+            .filter_map(|key| rest.find(key).map(|i| i + key.len()))
+            .min()
+        {
+            out.push_str(&rest[..at]);
+            let tail = rest[at..].trim_start_matches(|c: char| c.is_ascii_digit());
+            if tail.len() < rest.len() - at {
+                out.push('0');
+            }
+            rest = tail;
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// The goldens under `tests/golden/` are what the renderer printed
+    /// for this request set before spans became flat records copied
+    /// into ring slots (clock zeroed): every tier shape, two rejected
+    /// requests whose error text needs escaping, and two hops joined
+    /// to a remote trace.
+    #[test]
+    fn trace_documents_match_the_golden_bytes() {
+        let service = Arc::new(demo_service(80, 42, ServiceConfig::defaults()));
+        let off = AtomicBool::new(false);
+        let compute = |headers: &[(&str, &str)]| {
+            route(&service, &off, &req("POST", "/compute", headers, b"")).status
+        };
+        let tiers = [
+            ("0", "response-time", "3"),
+            ("0.05", "cost", "3"),
+            ("0.1", "response-time", "7"),
+            ("0.01", "response-time", "11"),
+        ];
+        for (tolerance, objective, payload) in tiers {
+            let headers = [
+                ("Tolerance", tolerance),
+                ("Objective", objective),
+                ("Payload", payload),
+            ];
+            assert_eq!(compute(&headers), 200);
+        }
+        assert_eq!(
+            compute(&[("Tolerance", "\"lots\"\t"), ("Payload", "1")]),
+            400
+        );
+        assert_eq!(compute(&[("Tolerance", "0.1"), ("Payload", "x\\y")]), 400);
+        let joined = [
+            ("Tolerance", "0.1"),
+            ("Objective", "cost"),
+            ("Payload", "5"),
+            ("X-Trace-Id", "9001"),
+            ("X-Parent-Span", "4/2"),
+        ];
+        assert_eq!(compute(&joined), 200);
+        assert_eq!(compute(&joined), 200);
+
+        for (target, golden) in [
+            (
+                "/trace/recent",
+                include_str!("../tests/golden/trace_recent.json"),
+            ),
+            (
+                "/trace/9001",
+                include_str!("../tests/golden/trace_joined.json"),
+            ),
+            ("/trace/2", include_str!("../tests/golden/trace_local.json")),
+        ] {
+            let reply = route(&service, &off, &req("GET", target, &[], b""));
+            assert_eq!(reply.status, 200);
+            assert_eq!(without_clock(&reply.body), golden.trim_end(), "{target}");
+        }
     }
 
     #[test]

@@ -379,7 +379,9 @@ struct Ledgered {
     ledger: CostLedger,
     /// Tier economics accumulated per request, so billing stays exact
     /// even when the event trace is bounded and evicting.
-    tiers: BTreeMap<(String, u32), TierEconomics>,
+    /// Keyed by `(objective name, tolerance in tenths of a percent)`:
+    /// a static name, so settling allocates nothing under the lock.
+    tiers: BTreeMap<(&'static str, u32), TierEconomics>,
 }
 
 /// The outcome of walking one policy, on the worker pool or against
@@ -428,17 +430,19 @@ struct Opened {
 }
 
 /// The settlement half of the service, detached from `&self`: billing,
-/// tier economics, telemetry, and the serve counter behind cheap `Arc`
-/// clones. Both the synchronous path ([`ComputeService::execute_shaped`])
-/// and the batched path settle through [`Accounts::settle`], so the two
-/// cannot drift — bit-identical per-tier billing is structural, not
-/// coincidental.
+/// tier economics, telemetry, and the serve counter. Built once with
+/// the service and shared behind one `Arc`, so a deferred (batched)
+/// settlement can run on an executor thread after the handler
+/// returned. Both the synchronous path
+/// ([`ComputeService::execute_shaped`]) and the batched path settle
+/// through [`Accounts::settle`], so the two cannot drift —
+/// bit-identical per-tier billing is structural, not coincidental.
 struct Accounts {
     matrix: Arc<ProfileMatrix>,
     stats: Arc<Mutex<ResilienceStats>>,
     state: Arc<Mutex<Ledgered>>,
     obs: Option<Arc<Observability>>,
-    served: Arc<AtomicUsize>,
+    served: AtomicUsize,
     schedule: TierPriceSchedule,
     instance: InstanceType,
     started: Instant,
@@ -509,10 +513,7 @@ impl Accounts {
                 answered_by: stage.answered_by,
                 quality_err,
             });
-            let key = (
-                objective.to_string(),
-                (billed_tolerance * 1000.0).round() as u32,
-            );
+            let key = (objective.name(), (billed_tolerance * 1000.0).round() as u32);
             let slot = state.tiers.entry(key).or_insert(TierEconomics {
                 requests: 0,
                 revenue: Money::ZERO,
@@ -663,11 +664,10 @@ pub struct ComputeService {
     /// control plane's broadcast, and a node whose epoch falls behind
     /// the fleet's is serving stale rules.
     rules_epoch: AtomicU64,
-    served: Arc<AtomicUsize>,
+    accounts: Arc<Accounts>,
     started: Instant,
     /// Versions by ascending mean profiled latency ("cheaper" first).
     version_order: Vec<usize>,
-    instance: InstanceType,
     /// The request-coalescing queue, when `config.batch.enabled`.
     batcher: Option<Batcher>,
 }
@@ -763,6 +763,11 @@ impl ComputeService {
                     log: Vec::new(),
                 })
             });
+        let stats = Arc::new(Mutex::new(ResilienceStats::default()));
+        let state = Arc::new(Mutex::new(Ledgered {
+            trace,
+            ..Ledgered::default()
+        }));
         ComputeService {
             pool: WorkerPool::new(config.model_workers.max(1)),
             capacity,
@@ -770,21 +775,26 @@ impl ComputeService {
             mix_regens: AtomicU64::new(0),
             breakers: Arc::new(Mutex::new(breakers)),
             faults: config.faults.clone().map(|p| Arc::new(Mutex::new(p))),
-            stats: Arc::new(Mutex::new(ResilienceStats::default())),
-            state: Arc::new(Mutex::new(Ledgered {
-                trace,
-                ..Ledgered::default()
-            })),
+            accounts: Arc::new(Accounts {
+                matrix: Arc::clone(&matrix),
+                stats: Arc::clone(&stats),
+                state: Arc::clone(&state),
+                obs: obs.clone(),
+                served: AtomicUsize::new(0),
+                schedule: config.schedule.clone(),
+                instance: InstanceType::cpu_node(),
+                started,
+            }),
+            stats,
+            state,
             obs,
             admission,
             health: Arc::new(VersionHealth::new(versions)),
             supervisor,
             rules_revision: AtomicU64::new(1),
             rules_epoch: AtomicU64::new(1),
-            served: Arc::new(AtomicUsize::new(0)),
             started,
             version_order,
-            instance: InstanceType::cpu_node(),
             batcher: config
                 .batch
                 .enabled
@@ -1010,20 +1020,19 @@ impl ComputeService {
             out.busy_us += profiled.latency_us;
             return Ok(profiled.confidence);
         }
-        let attempts = Arc::new(AtomicU32::new(0));
-        let counter = Arc::clone(&attempts);
+        let mut attempts = 0u32;
         let result = self.pool.call_with_retry(
             || {
-                let attempt = counter.fetch_add(1, Ordering::SeqCst) + 1;
+                attempts += 1;
                 self.make_call(
                     version,
                     payload,
-                    span.map(|(handle, parent)| (handle.clone(), parent, attempt)),
+                    span.map(|(handle, parent)| (handle.clone(), parent, attempts)),
                 )
             },
             &self.config.retry,
         );
-        let attempts = attempts.load(Ordering::SeqCst) as u64;
+        let attempts = u64::from(attempts);
         out.invocations += attempts;
         out.busy_us += profiled.latency_us * attempts;
         if attempts > 1 {
@@ -1347,7 +1356,7 @@ impl ComputeService {
         let payload = request.payload % self.matrix.requests().max(1);
         let root = trace.map(|handle| {
             let id = handle.open("execute", None, self.wall_us());
-            handle.attr_str(id, "objective", request.objective.to_string());
+            handle.attr_str(id, "objective", request.objective.name());
             handle.attr_int(
                 id,
                 "tolerance_milli",
@@ -1371,7 +1380,7 @@ impl ComputeService {
             .validate(self.matrix.versions())
             .expect("frontend produced a valid policy");
         if let Some((handle, id)) = route_span {
-            handle.attr_str(id, "policy", format!("{policy:?}"));
+            handle.attr_text(id, "policy", format_args!("{policy:?}"));
             if let Some((_, _, level)) = brownout {
                 handle.attr_str(id, "brownout", level.label());
             }
@@ -1398,7 +1407,7 @@ impl ComputeService {
     ) -> Result<ComputeOutcome, ServiceError> {
         let span = trace.zip(opened.root);
         match self.run_policy::<true>(opened.policy, opened.payload, span) {
-            Ok(stage) => Ok(self.accounts().settle(opened, stage, trace)),
+            Ok(stage) => Ok(self.accounts.settle(opened, stage, trace)),
             Err(e) => {
                 self.stats.lock().dropped_requests += 1;
                 if let Some(obs) = &self.obs {
@@ -1410,23 +1419,6 @@ impl ComputeService {
                 }
                 Err(e)
             }
-        }
-    }
-
-    /// The clonable settlement bundle: every component billing and
-    /// telemetry need, detached from `&self` so deferred (batched)
-    /// settlements can run on executor threads after the handler
-    /// returned.
-    fn accounts(&self) -> Accounts {
-        Accounts {
-            matrix: Arc::clone(&self.matrix),
-            stats: Arc::clone(&self.stats),
-            state: Arc::clone(&self.state),
-            obs: self.obs.clone(),
-            served: Arc::clone(&self.served),
-            schedule: self.config.schedule.clone(),
-            instance: self.instance.clone(),
-            started: self.started,
         }
     }
 
@@ -1488,7 +1480,7 @@ impl ComputeService {
             handle.attr_int(id, "answered_by", answer.answered_by as i64);
             handle.close(id, self.wall_us());
         }
-        let outcome = self.accounts().settle(
+        let outcome = self.accounts.settle(
             opened,
             StageOutcome {
                 answered_by: answer.answered_by,
@@ -1610,7 +1602,7 @@ impl ComputeService {
         );
         let sim_latency_us = stage.sim_latency_us;
         let invoked = std::mem::take(&mut stage.invoked);
-        let accounts = self.accounts();
+        let accounts = Arc::clone(&self.accounts);
         let health = Arc::clone(&self.health);
         let breakers = Arc::clone(&self.breakers);
         let handle = trace.cloned();
@@ -1995,7 +1987,12 @@ impl ComputeService {
     /// Record one executed transition: a `supervisor` span on the
     /// tracer (kind, version, rules revision, window) and a rendered
     /// line in the decision log.
-    fn note_transition(&self, rt: &mut SupervisorRuntime, kind: &str, version: Option<usize>) {
+    fn note_transition(
+        &self,
+        rt: &mut SupervisorRuntime,
+        kind: &'static str,
+        version: Option<usize>,
+    ) {
         let window = rt.automaton.windows_observed();
         let revision = self.rules_revision.load(Ordering::SeqCst);
         if let Some(obs) = &self.obs {
@@ -2065,7 +2062,7 @@ impl ComputeService {
 
     /// Requests answered so far.
     pub fn served(&self) -> usize {
-        self.served.load(Ordering::SeqCst)
+        self.accounts.served.load(Ordering::SeqCst)
     }
 
     /// A consistent snapshot of the trace, resilience counters, and
@@ -2075,7 +2072,14 @@ impl ComputeService {
         // Fold from the incrementally-accumulated tier economics, not
         // the event trace: a bounded trace evicts events, the
         // accumulator never loses a billed request.
-        let billing = BillingReport::from_parts(state.tiers.clone(), state.ledger.compute_cost());
+        let tiers = state
+            .tiers
+            .iter()
+            .map(|(&(objective, tolerance), econ)| {
+                ((objective.to_string(), tolerance), econ.clone())
+            })
+            .collect();
+        let billing = BillingReport::from_parts(tiers, state.ledger.compute_cost());
         ServiceSnapshot {
             served: self.served(),
             trace: state.trace.clone(),
@@ -2241,8 +2245,8 @@ mod tests {
         assert_eq!(bill.parent, Some(root.id));
         // Model calls hang off the request root (or a degrade span),
         // and carry version/attempt/outcome attributes.
-        assert!(call.attrs.iter().any(|(k, _)| *k == "version"));
-        assert!(call.attrs.iter().any(|(k, _)| *k == "outcome"));
+        assert!(trace.attrs(call.id).any(|(k, _)| k == "version"));
+        assert!(trace.attrs(call.id).any(|(k, _)| k == "outcome"));
     }
 
     #[test]

@@ -241,9 +241,25 @@ impl WindowStore {
     }
 
     fn record_tier(&self, tier: &str, mutate: impl Fn(&mut TierWindow)) {
+        {
+            let mut guard = self.inner.lock().expect("window store poisoned");
+            let inner = &mut *guard;
+            if let (Some(open), Some(cumulative)) = (
+                inner.open.tiers.get_mut(tier),
+                inner.cumulative.tiers.get_mut(tier),
+            ) {
+                mutate(open);
+                mutate(cumulative);
+                return;
+            }
+        }
+        // First sight of the tier in the open window: its keys are
+        // built with the lock released, so the request path never
+        // allocates a `String` while holding it.
+        let (open_key, cumulative_key) = (tier.to_string(), tier.to_string());
         let mut inner = self.inner.lock().expect("window store poisoned");
-        mutate(inner.open.tiers.entry(tier.to_string()).or_default());
-        mutate(inner.cumulative.tiers.entry(tier.to_string()).or_default());
+        mutate(inner.open.tiers.entry(open_key).or_default());
+        mutate(inner.cumulative.tiers.entry(cumulative_key).or_default());
     }
 
     /// Heartbeat: seal the open window if it has run for at least the

@@ -46,9 +46,13 @@ impl TraceEvent {
         self.responded.saturating_since(self.arrival)
     }
 
-    fn tier_key(&self) -> (String, u32) {
+    /// The tier as `(objective name, tolerance in tenths of a
+    /// percent)`; ordered like the `(String, u32)` keys of
+    /// [`TraceRecorder::by_tier`], built without allocating because a
+    /// live service records under its settlement lock.
+    fn tier_key(&self) -> (&'static str, u32) {
         (
-            self.objective.to_string(),
+            self.objective.name(),
             (self.tolerance * 1000.0).round() as u32,
         )
     }
@@ -90,7 +94,7 @@ pub struct TraceRecorder {
     /// `Some(retain)` in bounded mode: the ring keeps at most `retain`
     /// events while `aggs` folds every event ever recorded.
     retention: Option<usize>,
-    aggs: BTreeMap<(String, u32), TierAgg>,
+    aggs: BTreeMap<(&'static str, u32), TierAgg>,
     total: usize,
 }
 
@@ -159,9 +163,9 @@ impl TraceRecorder {
             return self
                 .aggs
                 .iter()
-                .map(|(k, agg)| {
+                .map(|(&(objective, tolerance), agg)| {
                     (
-                        k.clone(),
+                        (objective.to_string(), tolerance),
                         TierStats {
                             requests: agg.requests,
                             latency: agg.latency.clone(),
@@ -171,7 +175,7 @@ impl TraceRecorder {
                 })
                 .collect();
         }
-        let mut map: BTreeMap<(String, u32), (LatencyRecorder, f64, usize)> = BTreeMap::new();
+        let mut map: BTreeMap<(&'static str, u32), (LatencyRecorder, f64, usize)> = BTreeMap::new();
         for e in &self.events {
             let slot = map.entry(e.tier_key()).or_default();
             slot.0.record(e.response_time());
@@ -179,9 +183,9 @@ impl TraceRecorder {
             slot.2 += 1;
         }
         map.into_iter()
-            .map(|(k, (latency, err, n))| {
+            .map(|((objective, tolerance), (latency, err, n))| {
                 (
-                    k,
+                    (objective.to_string(), tolerance),
                     TierStats {
                         requests: n,
                         latency,

@@ -135,10 +135,12 @@ fn extract_totals(body: &str) -> String {
 
 fn tolerance_milli(trace: &RequestTrace) -> Option<i64> {
     let execute = trace.span("execute")?;
-    execute.attrs.iter().find_map(|(key, value)| match value {
-        AttrValue::Int(v) if *key == "tolerance_milli" => Some(*v),
-        _ => None,
-    })
+    trace
+        .attrs(execute.id)
+        .find_map(|(key, value)| match value {
+            AttrValue::Int(v) if key == "tolerance_milli" => Some(v),
+            _ => None,
+        })
 }
 
 /// The contract the batcher must never break: identical billing and
