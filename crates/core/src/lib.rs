@@ -74,7 +74,7 @@ pub use profile::{Observation, ProfileMatrix, ProfileMatrixBuilder, VersionColum
 pub use request::{ServiceRequest, Tolerance};
 pub use router::BucketRouter;
 pub use rulegen::{CandidateRecord, RoutingRuleGenerator, RoutingRules};
-pub use tier::ToleranceTier;
+pub use tier::{serving_tier, ToleranceTier};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

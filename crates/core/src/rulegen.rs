@@ -30,6 +30,7 @@ use crate::parallel;
 use crate::policy::{Policy, Scheduling, Termination};
 use crate::profile::ProfileMatrix;
 use crate::request::Tolerance;
+use crate::tier::serving_tier;
 use crate::{CoreError, Result};
 use tt_stats::bootstrap::{Bootstrap, TrialLimits};
 
@@ -115,17 +116,12 @@ impl RoutingRules {
     /// request's (guarantees transfer downward). Requests below the
     /// smallest tier get the baseline version.
     pub fn lookup(&self, tolerance: Tolerance) -> Policy {
-        let mut chosen = Policy::Single {
-            version: self.baseline_version,
-        };
-        for &(tol, policy) in &self.tiers {
-            if tol <= tolerance.value() + 1e-12 {
-                chosen = policy;
-            } else {
-                break;
-            }
+        match serving_tier(&self.tiers, |&(tol, _)| tol, tolerance.value()) {
+            Some(tier) => self.tiers[tier].1,
+            None => Policy::Single {
+                version: self.baseline_version,
+            },
         }
-        chosen
     }
 
     /// Translate every version index through `map` (new index → old

@@ -28,23 +28,20 @@
 //!
 //! 1. **Looser tier** — serve from the loosest deployed tier whose
 //!    *predicted mean degradation* (from the deployment's own
-//!    [`RoutingRules::guarantees`]) stays within the request's
-//!    declared tolerance, and bill at that tier's cheaper price.
+//!    guarantees, as its tier table records them) stays within the
+//!    request's declared tolerance, and bill at that tier's cheaper
+//!    price.
 //! 2. **Plan rewrite** — run the matched tier's own policy but
 //!    thriftily: concurrent cascades become sequential, finish-out
 //!    becomes early-terminate. Answers are bit-identical (the answer
 //!    depends only on confidence vs. threshold), so billing is
 //!    unchanged; only speculative compute is shed.
 
-use crate::obs::tier_key;
-use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use crate::tiers::{LiveTiers, Tier};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tt_core::objective::Objective;
 use tt_core::policy::{Policy, Scheduling, Termination};
-use tt_core::profile::ProfileMatrix;
-use tt_core::rulegen::RoutingRules;
 
 /// Tuning for an [`AdmissionController`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -179,23 +176,6 @@ pub struct TierAdmission {
     pub rejected: u64,
 }
 
-/// One deployed tier's brownout-relevant facts.
-#[derive(Debug, Clone, Copy)]
-struct TierPlan {
-    tolerance: f64,
-    policy: Policy,
-    /// Predicted mean relative degradation vs. the baseline, from the
-    /// rules' own guarantees.
-    predicted_degradation: f64,
-}
-
-/// Brownout candidates for one objective, tolerance-ascending.
-#[derive(Debug, Clone)]
-struct ObjectivePlans {
-    objective: Objective,
-    tiers: Vec<TierPlan>,
-}
-
 /// RAII in-flight marker; dropping it releases the slot.
 #[derive(Debug)]
 pub struct InFlight {
@@ -221,8 +201,8 @@ pub struct AdmissionController {
     rejected_total: AtomicU64,
     congestion_events: AtomicU64,
     limit_decreases: AtomicU64,
-    per_tier: Mutex<BTreeMap<String, TierAdmission>>,
-    plans: RwLock<Vec<ObjectivePlans>>,
+    /// The deployment whose tiers are decided on and tallied into.
+    tiers: Arc<LiveTiers>,
 }
 
 impl std::fmt::Debug for AdmissionController {
@@ -235,14 +215,14 @@ impl std::fmt::Debug for AdmissionController {
 }
 
 impl AdmissionController {
-    /// A controller with an empty brownout table (every brownout-band
-    /// decision falls back to `Admit` until
-    /// [`AdmissionController::rebuild_plans`] runs).
+    /// A controller deciding over the deployment published in `tiers`
+    /// (so brownout plans never reference a version a hot-swap
+    /// quarantined).
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`AdmissionConfig::validate`].
-    pub fn new(config: AdmissionConfig) -> Self {
+    pub fn new(config: AdmissionConfig, tiers: Arc<LiveTiers>) -> Self {
         if let Err(e) = config.validate() {
             panic!("admission config: {e}");
         }
@@ -255,60 +235,9 @@ impl AdmissionController {
             rejected_total: AtomicU64::new(0),
             congestion_events: AtomicU64::new(0),
             limit_decreases: AtomicU64::new(0),
-            per_tier: Mutex::new(BTreeMap::new()),
-            plans: RwLock::new(Vec::new()),
+            tiers,
             config,
         }
-    }
-
-    /// (Re)derive the brownout table from a deployment's routing rules
-    /// — called at construction and after every rules hot-swap, so
-    /// brownout plans never reference a quarantined version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a deployed policy cannot be evaluated against
-    /// `matrix` (the frontend would have panicked serving it anyway).
-    pub fn rebuild_plans<'a>(
-        &self,
-        matrix: &ProfileMatrix,
-        rule_sets: impl IntoIterator<Item = &'a RoutingRules>,
-        latency_quantile: f64,
-    ) {
-        let mut plans = Vec::new();
-        for rules in rule_sets {
-            let guarantees = rules
-                .guarantees(matrix, latency_quantile)
-                .expect("deployed rules must evaluate against their own matrix");
-            let mut tiers: Vec<TierPlan> = guarantees
-                .iter()
-                .map(|g| {
-                    let predicted_degradation = if g.baseline_mean_err > 0.0 {
-                        ((g.predicted_mean_err - g.baseline_mean_err) / g.baseline_mean_err)
-                            .max(0.0)
-                    } else if g.predicted_mean_err > 0.0 {
-                        f64::INFINITY
-                    } else {
-                        0.0
-                    };
-                    TierPlan {
-                        tolerance: g.tolerance,
-                        policy: g.policy,
-                        predicted_degradation,
-                    }
-                })
-                .collect();
-            tiers.sort_by(|a, b| {
-                a.tolerance
-                    .partial_cmp(&b.tolerance)
-                    .expect("finite tolerances")
-            });
-            plans.push(ObjectivePlans {
-                objective: rules.objective(),
-                tiers,
-            });
-        }
-        *self.plans.write() = plans;
     }
 
     /// Mark a request in flight; pressure stays raised until the guard
@@ -380,74 +309,33 @@ impl AdmissionController {
         tolerance: f64,
         pressure: usize,
     ) -> AdmissionDecision {
+        let tier = self.tiers.read().resolve(objective, tolerance);
+        self.decide_tier(&tier, tolerance, pressure)
+    }
+
+    /// Decide the fate of a request declaring `tolerance`, already
+    /// resolved to `tier`, at `pressure`.
+    pub fn decide_tier(&self, tier: &Tier, tolerance: f64, pressure: usize) -> AdmissionDecision {
         let limit = self.limit();
         let decision = if tolerance < self.config.protect_below || pressure < limit {
             AdmissionDecision::Admit
         } else if (pressure as f64) < limit as f64 * self.config.reject_factor {
             self.congested.store(true, Ordering::SeqCst);
-            self.brownout_plan(objective, tolerance)
-                .unwrap_or(AdmissionDecision::Admit)
+            brownout_plan(tier, tolerance).unwrap_or(AdmissionDecision::Admit)
         } else {
             self.congested.store(true, Ordering::SeqCst);
             AdmissionDecision::Reject {
                 retry_after_secs: self.config.retry_after_secs,
             }
         };
-        self.account(objective, tolerance, &decision);
+        let (total, tally) = match decision {
+            AdmissionDecision::Admit => (&self.admitted_total, &tier.sinks.admitted),
+            AdmissionDecision::Brownout { .. } => (&self.brownouts_total, &tier.sinks.browned_out),
+            AdmissionDecision::Reject { .. } => (&self.rejected_total, &tier.sinks.rejected),
+        };
+        total.fetch_add(1, Ordering::SeqCst);
+        tally.fetch_add(1, Ordering::SeqCst);
         decision
-    }
-
-    /// The cheapest qualifying brownout plan, or `None` when even the
-    /// rewrite rung changes nothing.
-    fn brownout_plan(&self, objective: Objective, tolerance: f64) -> Option<AdmissionDecision> {
-        let plans = self.plans.read();
-        let tiers = &plans.iter().find(|p| p.objective == objective)?.tiers;
-        // The tier the request would normally match (downward rule).
-        let matched = tiers
-            .iter()
-            .rev()
-            .find(|t| t.tolerance <= tolerance + 1e-12)?;
-        // Rung 1: the loosest deployed tier still inside the declared
-        // tolerance, by the rules' own degradation predictions.
-        for t in tiers.iter().rev() {
-            if t.tolerance <= matched.tolerance {
-                break;
-            }
-            if t.predicted_degradation <= tolerance + 1e-9 {
-                return Some(AdmissionDecision::Brownout {
-                    policy: t.policy,
-                    billed_tolerance: t.tolerance,
-                    level: BrownoutLevel::LooserTier,
-                });
-            }
-        }
-        // Rung 2: same tier, thrifty execution.
-        let thrifty = thrifty_plan(matched.policy);
-        (thrifty != matched.policy).then_some(AdmissionDecision::Brownout {
-            policy: thrifty,
-            billed_tolerance: tolerance,
-            level: BrownoutLevel::Rewrite,
-        })
-    }
-
-    fn account(&self, objective: Objective, tolerance: f64, decision: &AdmissionDecision) {
-        let key = tier_key(objective, tolerance);
-        let mut per_tier = self.per_tier.lock();
-        let slot = per_tier.entry(key).or_default();
-        match decision {
-            AdmissionDecision::Admit => {
-                self.admitted_total.fetch_add(1, Ordering::SeqCst);
-                slot.admitted += 1;
-            }
-            AdmissionDecision::Brownout { .. } => {
-                self.brownouts_total.fetch_add(1, Ordering::SeqCst);
-                slot.browned_out += 1;
-            }
-            AdmissionDecision::Reject { .. } => {
-                self.rejected_total.fetch_add(1, Ordering::SeqCst);
-                slot.rejected += 1;
-            }
-        }
     }
 
     /// Lifetime totals: `(admitted, browned_out, rejected)`.
@@ -470,12 +358,20 @@ impl AdmissionController {
         self.limit_decreases.load(Ordering::SeqCst)
     }
 
-    /// Per-tier tallies sorted by tier key.
+    /// Per-tier tallies sorted by tier key, for every tier a request
+    /// was ever decided on.
     pub fn tier_admissions(&self) -> Vec<(String, TierAdmission)> {
-        self.per_tier
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
+        let table = self.tiers.read();
+        let tallies = table.sinks.iter().map(|(key, sinks)| {
+            let tally = TierAdmission {
+                admitted: sinks.admitted.load(Ordering::SeqCst),
+                browned_out: sinks.browned_out.load(Ordering::SeqCst),
+                rejected: sinks.rejected.load(Ordering::SeqCst),
+            };
+            (key.clone(), tally)
+        });
+        tallies
+            .filter(|(_, tally)| *tally != TierAdmission::default())
             .collect()
     }
 
@@ -483,6 +379,32 @@ impl AdmissionController {
     pub fn retry_after_secs(&self) -> u64 {
         self.config.retry_after_secs
     }
+}
+
+/// The cheapest qualifying brownout plan for a request served as
+/// `tier`, or `None` when even the rewrite rung changes nothing.
+fn brownout_plan(tier: &Tier, tolerance: f64) -> Option<AdmissionDecision> {
+    // Rung 1: the loosest deployed tier still inside the declared
+    // tolerance, by the rules' own degradation predictions.
+    if let Some(looser) = tier
+        .looser()
+        .iter()
+        .rev()
+        .find(|t| t.predicted_degradation <= tolerance + 1e-9)
+    {
+        return Some(AdmissionDecision::Brownout {
+            policy: looser.policy,
+            billed_tolerance: looser.tolerance,
+            level: BrownoutLevel::LooserTier,
+        });
+    }
+    // Rung 2: same tier, thrifty execution.
+    let thrifty = thrifty_plan(tier.policy);
+    (thrifty != tier.policy).then_some(AdmissionDecision::Brownout {
+        policy: thrifty,
+        billed_tolerance: tolerance,
+        level: BrownoutLevel::Rewrite,
+    })
 }
 
 /// The always-safe plan rewrite: identical answers (confidence vs.
@@ -510,16 +432,36 @@ fn thrifty_plan(policy: Policy) -> Policy {
 mod tests {
     use super::*;
     use crate::demo::{demo_frontend, demo_matrix};
+    use crate::obs::ObsConfig;
+    use crate::tiers::TierTable;
+    use tt_core::profile::ProfileMatrix;
+    use tt_core::rulegen::RoutingRuleGenerator;
+    use tt_serve::billing::TierPriceSchedule;
+    use tt_serve::frontend::TieredFrontend;
+    use tt_sim::Money;
+
+    /// A limit-8 controller (reject at 16) over `frontend`'s tiers on
+    /// the demo matrix.
+    fn controller_over(frontend: impl Fn(&ProfileMatrix) -> TieredFrontend) -> AdmissionController {
+        let matrix = demo_matrix(120, 5);
+        let table = TierTable::build(
+            &matrix,
+            frontend(&matrix),
+            &TierPriceSchedule::list_prices(Money::from_dollars(0.001)),
+            &ObsConfig::defaults(),
+            None,
+        );
+        AdmissionController::new(
+            AdmissionConfig {
+                initial_limit: 8,
+                ..AdmissionConfig::defaults()
+            },
+            Arc::new(LiveTiers::new(Arc::new(table))),
+        )
+    }
 
     fn controller() -> AdmissionController {
-        let matrix = demo_matrix(120, 5);
-        let frontend = demo_frontend(&matrix, 5);
-        let ctl = AdmissionController::new(AdmissionConfig {
-            initial_limit: 8,
-            ..AdmissionConfig::defaults()
-        });
-        ctl.rebuild_plans(&matrix, frontend.rules(), 0.99);
-        ctl
+        controller_over(|matrix| demo_frontend(matrix, 5))
     }
 
     #[test]
@@ -560,17 +502,7 @@ mod tests {
     #[test]
     fn brownout_stays_within_declared_tolerance() {
         let ctl = controller();
-        let plans = ctl.plans.read();
         for objective in [Objective::ResponseTime, Objective::Cost] {
-            let tiers = &plans
-                .iter()
-                .find(|p| p.objective == objective)
-                .unwrap()
-                .tiers;
-            drop_checks(&ctl, objective, tiers);
-        }
-
-        fn drop_checks(ctl: &AdmissionController, objective: Objective, tiers: &[TierPlan]) {
             for declared in [0.01, 0.05, 0.10] {
                 if let AdmissionDecision::Brownout {
                     billed_tolerance,
@@ -579,10 +511,8 @@ mod tests {
                 } = ctl.decide_at(objective, declared, 8)
                 {
                     if level == BrownoutLevel::LooserTier {
-                        let tier = tiers
-                            .iter()
-                            .find(|t| (t.tolerance - billed_tolerance).abs() < 1e-12)
-                            .expect("billed tier is deployed");
+                        let tier = ctl.tiers.read().resolve(objective, billed_tolerance);
+                        assert_eq!(tier.tolerance, billed_tolerance, "billed tier is deployed");
                         assert!(
                             tier.predicted_degradation <= declared + 1e-9,
                             "{objective} declared {declared}: browned to {billed_tolerance} \
@@ -622,13 +552,8 @@ mod tests {
 
     #[test]
     fn aimd_decreases_on_congestion_and_recovers_additively() {
-        let ctl = AdmissionController::new(AdmissionConfig {
-            initial_limit: 64,
-            min_limit: 4,
-            additive_increase: 2,
-            decrease_factor: 0.5,
-            ..AdmissionConfig::defaults()
-        });
+        let ctl = controller();
+        ctl.set_limit(64);
         ctl.on_congestion();
         assert_eq!(ctl.on_window_tick(), 32);
         ctl.on_congestion();
@@ -692,14 +617,15 @@ mod tests {
 
     #[test]
     fn empty_table_admits_in_the_brownout_band() {
-        let ctl = AdmissionController::new(AdmissionConfig {
-            initial_limit: 8,
-            ..AdmissionConfig::defaults()
+        // Rules that advertise no tier leave each ladder its strict
+        // baseline entry alone: no looser tier, nothing to rewrite.
+        let ctl = controller_over(|matrix| {
+            let gen = RoutingRuleGenerator::with_defaults(matrix, 0.95, 5).unwrap();
+            TieredFrontend::new(vec![gen.generate(&[], Objective::Cost).unwrap()])
         });
-        assert_eq!(
-            ctl.decide_at(Objective::Cost, 0.10, 8),
-            AdmissionDecision::Admit
-        );
+        for objective in [Objective::Cost, Objective::ResponseTime] {
+            assert_eq!(ctl.decide_at(objective, 0.10, 8), AdmissionDecision::Admit);
+        }
     }
 
     #[test]

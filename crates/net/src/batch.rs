@@ -18,11 +18,12 @@
 //! totals are bit-identical whether a request was batched, and at any
 //! batch composition.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use tt_core::objective::Objective;
+use tt_core::policy::Policy;
 
 /// Tuning for the request-coalescing layer. Disabled by default; the
 /// reactor engine's bench and e2e configurations switch it on.
@@ -92,9 +93,10 @@ impl BatchConfig {
 }
 
 /// What makes two in-flight requests batchable: same objective, same
-/// resolved policy (rendered via `Debug`, which covers every variant
-/// field — versions, thresholds, scheduling, termination).
-pub(crate) type GroupKey = (String, String);
+/// resolved policy — every variant field (versions, thresholds,
+/// scheduling, termination). A `Copy` value, so parking a request
+/// allocates no key.
+pub(crate) type GroupKey = (Objective, Policy);
 
 /// One request handed to the batcher. `finish(batch_size, waited_us)`
 /// runs on a batch-executor thread after the group's shared sleep and
@@ -123,7 +125,8 @@ struct Group {
 }
 
 struct Shared {
-    state: Mutex<BTreeMap<GroupKey, Group>>,
+    /// Forming groups, oldest first.
+    state: Mutex<Vec<(GroupKey, Group)>>,
     cv: Condvar,
     max_batch: usize,
     latency_scale: f64,
@@ -149,7 +152,7 @@ impl std::fmt::Debug for Batcher {
 impl Batcher {
     pub fn new(config: &BatchConfig, latency_scale: f64) -> Self {
         let shared = Arc::new(Shared {
-            state: Mutex::new(BTreeMap::new()),
+            state: Mutex::new(Vec::new()),
             cv: Condvar::new(),
             max_batch: config.max_batch.max(1),
             latency_scale,
@@ -173,10 +176,15 @@ impl Batcher {
         let deadline = Instant::now() + item.deadline_in;
         let wake = {
             let mut state = self.shared.state.lock().expect("batch state lock");
-            let group = state.entry(item.key).or_insert_with(|| Group {
-                members: Vec::new(),
-                deadline,
-            });
+            let at = state
+                .iter()
+                .position(|(key, _)| *key == item.key)
+                .unwrap_or_else(|| {
+                    let members = Vec::new();
+                    state.push((item.key, Group { members, deadline }));
+                    state.len() - 1
+                });
+            let group = &mut state[at].1;
             let new_group = group.members.is_empty();
             let earlier = deadline < group.deadline;
             if earlier {
@@ -222,12 +230,11 @@ fn worker(shared: &Shared) {
     loop {
         let draining = shared.shutdown.load(Ordering::SeqCst);
         let now = Instant::now();
-        let ripe = state
-            .iter()
-            .find(|(_, g)| draining || g.members.len() >= shared.max_batch || g.deadline <= now)
-            .map(|(k, _)| k.clone());
-        if let Some(key) = ripe {
-            let group = state.remove(&key).expect("ripe group present");
+        let ripe = state.iter().position(|(_, g)| {
+            draining || g.members.len() >= shared.max_batch || g.deadline <= now
+        });
+        if let Some(at) = ripe {
+            let (_, group) = state.remove(at);
             drop(state);
             // This thread is about to go quiet for the whole flush; if
             // more work is already ripe, a peer should pick it up now
@@ -245,8 +252,8 @@ fn worker(shared: &Shared) {
         // Sleep until the earliest group deadline (or a bounded idle
         // tick when empty); enqueue/drop notify the condvar.
         let wait = state
-            .values()
-            .map(|g| g.deadline.saturating_duration_since(now))
+            .iter()
+            .map(|(_, g)| g.deadline.saturating_duration_since(now))
             .min()
             .unwrap_or(Duration::from_millis(50))
             .max(Duration::from_micros(20));
@@ -318,10 +325,10 @@ mod tests {
         );
     }
 
-    fn item(key: &str, deadline: Duration, tx: &mpsc::Sender<(u64, u64)>) -> BatchItem {
+    fn item(version: usize, deadline: Duration, tx: &mpsc::Sender<(u64, u64)>) -> BatchItem {
         let tx = tx.clone();
         BatchItem {
-            key: ("response-time".into(), key.into()),
+            key: (Objective::ResponseTime, Policy::Single { version }),
             deadline_in: deadline,
             sim_latency_us: 10,
             finish: Box::new(move |size, waited| {
@@ -340,7 +347,7 @@ mod tests {
         let batcher = Batcher::new(&config, 0.0);
         let (tx, rx) = mpsc::channel();
         for _ in 0..3 {
-            batcher.enqueue(item("Single { version: 0 }", Duration::from_secs(60), &tx));
+            batcher.enqueue(item(0, Duration::from_secs(60), &tx));
         }
         for _ in 0..3 {
             let (size, _) = rx
@@ -354,7 +361,7 @@ mod tests {
     fn deadline_flushes_a_partial_group() {
         let batcher = Batcher::new(&BatchConfig::defaults(), 0.0);
         let (tx, rx) = mpsc::channel();
-        batcher.enqueue(item("Single { version: 1 }", Duration::from_millis(5), &tx));
+        batcher.enqueue(item(1, Duration::from_millis(5), &tx));
         let (size, waited) = rx
             .recv_timeout(Duration::from_secs(5))
             .expect("deadline flushes the lone member");
@@ -371,8 +378,8 @@ mod tests {
         };
         let batcher = Batcher::new(&config, 0.0);
         let (tx, rx) = mpsc::channel();
-        batcher.enqueue(item("Single { version: 0 }", Duration::from_millis(5), &tx));
-        batcher.enqueue(item("Single { version: 1 }", Duration::from_millis(5), &tx));
+        batcher.enqueue(item(0, Duration::from_millis(5), &tx));
+        batcher.enqueue(item(1, Duration::from_millis(5), &tx));
         for _ in 0..2 {
             let (size, _) = rx.recv_timeout(Duration::from_secs(5)).expect("flushed");
             assert_eq!(size, 1, "different policies must not share a batch");
@@ -386,7 +393,7 @@ mod tests {
         for _ in 0..5 {
             let counter = Arc::clone(&flushed);
             batcher.enqueue(BatchItem {
-                key: ("cost".into(), "Single { version: 0 }".into()),
+                key: (Objective::Cost, Policy::Single { version: 0 }),
                 deadline_in: Duration::from_secs(600),
                 sim_latency_us: 0,
                 finish: Box::new(move |_, _| {

@@ -13,8 +13,8 @@
 //! ```
 //!
 //! A request traverses annotation parsing
-//! ([`tt_serve::frontend::parse_annotations`]), tier routing
-//! ([`tt_serve::frontend::TieredFrontend`]), resilient execution on a
+//! ([`tt_serve::frontend::parse_annotations`]), tier resolution (once,
+//! against the deployment's [`tiers::TierTable`]), resilient execution on a
 //! live worker pool (retries, circuit breakers, degradation — the
 //! [`service`] module), and billing — end to end over the wire. The
 //! [`server`] module adds the operational surface (`/healthz`,
@@ -45,6 +45,7 @@ pub mod reactor;
 pub mod server;
 pub mod service;
 pub mod stats;
+pub mod tiers;
 
 pub use cluster::{Fleet, FleetConfig, FrontTier, NodeState, RouteStrategy};
 
@@ -61,7 +62,7 @@ pub use loadgen::{
     LoadReport, SlowRequest, TierLoad,
 };
 pub use metrics::{admission_object, metrics_document, supervisor_object};
-pub use obs::{tier_key, CacheEvent, ObsConfig, Observability, ServedSample};
+pub use obs::{CacheEvent, ObsConfig, Observability, ServedSample};
 pub use server::{
     socket_config_failures, Engine, RunningServer, Server, ServerConfig, ShutdownHandle,
     PEER_READ_TIMEOUT,

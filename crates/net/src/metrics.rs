@@ -151,32 +151,32 @@ pub fn supervisor_object(status: &SupervisorStatus) -> JsonObject {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demo::{demo_frontend, demo_matrix};
-    use crate::obs::{ObsConfig, Observability};
-    use std::time::Instant;
+    use crate::demo::demo_service;
+    use crate::service::{ComputeService, ServiceConfig};
     use tt_core::objective::Objective;
+    use tt_core::request::Tolerance;
 
-    fn obs() -> Observability {
-        let matrix = demo_matrix(80, 9);
-        let frontend = demo_frontend(&matrix, 9);
-        Observability::new(&matrix, &frontend, &ObsConfig::defaults(), Instant::now())
+    fn svc() -> ComputeService {
+        demo_service(80, 9, ServiceConfig::defaults())
     }
 
     #[test]
     fn document_has_the_advertised_shape() {
-        let obs = obs();
-        obs.record_served(&crate::obs::ServedSample {
-            objective: Objective::Cost,
-            tolerance: 0.05,
-            sim_latency_us: 9_000,
-            quality_err: 0.1,
-            baseline_err: 0.1,
-            degraded: false,
-            invocations: 1,
-            version: 0,
-        });
+        let svc = svc();
+        let obs = svc.observability().unwrap();
+        obs.record_served(
+            &svc.resolve(Objective::Cost, Tolerance::new(0.05).unwrap()),
+            &crate::obs::ServedSample {
+                sim_latency_us: 9_000,
+                quality_err: 0.1,
+                baseline_err: 0.1,
+                degraded: false,
+                invocations: 1,
+                version: 0,
+            },
+        );
         obs.sentinel().force_tick(1_000_000);
-        let body = metrics_document(&obs, 1_234).render();
+        let body = metrics_document(obs, 1_234).render();
         assert!(body.contains("\"service\": \"toltiers\""));
         assert!(body.contains("\"uptime_ms\": 1234"));
         assert!(body.contains("\"requests_total\": 1"));
@@ -206,20 +206,23 @@ mod tests {
             panic!("unbalanced totals object");
         };
         let run = || {
-            let obs = obs();
+            let svc = svc();
+            let obs = svc.observability().unwrap();
+            let tier = svc.resolve(Objective::ResponseTime, Tolerance::new(0.01).unwrap());
             for i in 0..50 {
-                obs.record_served(&crate::obs::ServedSample {
-                    objective: Objective::ResponseTime,
-                    tolerance: 0.01,
-                    sim_latency_us: 2_000 + i * 13,
-                    quality_err: 0.02,
-                    baseline_err: 0.02,
-                    degraded: i % 7 == 0,
-                    invocations: 1 + (i % 2),
-                    version: (i % 3) as usize,
-                });
+                obs.record_served(
+                    &tier,
+                    &crate::obs::ServedSample {
+                        sim_latency_us: 2_000 + i * 13,
+                        quality_err: 0.02,
+                        baseline_err: 0.02,
+                        degraded: i % 7 == 0,
+                        invocations: 1 + (i % 2),
+                        version: (i % 3) as usize,
+                    },
+                );
             }
-            extract(&metrics_document(&obs, 999).render())
+            extract(&metrics_document(obs, 999).render())
         };
         // uptime differs between renders; totals must not.
         let a = run();
@@ -230,8 +233,8 @@ mod tests {
 
     #[test]
     fn empty_histograms_render_without_quantiles() {
-        let obs = obs();
-        let body = metrics_document(&obs, 0).render();
+        let svc = svc();
+        let body = metrics_document(svc.observability().unwrap(), 0).render();
         // No traffic: count/sum present, no p50 keys invented.
         assert!(body.contains("\"count\": 0"));
         assert!(body.contains("\"awaiting first window\""));

@@ -3,33 +3,31 @@
 //! sentinel, assembled from [`tt_obs`] and wired to the deployment's
 //! *advertised* guarantees.
 //!
-//! The interesting part is the wiring, not the plumbing: at service
-//! construction the frontend's routing rules are replayed through
-//! [`RoutingRules::guarantees`] to extract, per tier, the tolerance ε
-//! and the predicted latency at a chosen quantile. Those predictions
-//! become [`SloTarget`]s, so the sentinel holds live traffic against
-//! exactly what the rule generator promised — the paper's contract
-//! ("this tier degrades accuracy at most ε versus the premium tier")
-//! made observable at runtime.
+//! The interesting part is the wiring, not the plumbing: the
+//! deployment's tier table ([`crate::tiers`]) replays the routing
+//! rules through `RoutingRules::guarantees` to extract, per tier, the
+//! tolerance ε and the predicted latency at a chosen quantile. Those
+//! predictions become the sentinel's targets, so it holds live traffic
+//! against exactly what the rule generator promised — the paper's
+//! contract ("this tier degrades accuracy at most ε versus the premium
+//! tier") made observable at runtime. Every `record_*` here is handed
+//! the request's resolved tier and writes to that entry's sinks and
+//! pre-built key.
 //!
 //! Everything the hot path records is integer-accumulated (fixed-point
 //! quality errors, histogram bucket counts), so a fixed request set
 //! produces bit-identical `/metrics` totals regardless of thread
 //! interleaving.
 
-use parking_lot::RwLock;
+use crate::tiers::{LiveTiers, TierEntry, TierTable};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tt_core::objective::Objective;
-use tt_core::profile::ProfileMatrix;
-use tt_core::rulegen::RoutingRules;
 use tt_obs::{
-    AdmissionOutcome, BucketScheme, Counter, EventLog, HistogramHandle, MetricsRegistry,
-    SloSentinel, SloTarget, TierTelemetry, Tracer, WindowStore,
+    AdmissionOutcome, Counter, EventLog, HistogramHandle, MetricsRegistry, SloSentinel,
+    TierTelemetry, Tracer, WindowStore,
 };
-use tt_serve::frontend::TieredFrontend;
 
 /// Observability tuning for a [`crate::service::ComputeService`].
 #[derive(Debug, Clone)]
@@ -97,10 +95,6 @@ impl ObsConfig {
 /// one served request.
 #[derive(Debug, Clone, Copy)]
 pub struct ServedSample {
-    /// The request's objective annotation.
-    pub objective: Objective,
-    /// The request's tolerance annotation.
-    pub tolerance: f64,
     /// Simulated (accounted) latency of the serving policy.
     pub sim_latency_us: u64,
     /// Quality error of the version that answered.
@@ -115,13 +109,6 @@ pub struct ServedSample {
     /// The model version that answered — keys the telemetry windows'
     /// per-version service-time histograms (the planner's input).
     pub version: usize,
-}
-
-/// The stable tier key used across `/metrics`, SLO verdicts, and
-/// `/healthz` degradation reasons: `"{objective}/{tolerance:.3}"`,
-/// e.g. `"cost/0.050"`.
-pub fn tier_key(objective: Objective, tolerance: f64) -> String {
-    format!("{objective}/{tolerance:.3}")
 }
 
 /// How the semantic result cache disposed of one compute request, for
@@ -139,89 +126,18 @@ pub enum CacheEvent {
     Bypass,
 }
 
-/// One objective's deployed tiers: ascending tolerances with their
-/// telemetry sinks, plus the baseline (premium) version index.
-#[derive(Clone)]
-struct ObjectiveTiers {
-    objective: Objective,
-    /// `(tolerance, telemetry)` ascending by tolerance.
-    slots: Vec<(f64, Arc<TierTelemetry>)>,
-    baseline_version: usize,
-}
-
-/// Build sentinel targets and tier wiring for a deployment, reusing
-/// telemetry sinks from `reuse` (matched by objective + tolerance) so
-/// a rebind keeps lifetime series continuous.
-fn build_tiers(
-    matrix: &ProfileMatrix,
-    frontend: &TieredFrontend,
-    config: &ObsConfig,
-    reuse: &[ObjectiveTiers],
-) -> (Vec<(SloTarget, Arc<TierTelemetry>)>, Vec<ObjectiveTiers>) {
-    let recycled = |objective: Objective, tolerance: f64| -> Option<Arc<TierTelemetry>> {
-        let tiers = reuse.iter().find(|t| t.objective == objective)?;
-        tiers
-            .slots
-            .iter()
-            .find(|(tol, _)| (tol - tolerance).abs() < 1e-12)
-            .map(|(_, tel)| Arc::clone(tel))
-    };
-    let mut targets = Vec::new();
-    let mut tiers = Vec::new();
-    // The frontend stores rules per objective in a hash map;
-    // sort so sentinel registration (and thus verdict order on
-    // `/metrics`) is identical across runs.
-    let mut rule_sets: Vec<&RoutingRules> = frontend.rules().collect();
-    rule_sets.sort_by_key(|r| r.objective().to_string());
-    for rules in rule_sets {
-        let guarantees = rules
-            .guarantees(matrix, config.latency_quantile)
-            .expect("deployed rules must evaluate against their own matrix");
-        let mut slots = Vec::with_capacity(guarantees.len());
-        for g in &guarantees {
-            let telemetry = recycled(g.objective, g.tolerance)
-                .unwrap_or_else(|| Arc::new(TierTelemetry::new(BucketScheme::DEFAULT)));
-            let max_latency_us =
-                (g.predicted_latency_us as f64 * config.latency_headroom.max(1.0)).ceil() as u64;
-            targets.push((
-                SloTarget {
-                    key: tier_key(g.objective, g.tolerance),
-                    max_degradation: g.tolerance,
-                    latency_quantile: g.latency_quantile,
-                    max_latency_us,
-                    min_requests: config.slo_min_requests,
-                },
-                Arc::clone(&telemetry),
-            ));
-            slots.push((g.tolerance, telemetry));
-        }
-        slots.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite tolerances"));
-        tiers.push(ObjectiveTiers {
-            objective: rules.objective(),
-            slots,
-            baseline_version: rules.baseline_version(),
-        });
-    }
-    (targets, tiers)
-}
-
-/// The service's live observability: registry, tracer, sentinel, and
-/// the per-tier telemetry the hot path feeds.
-///
-/// The sentinel and tier wiring sit behind a lock so a routing-rules
-/// hot-swap can [`Observability::rebind`] them to the new deployment's
-/// guarantees; telemetry sinks are *reused* across rebinds (matched by
-/// tier key), so lifetime series on `/metrics` never reset.
+/// The service's live observability: registry, tracer, windows, and
+/// the event log. The sentinel and the per-tier sinks live in the
+/// deployment's tier table, reached through the shared [`LiveTiers`]
+/// cell.
 pub struct Observability {
     registry: MetricsRegistry,
     tracer: Tracer,
     windows: WindowStore,
     events: EventLog,
-    sentinel: RwLock<Arc<SloSentinel>>,
-    tiers: RwLock<Vec<ObjectiveTiers>>,
-    /// Windows evaluated by sentinels retired in earlier rebinds.
+    tiers: Arc<LiveTiers>,
+    /// Windows evaluated by sentinels retired in earlier installs.
     windows_carried: AtomicU64,
-    config: ObsConfig,
     started: Instant,
     // Pre-resolved hot-path handles: record without touching the
     // registry's shard locks.
@@ -238,24 +154,12 @@ pub struct Observability {
 }
 
 impl Observability {
-    /// Wire observability to a deployment: one [`SloTarget`] and one
-    /// [`TierTelemetry`] per advertised tier, targets taken from the
-    /// routing rules' own predictions.
+    /// Observability over the deployment published in `tiers`.
     ///
     /// `started` is the monotonic anchor all span timestamps and
     /// sentinel windows are measured from (share the service's so one
     /// clock rules the whole request path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a deployed policy cannot be evaluated against
-    /// `matrix` (the frontend would have panicked serving it anyway).
-    pub fn new(
-        matrix: &ProfileMatrix,
-        frontend: &TieredFrontend,
-        config: &ObsConfig,
-        started: Instant,
-    ) -> Self {
+    pub fn new(config: &ObsConfig, started: Instant, tiers: Arc<LiveTiers>) -> Self {
         let registry = MetricsRegistry::default();
         let tracer = match &config.trace_file {
             Some(path) => Tracer::new(config.trace_capacity)
@@ -263,8 +167,6 @@ impl Observability {
                 .unwrap_or_else(|_| Tracer::new(config.trace_capacity)),
             None => Tracer::new(config.trace_capacity),
         };
-        let (targets, tiers) = build_tiers(matrix, frontend, config, &[]);
-        let sentinel = SloSentinel::new(config.slo_window.as_micros().max(1) as u64, targets);
         Observability {
             requests_total: registry.counter("requests_total"),
             requests_degraded: registry.counter("requests_degraded"),
@@ -283,32 +185,17 @@ impl Observability {
                 config.window_capacity.max(1),
             ),
             events: EventLog::new(config.event_capacity.max(1)),
-            sentinel: RwLock::new(Arc::new(sentinel)),
-            tiers: RwLock::new(tiers),
+            tiers,
             windows_carried: AtomicU64::new(0),
-            config: config.clone(),
             started,
         }
     }
 
-    /// Re-wire the sentinel and tier telemetry to a *new* deployment
-    /// (a routing-rules hot-swap): fresh [`SloTarget`]s from the new
-    /// rules' own guarantees, telemetry sinks reused by tier key so
-    /// lifetime `/metrics` series stay continuous, and the new
-    /// sentinel rebased to the present instant so its first window
-    /// judges only post-swap traffic.
-    pub fn rebind(&self, matrix: &ProfileMatrix, frontend: &TieredFrontend) {
-        let old_tiers = self.tiers.read().clone();
-        let (targets, tiers) = build_tiers(matrix, frontend, &self.config, &old_tiers);
-        let sentinel = SloSentinel::new(self.config.slo_window.as_micros().max(1) as u64, targets);
-        sentinel.rebase(self.now_us());
-        let carried = self.sentinel.read().windows_evaluated();
-        self.windows_carried.fetch_add(carried, Ordering::SeqCst);
-        // Publish tiers first, then the sentinel: a racing reader sees
-        // a coherent (new tiers, old sentinel) or (new, new) pairing,
-        // never a sentinel watching tiers that no longer exist.
-        *self.tiers.write() = tiers;
-        *self.sentinel.write() = Arc::new(sentinel);
+    /// Keep a retired deployment's evaluated-window count in the
+    /// lifetime total.
+    pub(crate) fn retire(&self, table: &TierTable) {
+        self.windows_carried
+            .fetch_add(table.sentinel.windows_evaluated(), Ordering::SeqCst);
     }
 
     /// The metrics registry (for `/metrics` and ad-hoc series).
@@ -337,18 +224,18 @@ impl Observability {
         self.events.record(self.now_us(), kind, detail)
     }
 
-    /// The SLO sentinel (for `/metrics` verdicts and `/healthz`).
-    /// Returned by handle: a rules hot-swap replaces the sentinel, and
-    /// a caller holding the old handle keeps a coherent (if stale)
-    /// view instead of a dangling one.
+    /// The live deployment's SLO sentinel (for `/metrics` verdicts and
+    /// `/healthz`). Returned by handle: a rules hot-swap replaces the
+    /// sentinel with its table, and a caller holding the old handle
+    /// keeps a coherent (if stale) view instead of a dangling one.
     pub fn sentinel(&self) -> Arc<SloSentinel> {
-        Arc::clone(&self.sentinel.read())
+        Arc::clone(&self.tiers.read().sentinel)
     }
 
     /// Windows evaluated across the whole service lifetime, including
     /// sentinels retired by rules hot-swaps.
     pub fn windows_evaluated(&self) -> u64 {
-        self.windows_carried.load(Ordering::SeqCst) + self.sentinel.read().windows_evaluated()
+        self.windows_carried.load(Ordering::SeqCst) + self.sentinel().windows_evaluated()
     }
 
     /// Microseconds since the service's monotonic anchor — the
@@ -363,54 +250,27 @@ impl Observability {
     pub fn tick(&self) -> bool {
         let now = self.now_us();
         self.windows.tick(now);
-        let sentinel = self.sentinel();
-        sentinel.tick(now)
+        self.sentinel().tick(now)
     }
 
-    /// The baseline (premium) version for an objective's tiers.
-    pub fn baseline_version(&self, objective: Objective) -> Option<usize> {
-        self.tiers
-            .read()
-            .iter()
-            .find(|t| t.objective == objective)
-            .map(|t| t.baseline_version)
-    }
-
-    /// The telemetry sink serving a consumer-requested tolerance: the
-    /// *largest* deployed tolerance not exceeding the request's (the
-    /// routing tables' downward-compatibility rule).
-    pub fn telemetry(&self, objective: Objective, tolerance: f64) -> Option<Arc<TierTelemetry>> {
-        let tiers = self.tiers.read();
-        let tiers = tiers.iter().find(|t| t.objective == objective)?;
-        let mut hit = None;
-        for (tol, telemetry) in &tiers.slots {
-            if *tol <= tolerance + 1e-12 {
-                hit = Some(telemetry);
-            } else {
-                break;
-            }
-        }
-        hit.map(Arc::clone)
-    }
-
-    /// Per-tier lifetime telemetry as `(key, telemetry)` pairs sorted
-    /// by key — the deterministic iteration `/metrics` renders from.
+    /// The advertised tiers' lifetime telemetry as `(key, telemetry)`
+    /// pairs sorted by key — the deterministic iteration `/metrics`
+    /// renders from.
     pub fn tier_telemetry(&self) -> Vec<(String, Arc<TierTelemetry>)> {
-        let mut out = Vec::new();
-        for tiers in self.tiers.read().iter() {
-            for (tol, telemetry) in &tiers.slots {
-                out.push((tier_key(tiers.objective, *tol), Arc::clone(telemetry)));
-            }
-        }
+        let table = self.tiers.read();
+        let mut out: Vec<_> = table
+            .advertised()
+            .map(|e| (e.key.clone(), Arc::clone(&e.sinks.telemetry)))
+            .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
-    /// Record one served request into the registry, its tier's
-    /// telemetry, and the open telemetry window's per-version
+    /// Record one request served as `tier` into the registry, the
+    /// tier's telemetry, and the open telemetry window's per-version
     /// service-time histogram. All hot-path registry operations are
     /// atomics; the window record is one short uncontended lock.
-    pub fn record_served(&self, sample: &ServedSample) {
+    pub fn record_served(&self, tier: &TierEntry, sample: &ServedSample) {
         self.requests_total.inc();
         if sample.degraded {
             self.requests_degraded.inc();
@@ -419,123 +279,68 @@ impl Observability {
         self.sim_latency.record(sample.sim_latency_us);
         self.windows
             .record_service(sample.version, sample.sim_latency_us);
-        if let Some(telemetry) = self.telemetry(sample.objective, sample.tolerance) {
-            telemetry.record(
-                sample.sim_latency_us,
-                sample.quality_err,
-                sample.baseline_err,
-                sample.degraded,
-            );
-        }
+        tier.sinks.telemetry.record(
+            sample.sim_latency_us,
+            sample.quality_err,
+            sample.baseline_err,
+            sample.degraded,
+        );
     }
 
     /// Record one request no version could answer: global counters
     /// plus a shed count on the tier's open telemetry window.
-    pub fn record_dropped(&self, objective: Objective, tolerance: f64) {
+    pub fn record_dropped(&self, tier: &TierEntry) {
         self.requests_total.inc();
         self.requests_dropped.inc();
-        self.windows.record_admission(
-            &self.window_tier(objective, tolerance),
-            AdmissionOutcome::Shed,
-        );
+        self.windows
+            .record_admission(&tier.key, AdmissionOutcome::Shed);
     }
 
     /// Record one request arriving for a tier (pre-admission) into the
     /// open telemetry window — the planner's per-tier arrival rate.
-    pub fn record_arrival(&self, objective: Objective, tolerance: f64) {
-        self.windows
-            .record_arrival(&self.window_tier(objective, tolerance));
+    pub fn record_arrival(&self, tier: &TierEntry) {
+        self.windows.record_arrival(&tier.key);
     }
 
     /// Record the admission controller's decision for one request into
     /// the open telemetry window.
-    pub fn record_admission(
-        &self,
-        objective: Objective,
-        tolerance: f64,
-        outcome: AdmissionOutcome,
-    ) {
-        self.windows
-            .record_admission(&self.window_tier(objective, tolerance), outcome);
-    }
-
-    /// The telemetry-window tier key for a requested tolerance: the
-    /// *deployed* tier's key (downward-compatibility rule, same as
-    /// telemetry), falling back to the raw request key when no tier
-    /// matches.
-    fn window_tier(&self, objective: Objective, tolerance: f64) -> String {
-        let tier = self
-            .deployed_tier(objective, tolerance)
-            .unwrap_or(tolerance);
-        tier_key(objective, tier)
+    pub fn record_admission(&self, tier: &TierEntry, outcome: AdmissionOutcome) {
+        self.windows.record_admission(&tier.key, outcome);
     }
 
     /// Record one cache disposition: the global counters, the hit-path
     /// latency histogram (the deterministic accounted hit latency, not
-    /// wall clock, so `/metrics` totals stay run-identical), and a
-    /// per-tier counter named `cache_{hit,miss,bypass}:{tier_key}`
-    /// under the request's *deployed* tier (downward-compatibility
-    /// rule, same as telemetry). Per-tier series resolve through the
-    /// bounded registry, so tier cardinality can degrade fidelity but
-    /// never memory.
-    pub fn record_cache(&self, objective: Objective, tolerance: f64, event: CacheEvent) {
-        let kind = match event {
-            CacheEvent::HitExact => {
+    /// wall clock, so `/metrics` totals stay run-identical), and the
+    /// tier's `cache_{hit,miss,bypass}:{key}` counter. Per-tier series
+    /// resolve through the bounded registry, so tier cardinality can
+    /// degrade fidelity but never memory.
+    pub fn record_cache(&self, tier: &TierEntry, event: CacheEvent) {
+        // Hits and misses (actual cache consults) also land on the
+        // tier's open telemetry window; bypasses don't consult.
+        let (kind, name) = match event {
+            CacheEvent::HitExact | CacheEvent::HitSemantic => {
                 self.cache_hit.inc();
+                if event == CacheEvent::HitSemantic {
+                    self.cache_hit_semantic.inc();
+                }
                 self.cache_hit_latency
                     .record(crate::service::CACHE_HIT_SIM_LATENCY_US);
-                "cache_hit"
-            }
-            CacheEvent::HitSemantic => {
-                self.cache_hit.inc();
-                self.cache_hit_semantic.inc();
-                self.cache_hit_latency
-                    .record(crate::service::CACHE_HIT_SIM_LATENCY_US);
-                "cache_hit"
+                self.windows.record_cache(&tier.key, true);
+                (0, "cache_hit")
             }
             CacheEvent::Miss => {
                 self.cache_miss.inc();
-                "cache_miss"
+                self.windows.record_cache(&tier.key, false);
+                (1, "cache_miss")
             }
             CacheEvent::Bypass => {
                 self.cache_bypass.inc();
-                "cache_bypass"
+                (2, "cache_bypass")
             }
         };
-        // Hits and misses (actual cache consults) also land on the
-        // tier's open telemetry window; bypasses don't consult.
-        match event {
-            CacheEvent::HitExact | CacheEvent::HitSemantic => {
-                self.windows
-                    .record_cache(&self.window_tier(objective, tolerance), true);
-            }
-            CacheEvent::Miss => {
-                self.windows
-                    .record_cache(&self.window_tier(objective, tolerance), false);
-            }
-            CacheEvent::Bypass => {}
-        }
-        if let Some(tier) = self.deployed_tier(objective, tolerance) {
-            self.registry
-                .counter(&format!("{kind}:{}", tier_key(objective, tier)))
-                .inc();
-        }
-    }
-
-    /// The deployed tier tolerance serving a requested one: the
-    /// largest advertised tolerance not exceeding the request's.
-    fn deployed_tier(&self, objective: Objective, tolerance: f64) -> Option<f64> {
-        let tiers = self.tiers.read();
-        let tiers = tiers.iter().find(|t| t.objective == objective)?;
-        let mut hit = None;
-        for (tol, _) in &tiers.slots {
-            if *tol <= tolerance + 1e-12 {
-                hit = Some(*tol);
-            } else {
-                break;
-            }
-        }
-        hit
+        tier.sinks.cache[kind]
+            .get_or_init(|| self.registry.counter(&format!("{name}:{}", tier.key)))
+            .inc();
     }
 }
 
@@ -544,7 +349,6 @@ impl std::fmt::Debug for Observability {
         f.debug_struct("Observability")
             .field("registry", &self.registry)
             .field("tracer", &self.tracer)
-            .field("sentinel", &self.sentinel)
             .finish_non_exhaustive()
     }
 }
@@ -553,20 +357,34 @@ impl std::fmt::Debug for Observability {
 mod tests {
     use super::*;
     use crate::demo::{demo_frontend, demo_matrix, DEMO_TIERS};
+    use tt_core::objective::Objective;
+    use tt_core::profile::ProfileMatrix;
+    use tt_serve::billing::TierPriceSchedule;
+    use tt_sim::Money;
 
-    fn obs() -> Observability {
-        let matrix = demo_matrix(120, 5);
-        let frontend = demo_frontend(&matrix, 5);
-        Observability::new(&matrix, &frontend, &ObsConfig::defaults(), Instant::now())
+    fn table(matrix: &ProfileMatrix, previous: Option<&TierTable>) -> TierTable {
+        TierTable::build(
+            matrix,
+            demo_frontend(matrix, 5),
+            &TierPriceSchedule::list_prices(Money::from_dollars(0.001)),
+            &ObsConfig::defaults(),
+            previous,
+        )
+    }
+
+    fn obs() -> (Observability, Arc<LiveTiers>) {
+        let tiers = Arc::new(LiveTiers::new(Arc::new(table(&demo_matrix(120, 5), None))));
+        let obs = Observability::new(&ObsConfig::defaults(), Instant::now(), Arc::clone(&tiers));
+        (obs, tiers)
     }
 
     #[test]
     fn targets_cover_every_advertised_tier() {
-        let obs = obs();
+        let (obs, _) = obs();
         let keys: Vec<String> = obs.sentinel().targets().map(|t| t.key.clone()).collect();
         for objective in [Objective::ResponseTime, Objective::Cost] {
             for &tol in &DEMO_TIERS {
-                let key = tier_key(objective, tol);
+                let key = format!("{objective}/{tol:.3}");
                 assert!(keys.contains(&key), "missing target {key}");
             }
         }
@@ -575,59 +393,53 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_lookup_uses_downward_compatibility() {
-        let obs = obs();
-        // 3% tolerance is served (and watched) as the 1% tier.
-        let at_1pct = obs.telemetry(Objective::Cost, 0.01).expect("1% tier");
-        let at_3pct = obs.telemetry(Objective::Cost, 0.03).expect("3% lookup");
-        assert!(Arc::ptr_eq(&at_1pct, &at_3pct));
-        at_3pct.record(1_000, 0.1, 0.1, false);
-        assert_eq!(at_1pct.requests(), 1);
-    }
-
-    #[test]
     fn record_served_feeds_registry_and_tier() {
-        let obs = obs();
-        obs.record_served(&ServedSample {
-            objective: Objective::Cost,
-            tolerance: 0.05,
-            sim_latency_us: 9_000,
-            quality_err: 0.2,
-            baseline_err: 0.1,
-            degraded: true,
-            invocations: 2,
-            version: 1,
-        });
-        obs.record_dropped(Objective::Cost, 0.05);
+        let (obs, tiers) = obs();
+        let tier = tiers.read().resolve(Objective::Cost, 0.05);
+        obs.record_served(
+            &tier,
+            &ServedSample {
+                sim_latency_us: 9_000,
+                quality_err: 0.2,
+                baseline_err: 0.1,
+                degraded: true,
+                invocations: 2,
+                version: 1,
+            },
+        );
+        obs.record_dropped(&tier);
         let snap = obs.registry().snapshot();
         assert_eq!(snap.counters["requests_total"], 2);
         assert_eq!(snap.counters["requests_degraded"], 1);
         assert_eq!(snap.counters["requests_dropped"], 1);
         assert_eq!(snap.counters["model_invocations"], 2);
         assert_eq!(snap.histograms["sim_latency_us"].count(), 1);
-        let tier = obs.telemetry(Objective::Cost, 0.05).unwrap();
-        assert_eq!(tier.requests(), 1);
-        assert_eq!(tier.degraded(), 1);
+        assert_eq!(tier.sinks.telemetry.requests(), 1);
+        assert_eq!(tier.sinks.telemetry.degraded(), 1);
     }
 
     #[test]
     fn rebind_reuses_telemetry_and_carries_window_counts() {
         let matrix = demo_matrix(120, 5);
-        let frontend = demo_frontend(&matrix, 5);
-        let obs = Observability::new(&matrix, &frontend, &ObsConfig::defaults(), Instant::now());
-        let before = obs.telemetry(Objective::Cost, 0.05).unwrap();
-        before.record(1_000, 0.1, 0.1, false);
+        let (obs, tiers) = obs();
+        let before = tiers.read().resolve(Objective::Cost, 0.05);
+        before.sinks.telemetry.record(1_000, 0.1, 0.1, false);
         obs.sentinel().force_tick(obs.now_us());
         obs.sentinel().force_tick(obs.now_us());
         assert_eq!(obs.windows_evaluated(), 2);
 
-        obs.rebind(&matrix, &frontend);
-        // Same tier key → same sink: lifetime series continue.
-        let after = obs.telemetry(Objective::Cost, 0.05).unwrap();
-        assert!(Arc::ptr_eq(&before, &after));
-        assert_eq!(after.requests(), 1);
+        // What `ComputeService::install` does: build over the live
+        // table, rebase the new sentinel, one store, retire the old.
+        let next = table(&matrix, Some(&tiers.read()));
+        next.sentinel.rebase(obs.now_us());
+        let retired = std::mem::replace(&mut *tiers.write(), Arc::new(next));
+        obs.retire(&retired);
+        // Same tier key → same sinks: lifetime series continue.
+        let after = tiers.read().resolve(Objective::Cost, 0.05);
+        assert!(Arc::ptr_eq(&before.sinks, &after.sinks));
+        assert_eq!(after.sinks.telemetry.requests(), 1);
         // The retired sentinel's windows are carried, the new sentinel
-        // starts unevaluated and judges only post-rebind traffic.
+        // starts unevaluated and judges only post-install traffic.
         assert_eq!(obs.windows_evaluated(), 2);
         assert!(obs.sentinel().verdicts().iter().all(|v| !v.evaluated));
         obs.sentinel().force_tick(obs.now_us());
@@ -638,13 +450,16 @@ mod tests {
 
     #[test]
     fn tier_keys_are_stable_and_sorted() {
-        let obs = obs();
-        let tiers = obs.tier_telemetry();
-        assert_eq!(tiers.len(), 8);
-        assert!(tiers.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(tier_key(Objective::Cost, 0.05), "cost/0.050");
+        let (obs, tiers) = obs();
+        let listed = obs.tier_telemetry();
+        assert_eq!(listed.len(), 8);
+        assert!(listed.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(
-            tier_key(Objective::ResponseTime, 0.0),
+            tiers.read().resolve(Objective::Cost, 0.05).key,
+            "cost/0.050"
+        );
+        assert_eq!(
+            tiers.read().resolve(Objective::ResponseTime, 0.0).key,
             "response-time/0.000"
         );
     }

@@ -35,6 +35,7 @@ use crate::metrics::{admission_object, metrics_document, supervisor_object};
 use crate::obs::{CacheEvent, Observability};
 use crate::service::{CacheAdmitTicket, CacheServed, ComputeOutcome, ComputeService, ServiceError};
 use crate::stats::stats_document;
+use crate::tiers::Tier;
 use parking_lot::Mutex;
 use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -996,10 +997,11 @@ struct ComputeCall {
 impl ComputeCall {
     /// The front half of `POST /compute`, the same on both engines:
     /// begin (or join) the trace, parse and admit, raise the in-flight
-    /// guard, consult the cache. `Err` is a reply that needs no
-    /// execution — a 400, a 429, or a cache hit — already sealed like
-    /// any other.
-    fn prepare(service: &ComputeService, request: &Request) -> Result<ComputeCall, Reply> {
+    /// guard, consult the cache. `Ok` carries the request's tier,
+    /// resolved once in [`parse_and_admit`], for execution to take.
+    /// `Err` is a reply that needs no execution — a 400, a 429, or a
+    /// cache hit — already sealed like any other.
+    fn prepare(service: &ComputeService, request: &Request) -> Result<(ComputeCall, Tier), Reply> {
         // When observability is on, the whole handler runs under a
         // traced request: parsing gets its own span, and the handle
         // rides into the service (and across its worker pool) for the
@@ -1011,10 +1013,11 @@ impl ComputeCall {
             Some(context) => o.tracer().begin_remote(context),
             None => o.tracer().begin(),
         });
-        let (service_request, brownout) = match parse_and_admit(service, request, handle.as_ref()) {
-            Ok(admitted) => admitted,
-            Err(reply) => return Err(seal(obs, handle.as_ref(), reply)),
-        };
+        let (service_request, tier, brownout) =
+            match parse_and_admit(service, request, handle.as_ref()) {
+                Ok(admitted) => admitted,
+                Err(reply) => return Err(seal(obs, handle.as_ref(), reply)),
+            };
         let mut call = ComputeCall {
             service_request,
             brownout,
@@ -1025,11 +1028,11 @@ impl ComputeCall {
             cache_tag: None,
             cache_match: None,
         };
-        match call.consult_cache(service, request) {
+        match call.consult_cache(service, request, &tier) {
             // A hit already settled: answer on the calling thread,
             // never touching the batcher or a worker pool.
             Some(outcome) => Err(call.finish(obs, Ok(outcome))),
-            None => Ok(call),
+            None => Ok((call, tier)),
         }
     }
 
@@ -1044,15 +1047,17 @@ impl ComputeCall {
         &mut self,
         service: &ComputeService,
         request: &Request,
+        tier: &Tier,
     ) -> Option<ComputeOutcome> {
         service.cache()?;
         if self.brownout.is_some() || client_no_cache(request) {
-            service.note_cache_event(&self.service_request, CacheEvent::Bypass);
+            service.note_cache_event(tier, CacheEvent::Bypass);
             self.cache_tag = Some("bypass");
             return None;
         }
         let fingerprint = fnv1a(&request.body);
-        match service.cache_serve(&self.service_request, fingerprint, self.handle.as_ref()) {
+        let request = &self.service_request;
+        match service.cache_serve_tier(request, tier, fingerprint, self.handle.as_ref()) {
             CacheServed::Hit { outcome, exact } => {
                 self.cache_tag = Some("hit");
                 self.cache_match = Some(if exact { "exact" } else { "semantic" });
@@ -1060,7 +1065,7 @@ impl ComputeCall {
             }
             CacheServed::Miss => {
                 self.cache_tag = Some("miss");
-                self.ticket = service.cache_ticket(&self.service_request, fingerprint);
+                self.ticket = service.cache_ticket(request, tier, fingerprint);
                 None
             }
             CacheServed::Bypass => {
@@ -1150,9 +1155,13 @@ fn seal(obs: Option<&Arc<Observability>>, handle: Option<&TraceHandle>, reply: R
 /// calling thread (the threaded engine).
 fn compute(service: &ComputeService, request: &Request) -> Reply {
     match ComputeCall::prepare(service, request) {
-        Ok(call) => {
-            let result =
-                service.execute_shaped(&call.service_request, call.brownout, call.handle.as_ref());
+        Ok((call, tier)) => {
+            let result = service.execute_tier(
+                &call.service_request,
+                tier,
+                call.brownout,
+                call.handle.as_ref(),
+            );
             call.finish(service.observability(), result)
         }
         Err(reply) => reply,
@@ -1167,11 +1176,12 @@ fn compute(service: &ComputeService, request: &Request) -> Reply {
 /// `done` fires with the finished reply wherever settlement happens.
 fn compute_async(service: &ComputeService, request: &Request, done: ReplySink) {
     match ComputeCall::prepare(service, request) {
-        Ok(call) => {
+        Ok((call, tier)) => {
             let obs = service.observability().cloned();
             let (executed, handle) = (call.service_request.clone(), call.handle.clone());
-            service.execute_shaped_async(
+            service.execute_tier_async(
                 &executed,
+                tier,
                 call.brownout,
                 handle.as_ref(),
                 Box::new(move |result| done(call.finish(obs.as_ref(), result))),
@@ -1181,14 +1191,14 @@ fn compute_async(service: &ComputeService, request: &Request, done: ReplySink) {
     }
 }
 
-/// Parse annotations and payload, stamp the parse span, and run
-/// admission: the request to execute and its brownout plan, or the
-/// reply (400, 429) that ends it here.
+/// Parse annotations and payload, stamp the parse span, resolve the
+/// tier and run admission: the request to execute, its tier and its
+/// brownout plan, or the reply (400, 429) that ends it here.
 fn parse_and_admit(
     service: &ComputeService,
     request: &Request,
     handle: Option<&TraceHandle>,
-) -> Result<(ServiceRequest, Option<BrownoutPlan>), Reply> {
+) -> Result<(ServiceRequest, Tier, Option<BrownoutPlan>), Reply> {
     let parse_span = handle.map(|h| h.open("parse", None, service.wall_us()));
 
     // Only the API's own annotation headers are forwarded to the
@@ -1220,10 +1230,12 @@ fn parse_and_admit(
             return Err(Reply::json(400, "Bad Request", error_body(&why)));
         }
     };
-    // The tier is known: this request is an arrival on the open
-    // telemetry window (pre-admission — the planner's arrival rate).
+    // The one tier resolution of the request's life: this request is
+    // an arrival on that tier's open telemetry window (pre-admission —
+    // the planner's arrival rate).
+    let tier = service.resolve(objective, tolerance);
     if let Some(o) = service.observability() {
-        o.record_arrival(objective, tolerance.value());
+        o.record_arrival(&tier);
     }
     let payload = match payload_for(request, service.matrix().requests()) {
         Ok(p) => p,
@@ -1249,14 +1261,15 @@ fn parse_and_admit(
     // rejected; strict tiers are always admitted. The decision comes
     // first so a rejected request never counts against the limit, then
     // the in-flight guard covers the whole execution.
-    let decision = service.admit(&service_request);
+    let admission = service.admission();
+    let decision = admission.decide_tier(&tier, tolerance.value(), admission.pressure());
     let outcome = match &decision {
         AdmissionDecision::Reject { .. } => AdmissionOutcome::Rejected,
         AdmissionDecision::Brownout { .. } => AdmissionOutcome::BrownedOut,
         _ => AdmissionOutcome::Admitted,
     };
     if let Some(o) = service.observability() {
-        o.record_admission(objective, tolerance.value(), outcome);
+        o.record_admission(&tier, outcome);
     }
     match decision {
         AdmissionDecision::Reject { retry_after_secs } => {
@@ -1271,8 +1284,12 @@ fn parse_and_admit(
             policy,
             billed_tolerance,
             level,
-        } => Ok((service_request, Some((policy, billed_tolerance, level)))),
-        _ => Ok((service_request, None)),
+        } => Ok((
+            service_request,
+            tier,
+            Some((policy, billed_tolerance, level)),
+        )),
+        _ => Ok((service_request, tier, None)),
     }
 }
 
@@ -1546,17 +1563,22 @@ mod tests {
         let obs = service.observability().unwrap();
         // Inject a window of traffic violating the 5% cost tier, then
         // close the window.
+        let tier = service.resolve(
+            tt_core::objective::Objective::Cost,
+            tt_core::request::Tolerance::new(0.05).unwrap(),
+        );
         for _ in 0..30 {
-            obs.record_served(&crate::obs::ServedSample {
-                objective: tt_core::objective::Objective::Cost,
-                tolerance: 0.05,
-                sim_latency_us: 5_000,
-                quality_err: 0.5,
-                baseline_err: 0.1,
-                degraded: false,
-                invocations: 1,
-                version: 0,
-            });
+            obs.record_served(
+                &tier,
+                &crate::obs::ServedSample {
+                    sim_latency_us: 5_000,
+                    quality_err: 0.5,
+                    baseline_err: 0.1,
+                    degraded: false,
+                    invocations: 1,
+                    version: 0,
+                },
+            );
         }
         obs.sentinel().force_tick(obs.now_us());
         let reply = route(&service, &off, &req("GET", "/healthz", &[], b""));

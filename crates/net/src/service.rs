@@ -19,7 +19,8 @@
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, BrownoutLevel};
 use crate::batch::{BatchConfig, BatchItem, Batcher};
 use crate::obs::{CacheEvent, ObsConfig, Observability};
-use parking_lot::{Mutex, RwLock};
+use crate::tiers::{LiveTiers, Tier, TierTable};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -28,7 +29,7 @@ use tt_cache::{Lookup, SemanticCache};
 use tt_core::objective::Objective;
 use tt_core::policy::{Policy, Scheduling, Termination};
 use tt_core::profile::ProfileMatrix;
-use tt_core::request::ServiceRequest;
+use tt_core::request::{ServiceRequest, Tolerance};
 use tt_core::rulegen::{RoutingRuleGenerator, RoutingRules};
 use tt_obs::TraceHandle;
 use tt_serve::billing::{BillingReport, TierEconomics, TierPriceSchedule};
@@ -415,12 +416,13 @@ pub type OutcomeSink = Box<dyn FnOnce(Result<ComputeOutcome, ServiceError>) + Se
 /// open, its plan resolved — everything settlement needs bar the
 /// execution facts.
 struct Opened {
-    objective: Objective,
+    /// The tier the declared tolerance resolved to.
+    tier: Tier,
+    /// The tier actually billed, when a brownout changed it.
+    rebilled: Option<Tier>,
     /// The tolerance the customer declared (governs the
     /// degradation-violation check).
     declared_tolerance: f64,
-    /// The tier actually billed (differs only under brownout).
-    billed_tolerance: f64,
     brownout: Option<BrownoutLevel>,
     policy: Policy,
     payload: usize,
@@ -443,7 +445,6 @@ struct Accounts {
     state: Arc<Mutex<Ledgered>>,
     obs: Option<Arc<Observability>>,
     served: AtomicUsize,
-    schedule: TierPriceSchedule,
     instance: InstanceType,
     started: Instant,
 }
@@ -463,15 +464,16 @@ impl Accounts {
         trace: Option<&TraceHandle>,
     ) -> ComputeOutcome {
         let Opened {
-            objective,
+            tier,
+            rebilled,
             declared_tolerance,
-            billed_tolerance,
             brownout,
             policy,
             payload,
             arrival,
             root,
         } = opened;
+        let billed = rebilled.as_ref().unwrap_or(&tier);
         let span = trace.zip(root);
         let obs = self.matrix.get(payload, stage.answered_by);
         let quality_err = obs.quality_err;
@@ -485,7 +487,7 @@ impl Accounts {
             }
         }
 
-        let price = self.schedule.price_for(billed_tolerance);
+        let price = billed.price;
         let responded = arrival + SimDuration::from_micros(stage.sim_latency_us);
         let bill_span = span.map(|(handle, parent)| {
             let id = handle.open("bill", Some(parent), self.wall_us());
@@ -508,12 +510,13 @@ impl Accounts {
             state.trace.record(TraceEvent {
                 arrival,
                 responded,
-                tolerance: billed_tolerance,
-                objective,
+                tolerance: billed.tolerance,
+                objective: billed.objective,
                 answered_by: stage.answered_by,
                 quality_err,
             });
-            let key = (objective.name(), (billed_tolerance * 1000.0).round() as u32);
+            let milli = (billed.tolerance * 1000.0).round() as u32;
+            let key = (billed.objective.name(), milli);
             let slot = state.tiers.entry(key).or_insert(TierEconomics {
                 requests: 0,
                 revenue: Money::ZERO,
@@ -525,20 +528,18 @@ impl Accounts {
             handle.close(id, self.wall_us());
         }
         if let Some(live) = &self.obs {
-            let baseline_err = live
-                .baseline_version(objective)
-                .map(|v| self.matrix.get(payload, v).quality_err)
-                .unwrap_or(quality_err);
-            live.record_served(&crate::obs::ServedSample {
-                objective,
-                tolerance: billed_tolerance,
-                sim_latency_us: stage.sim_latency_us,
-                quality_err,
-                baseline_err,
-                degraded: stage.degraded,
-                invocations: stage.invocations,
-                version: stage.answered_by,
-            });
+            let baseline = self.matrix.get(payload, billed.baseline_version);
+            live.record_served(
+                billed,
+                &crate::obs::ServedSample {
+                    sim_latency_us: stage.sim_latency_us,
+                    quality_err,
+                    baseline_err: baseline.quality_err,
+                    degraded: stage.degraded,
+                    invocations: stage.invocations,
+                    version: stage.answered_by,
+                },
+            );
         }
         self.served.fetch_add(1, Ordering::SeqCst);
         if let Some((handle, id)) = span {
@@ -562,7 +563,7 @@ impl Accounts {
             price,
             policy,
             degraded: stage.degraded,
-            billed_tolerance,
+            billed_tolerance: billed.tolerance,
             brownout,
         }
     }
@@ -638,8 +639,10 @@ pub struct SupervisorStatus {
 /// The tiered compute service.
 pub struct ComputeService {
     matrix: Arc<ProfileMatrix>,
-    /// The live routing rules; the supervisor hot-swaps them.
-    frontend: RwLock<TieredFrontend>,
+    /// The live deployment — routing rules and everything derived
+    /// from them — shared with `admission` and `obs`; a rules hot-swap
+    /// publishes a new table here and nowhere else.
+    tiers: Arc<LiveTiers>,
     config: ServiceConfig,
     pool: WorkerPool<Result<usize, ()>>,
     breakers: Arc<Mutex<Vec<CircuitBreaker>>>,
@@ -724,16 +727,20 @@ impl ComputeService {
         // One monotonic anchor rules the breakers, the spans, and the
         // sentinel windows.
         let started = Instant::now();
+        let table = TierTable::build(&matrix, frontend, &config.schedule, &config.obs, None);
+        let tiers = Arc::new(LiveTiers::new(Arc::new(table)));
         let obs = config
             .obs
             .enabled
-            .then(|| Arc::new(Observability::new(&matrix, &frontend, &config.obs, started)));
+            .then(|| Arc::new(Observability::new(&config.obs, started, Arc::clone(&tiers))));
         let trace = match config.obs.trace_retention {
             Some(retain) => TraceRecorder::bounded(retain),
             None => TraceRecorder::new(),
         };
-        let admission = Arc::new(AdmissionController::new(config.admission));
-        admission.rebuild_plans(&matrix, frontend.rules(), config.obs.latency_quantile);
+        let admission = Arc::new(AdmissionController::new(
+            config.admission,
+            Arc::clone(&tiers),
+        ));
         let supervisor = config.supervisor.clone().map(|setup| {
             Mutex::new(SupervisorRuntime {
                 automaton: Supervisor::new(setup.policy, versions),
@@ -781,7 +788,6 @@ impl ComputeService {
                 state: Arc::clone(&state),
                 obs: obs.clone(),
                 served: AtomicUsize::new(0),
-                schedule: config.schedule.clone(),
                 instance: InstanceType::cpu_node(),
                 started,
             }),
@@ -800,7 +806,7 @@ impl ComputeService {
                 .enabled
                 .then(|| Batcher::new(&config.batch, config.latency_scale)),
             matrix,
-            frontend: RwLock::new(frontend),
+            tiers,
             config,
         }
     }
@@ -813,7 +819,13 @@ impl ComputeService {
     /// A clone of the live routing frontend. The supervisor may
     /// hot-swap the rules; the clone reflects the state at call time.
     pub fn frontend(&self) -> TieredFrontend {
-        self.frontend.read().clone()
+        self.tiers.read().frontend.clone()
+    }
+
+    /// The tier serving an annotation pair, on the live deployment: resolved
+    /// once per request, at the door, and handed to every layer.
+    pub fn resolve(&self, objective: Objective, tolerance: Tolerance) -> Tier {
+        self.tiers.read().resolve(objective, tolerance.value())
     }
 
     /// The adaptive admission controller: pressure guard, AIMD window
@@ -841,9 +853,8 @@ impl ComputeService {
     }
 
     /// Adopt control-plane routing rules under an explicit fleet
-    /// epoch: the node rebinds observability, rebuilds admission
-    /// plans, swaps the rules, and from now on stamps responses with
-    /// `epoch`. This is the broadcast path a fleet's control plane
+    /// epoch: the node publishes their tier table and from now on
+    /// stamps responses with `epoch`. This is the broadcast path a fleet's control plane
     /// uses; local supervisor hot-swaps go through the same
     /// installation but derive the epoch themselves.
     pub fn adopt_rules(&self, frontend: TieredFrontend, epoch: u64) {
@@ -1335,18 +1346,36 @@ impl ComputeService {
         brownout: Option<(Policy, f64, BrownoutLevel)>,
         trace: Option<&TraceHandle>,
     ) -> Result<ComputeOutcome, ServiceError> {
-        self.run_opened(self.open_request(request, brownout, trace, true), trace)
+        self.execute_tier(request, self.tier_of(request), brownout, trace)
+    }
+
+    fn tier_of(&self, request: &ServiceRequest) -> Tier {
+        self.resolve(request.objective, request.tolerance)
+    }
+
+    /// [`ComputeService::execute_shaped`] for a request whose tier is
+    /// already resolved.
+    pub(crate) fn execute_tier(
+        &self,
+        request: &ServiceRequest,
+        tier: Tier,
+        brownout: Option<(Policy, f64, BrownoutLevel)>,
+        trace: Option<&TraceHandle>,
+    ) -> Result<ComputeOutcome, ServiceError> {
+        let opened = self.open_request(request, tier, brownout, trace, true);
+        self.run_opened(opened, trace)
     }
 
     /// The execute prologue, once for every way a request is answered
     /// (live walk, batched flush, cache hit): stamp the arrival, count
-    /// the request, open its `execute` span, and resolve the plan and
-    /// the billed tier from the brownout verdict or the frontend.
-    /// Executed requests (`routed`) also record the resolution as a
-    /// `route` span; a cache hit's tree shows a `cache` span instead.
+    /// the request, open its `execute` span, and take the plan and the
+    /// billed tier from the brownout verdict or the request's tier.
+    /// Executed requests (`routed`) also record the plan as a `route`
+    /// span; a cache hit's tree shows a `cache` span instead.
     fn open_request(
         &self,
         request: &ServiceRequest,
+        tier: Tier,
         brownout: Option<(Policy, f64, BrownoutLevel)>,
         trace: Option<&TraceHandle>,
         routed: bool,
@@ -1369,12 +1398,11 @@ impl ComputeService {
             .zip(root)
             .filter(|_| routed)
             .map(|(handle, parent)| (handle, handle.open("route", Some(parent), self.wall_us())));
-        let (policy, billed_tolerance) = match brownout {
-            Some((policy, billed, _)) => (policy, billed),
-            None => (
-                self.frontend.read().route(request),
-                request.tolerance.value(),
-            ),
+        // A brownout's billed tier is looked up on the request's own
+        // table generation, not the live one.
+        let (policy, rebilled) = match brownout {
+            Some((policy, billed, _)) => (policy, Some(tier.rebill(billed))),
+            None => (tier.policy, None),
         };
         policy
             .validate(self.matrix.versions())
@@ -1387,9 +1415,9 @@ impl ComputeService {
             handle.close(id, self.wall_us());
         }
         Opened {
-            objective: request.objective,
+            tier,
+            rebilled,
             declared_tolerance: request.tolerance.value(),
-            billed_tolerance,
             brownout: brownout.map(|(_, _, level)| level),
             policy,
             payload,
@@ -1411,7 +1439,7 @@ impl ComputeService {
             Err(e) => {
                 self.stats.lock().dropped_requests += 1;
                 if let Some(obs) = &self.obs {
-                    obs.record_dropped(opened.objective, opened.declared_tolerance);
+                    obs.record_dropped(&opened.tier);
                 }
                 if let Some((handle, id)) = span {
                     handle.attr_str(id, "outcome", "unavailable");
@@ -1445,6 +1473,18 @@ impl ComputeService {
         fingerprint: u64,
         trace: Option<&TraceHandle>,
     ) -> CacheServed {
+        self.cache_serve_tier(request, &self.tier_of(request), fingerprint, trace)
+    }
+
+    /// [`ComputeService::cache_serve`] for a request whose tier is
+    /// already resolved.
+    pub(crate) fn cache_serve_tier(
+        &self,
+        request: &ServiceRequest,
+        tier: &Tier,
+        fingerprint: u64,
+        trace: Option<&TraceHandle>,
+    ) -> CacheServed {
         let Some(cache) = &self.config.cache else {
             // No cache configured: not a bypass worth counting —
             // cache-off deployments keep empty cache metrics.
@@ -1459,11 +1499,11 @@ impl ComputeService {
                 // Epoch-fenced: this node must not serve (or refresh)
                 // pre-epoch answers, so the request bypasses the cache
                 // entirely.
-                self.note_cache_event(request, CacheEvent::Bypass);
+                self.note_cache_event(tier, CacheEvent::Bypass);
                 return CacheServed::Bypass;
             }
             Lookup::Miss => {
-                self.note_cache_event(request, CacheEvent::Miss);
+                self.note_cache_event(tier, CacheEvent::Miss);
                 return CacheServed::Miss;
             }
             Lookup::Exact(answer) => (answer, true),
@@ -1471,9 +1511,9 @@ impl ComputeService {
         };
 
         // Bill exactly what the miss path would bill: the declared
-        // tier, the frontend's route (brownouts never reach here) —
-        // only the execution facts are synthetic.
-        let opened = self.open_request(request, None, trace, false);
+        // tier and its policy (brownouts never reach here) — only the
+        // execution facts are synthetic.
+        let opened = self.open_request(request, tier.clone(), None, trace, false);
         if let Some((handle, parent)) = trace.zip(opened.root) {
             let id = handle.open("cache", Some(parent), self.wall_us());
             handle.attr_str(id, "match", if exact { "exact" } else { "semantic" });
@@ -1490,7 +1530,7 @@ impl ComputeService {
             trace,
         );
         self.note_cache_event(
-            request,
+            tier,
             if exact {
                 CacheEvent::HitExact
             } else {
@@ -1508,6 +1548,7 @@ impl ComputeService {
     pub fn cache_ticket(
         &self,
         request: &ServiceRequest,
+        tier: &Tier,
         fingerprint: u64,
     ) -> Option<CacheAdmitTicket> {
         let cache = self.config.cache.as_ref()?;
@@ -1516,22 +1557,12 @@ impl ComputeService {
         if !cache.admits(key) {
             return None;
         }
-        let baseline_err = {
-            let fe = self.frontend.read();
-            let baseline = fe
-                .rules()
-                .find(|r| r.objective() == request.objective)
-                .map(|r| r.baseline_version());
-            baseline
-                .map(|v| self.matrix.get(payload, v).quality_err)
-                .unwrap_or(0.0)
-        };
         Some(CacheAdmitTicket {
             cache: Arc::clone(cache),
             key,
             fingerprint,
             epoch: self.rules_epoch(),
-            baseline_err,
+            baseline_err: self.matrix.get(payload, tier.baseline_version).quality_err,
         })
     }
 
@@ -1539,9 +1570,9 @@ impl ComputeService {
     /// observability counters. The server calls this directly for the
     /// bypasses that never consult the cache (brownout-shaped
     /// requests, client `Cache-Control: no-cache`).
-    pub fn note_cache_event(&self, request: &ServiceRequest, event: CacheEvent) {
+    pub fn note_cache_event(&self, tier: &Tier, event: CacheEvent) {
         if let Some(obs) = &self.obs {
-            obs.record_cache(request.objective, request.tolerance.value(), event);
+            obs.record_cache(tier, event);
         }
     }
 
@@ -1569,7 +1600,20 @@ impl ComputeService {
         trace: Option<&TraceHandle>,
         done: OutcomeSink,
     ) {
-        let opened = self.open_request(request, brownout, trace, true);
+        self.execute_tier_async(request, self.tier_of(request), brownout, trace, done);
+    }
+
+    /// [`ComputeService::execute_shaped_async`] for a request whose
+    /// tier is already resolved.
+    pub(crate) fn execute_tier_async(
+        &self,
+        request: &ServiceRequest,
+        tier: Tier,
+        brownout: Option<(Policy, f64, BrownoutLevel)>,
+        trace: Option<&TraceHandle>,
+        done: OutcomeSink,
+    ) {
+        let opened = self.open_request(request, tier, brownout, trace, true);
         // The tuner's surge knob scales formation deadlines down so
         // tolerant requests stop waiting for batchmates while the
         // system is under pressure.
@@ -1596,10 +1640,7 @@ impl ComputeService {
         let batch_span = trace
             .zip(opened.root)
             .map(|(handle, parent)| handle.open("batch", Some(parent), self.wall_us()));
-        let key = (
-            request.objective.to_string(),
-            format!("{:?}", opened.policy),
-        );
+        let key = (request.objective, opened.policy);
         let sim_latency_us = stage.sim_latency_us;
         let invoked = std::mem::take(&mut stage.invoked);
         let accounts = Arc::clone(&self.accounts);
@@ -1835,12 +1876,7 @@ impl ComputeService {
             .as_ref()
             .map(|rt| rt.lock().automaton.quarantined().collect())
             .unwrap_or_default();
-        let current: Vec<RoutingRules> = {
-            let fe = self.frontend.read();
-            let mut rules: Vec<RoutingRules> = fe.rules().cloned().collect();
-            rules.sort_by_key(|r| r.objective().to_string());
-            rules
-        };
+        let current = self.deployed_rules();
         let Ok((sub, map)) = self.matrix.without_versions(&excluded) else {
             return false;
         };
@@ -1872,6 +1908,13 @@ impl ComputeService {
         true
     }
 
+    /// The live routing rules, in objective-name order.
+    fn deployed_rules(&self) -> Vec<RoutingRules> {
+        let mut rules: Vec<RoutingRules> = self.tiers.read().frontend.rules().cloned().collect();
+        rules.sort_by_key(|r| r.objective().to_string());
+        rules
+    }
+
     /// Execute a quarantine decision: regenerate routing rules over
     /// the surviving versions, remap them to full-deployment indices,
     /// and hot-swap them in as a canary. A regeneration failure aborts
@@ -1879,12 +1922,7 @@ impl ComputeService {
     /// the service keeps serving on the unchanged rules.
     fn execute_quarantine(&self, rt: &mut SupervisorRuntime, version: usize) {
         let excluded: Vec<usize> = rt.automaton.quarantined().collect();
-        let current: Vec<RoutingRules> = {
-            let fe = self.frontend.read();
-            let mut rules: Vec<RoutingRules> = fe.rules().cloned().collect();
-            rules.sort_by_key(|r| r.objective().to_string());
-            rules
-        };
+        let current = self.deployed_rules();
         match self.regenerate(rt, &excluded, &current) {
             Some(rules) => {
                 self.health.quarantined[version].store(true, Ordering::SeqCst);
@@ -1940,21 +1978,20 @@ impl ComputeService {
         self.note_transition(rt, "rollback", Some(version));
     }
 
-    /// Make `frontend` the live routing state: rebind observability
-    /// (fresh sentinel baseline, telemetry continuity), rebuild the
-    /// admission brownout table, then swap the rules in and bump the
-    /// revision — by the time a request routes on the new rules, every
-    /// observer is already consistent with them.
+    /// Make `frontend` the live deployment: build its tier table over
+    /// the live one (so every tier key seen before keeps its sinks),
+    /// rebase the new sentinel so its first window judges only
+    /// post-swap traffic, and publish with one store — a request
+    /// resolves against the old table or the new, never a mix.
     fn install(&self, frontend: TieredFrontend) {
+        let live = Arc::clone(&self.tiers.read());
+        let (schedule, targets) = (&self.config.schedule, &self.config.obs);
+        let table = TierTable::build(&self.matrix, frontend, schedule, targets, Some(&live));
+        table.sentinel.rebase(self.wall_us());
+        let retired = std::mem::replace(&mut *self.tiers.write(), Arc::new(table));
         if let Some(obs) = &self.obs {
-            obs.rebind(&self.matrix, &frontend);
+            obs.retire(&retired);
         }
-        self.admission.rebuild_plans(
-            &self.matrix,
-            frontend.rules(),
-            self.config.obs.latency_quantile,
-        );
-        *self.frontend.write() = frontend;
         let revision = self.rules_revision.fetch_add(1, Ordering::SeqCst) + 1;
         // A local hot-swap is a new rules generation for this node; in
         // a fleet the control plane overwrites this stamp when it
@@ -2301,10 +2338,8 @@ mod tests {
         assert_eq!(snap.counters["requests_total"], 30);
         assert_eq!(snap.counters["requests_dropped"], 0);
         assert!(snap.counters["model_invocations"] >= 30);
-        let telemetry = obs
-            .telemetry(Objective::Cost, 0.05)
-            .expect("deployed tier watched");
-        assert_eq!(telemetry.requests(), 30);
+        let tier = svc.resolve(Objective::Cost, Tolerance::new(0.05).unwrap());
+        assert_eq!(tier.sinks.telemetry.requests(), 30);
     }
 
     #[test]
@@ -2686,7 +2721,7 @@ mod tests {
         // One heavy round: 40 arrivals at ~8ms mean service in a 10ms
         // round at 70% utilization demands far more than 4 workers.
         for i in 0..40 {
-            obs.record_arrival(Objective::Cost, 0.05);
+            obs.record_arrival(&svc.resolve(Objective::Cost, Tolerance::new(0.05).unwrap()));
             let req = ServiceRequest::new(i, Tolerance::new(0.05).unwrap(), Objective::Cost);
             svc.execute(&req).unwrap();
         }
@@ -2714,7 +2749,7 @@ mod tests {
         });
         let obs = Arc::clone(svc.observability().unwrap());
         for i in 0..40 {
-            obs.record_arrival(Objective::Cost, 0.05);
+            obs.record_arrival(&svc.resolve(Objective::Cost, Tolerance::new(0.05).unwrap()));
             let req = ServiceRequest::new(i, Tolerance::new(0.05).unwrap(), Objective::Cost);
             svc.execute(&req).unwrap();
         }
@@ -2747,7 +2782,7 @@ mod tests {
         let mut tol = 0.05;
         for _ in 0..4 {
             for _ in 0..10 {
-                obs.record_arrival(Objective::Cost, tol);
+                obs.record_arrival(&svc.resolve(Objective::Cost, Tolerance::new(tol).unwrap()));
             }
             svc.on_window();
         }
@@ -2755,7 +2790,7 @@ mod tests {
         // 6× surge in one window.
         tol = 0.05;
         for _ in 0..60 {
-            obs.record_arrival(Objective::Cost, tol);
+            obs.record_arrival(&svc.resolve(Objective::Cost, Tolerance::new(tol).unwrap()));
         }
         svc.on_window();
         let status = svc.capacity_status().unwrap();
@@ -2774,7 +2809,7 @@ mod tests {
         // Calm windows revert the batch slack.
         for _ in 0..8 {
             for _ in 0..10 {
-                obs.record_arrival(Objective::Cost, tol);
+                obs.record_arrival(&svc.resolve(Objective::Cost, Tolerance::new(tol).unwrap()));
             }
             svc.on_window();
         }
@@ -2806,7 +2841,7 @@ mod tests {
         };
         let epoch_before = svc.rules_epoch();
         for i in 0..40 {
-            obs.record_arrival(Objective::Cost, 0.05);
+            obs.record_arrival(&svc.resolve(Objective::Cost, Tolerance::new(0.05).unwrap()));
             let req = ServiceRequest::new(i, Tolerance::new(0.05).unwrap(), Objective::Cost);
             svc.execute(&req).unwrap();
         }

@@ -62,6 +62,12 @@ pub struct TierTelemetry {
     latency: AtomicHistogram,
 }
 
+impl Default for TierTelemetry {
+    fn default() -> Self {
+        TierTelemetry::new(BucketScheme::DEFAULT)
+    }
+}
+
 impl TierTelemetry {
     /// Fresh telemetry with the given histogram layout.
     pub fn new(scheme: BucketScheme) -> Self {

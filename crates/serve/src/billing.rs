@@ -12,6 +12,7 @@
 
 use crate::trace::TraceRecorder;
 use std::collections::BTreeMap;
+use tt_core::tier::serving_tier;
 use tt_sim::Money;
 
 /// Per-invocation prices by tolerance tier (descending price as
@@ -62,15 +63,8 @@ impl TierPriceSchedule {
     /// not exceeding the request's (same downward-compatibility rule
     /// the routing tables use).
     pub fn price_for(&self, tolerance: f64) -> Money {
-        let mut price = self.prices[0].1;
-        for &(tol, p) in &self.prices {
-            if tol <= tolerance + 1e-12 {
-                price = p;
-            } else {
-                break;
-            }
-        }
-        price
+        let tier = serving_tier(&self.prices, |&(tol, _)| tol, tolerance).unwrap_or(0);
+        self.prices[tier].1
     }
 
     /// The schedule's `(tolerance, price)` pairs.
