@@ -4,7 +4,8 @@ use crate::acoustic::Frame;
 use crate::decoder::BeamConfig;
 use crate::lexicon::{Lexicon, WordId};
 use crate::lm::LanguageModel;
-use std::collections::HashMap;
+use crate::phone::Phone;
+use std::ops::Range;
 
 /// Log-probability of remaining in the current phone for another frame.
 const LOG_STAY: f64 = -0.5108256237659907; // ln 0.6
@@ -62,84 +63,170 @@ impl Token {
     }
 }
 
+/// Where a word's tokens sit in the frame under construction: `row` is
+/// the start of its row in [`Decoder::rows`]. Live only while `stamp` is
+/// the current frame's.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordSlot {
+    stamp: u32,
+    row: u32,
+}
+
+/// A state of a live word that holds no token yet.
+const VACANT: u32 = u32::MAX;
+
+/// A word's exit candidates at the current frame, as a range of
+/// [`Decoder::exit_words`]. Live only while `stamp` is the current
+/// frame's.
+#[derive(Debug, Clone, Copy, Default)]
+struct ExitSlot {
+    stamp: u32,
+    start: u32,
+    end: u32,
+}
+
 /// A beam-search decoder borrowing a lexicon and language model.
-#[derive(Debug, Clone, Copy)]
+///
+/// The decoder owns every buffer the search needs and reuses them across
+/// frames, configurations and utterances: once they have grown to an
+/// utterance's size, a decode allocates only the hypothesis it returns.
+/// Keep one decoder per thread.
+#[derive(Debug, Clone)]
 pub struct Decoder<'a> {
     lexicon: &'a Lexicon,
     lm: &'a LanguageModel,
+    /// Active tokens, unique per `(word, phone_idx)`. Their *order* is
+    /// part of the result: merging keeps the first of equal scores and
+    /// pruning breaks score ties by position.
+    tokens: Vec<Token>,
+    /// The frame under construction; swapped with `tokens` when complete.
+    next: Vec<Token>,
+    /// Backtrace arena: (previous entry, word entered).
+    arena: Vec<(u32, WordId)>,
+    /// `(word, phone_idx) → index into next`, in two steps so that its
+    /// size follows the beam, not the lexicon: a slot per word, and for
+    /// each word live in this frame a row of `stride` positions (the
+    /// lexicon's longest pronunciation), [`VACANT`] where no token sits.
+    words: Vec<WordSlot>,
+    rows: Vec<u32>,
+    stride: usize,
+    /// Per word, this frame's exit candidates once computed.
+    exits: Vec<ExitSlot>,
+    exit_words: Vec<WordId>,
+    /// The current frame's generation; bumping it empties `words` and
+    /// `exits` without touching them.
+    stamp: u32,
+    /// Ranking buffer of the fast match and of histogram pruning: one
+    /// [`rank_key`] per bucket word or token.
+    ranked: Vec<u128>,
 }
 
 impl<'a> Decoder<'a> {
     /// Create a decoder over the given lexicon and language model.
     pub fn new(lexicon: &'a Lexicon, lm: &'a LanguageModel) -> Self {
-        Decoder { lexicon, lm }
+        let stride = lexicon
+            .iter()
+            .map(|(_, word)| word.pronunciation().len())
+            .max()
+            .unwrap_or(0);
+        Decoder {
+            lexicon,
+            lm,
+            tokens: Vec::new(),
+            next: Vec::new(),
+            arena: Vec::new(),
+            words: vec![WordSlot::default(); lexicon.len()],
+            rows: Vec::new(),
+            stride,
+            exits: vec![ExitSlot::default(); lexicon.len()],
+            exit_words: Vec::new(),
+            stamp: 0,
+            ranked: Vec::new(),
+        }
     }
 
-    /// Assemble the words to expand at a word boundary. Half the budget
-    /// goes to the language model's likely successors (plus top unigram
-    /// words); the other half to *acoustic fast-match* candidates — the
-    /// classic rapid-match idea: words whose first phone matches the
-    /// frame's best-scoring phones, ranked by a short emission lookahead
-    /// over their opening phones plus their language-model prior. The
-    /// fast match is what lets the decoder recover words the language
-    /// model would never propose; how many candidates survive is the
-    /// "network scope" pruning dimension of the paper's engine.
+    /// Assemble the words to expand at a word boundary, as a range of
+    /// `exit_words`. The result is the same for every token leaving the
+    /// same word at the same frame, so it is memoized per word (real
+    /// decoders run the rapid match once per frame too) and `work` is
+    /// charged once. Half the budget goes to the language model's likely
+    /// successors (plus top unigram words); the other half to *acoustic
+    /// fast-match* candidates — the classic rapid-match idea: words whose
+    /// first phone matches the frame's best-scoring phones, ranked by a
+    /// short emission lookahead over their opening phones plus their
+    /// language-model prior. The fast match is what lets the decoder
+    /// recover words the language model would never propose; how many
+    /// candidates survive is the "network scope" pruning dimension of
+    /// the paper's engine.
     fn exit_candidates(
-        &self,
+        &mut self,
         prev: Option<WordId>,
         frames: &[Frame],
         t: usize,
         budget: usize,
         work: &mut u64,
-    ) -> Vec<WordId> {
+    ) -> Range<usize> {
+        if let Some(prev) = prev {
+            let memo = self.exits[prev.index()];
+            if memo.stamp == self.stamp {
+                return memo.start as usize..memo.end as usize;
+            }
+        }
+        let start = self.exit_words.len();
         let lm_budget = budget / 2 + 1;
-        let mut out = self.lm.candidate_successors(prev, lm_budget);
-
-        // Top two phones by emission score at the entry frame.
-        let frame = &frames[t];
-        let mut ranked: Vec<usize> = (0..frame.len()).collect();
-        ranked.sort_by(|&a, &b| frame[b].partial_cmp(&frame[a]).expect("finite emission"));
-        let per_phone = (budget.saturating_sub(out.len())) / 2 + 1;
+        self.lm
+            .append_candidate_successors(prev, lm_budget, &mut self.exit_words);
+        let per_phone = budget.saturating_sub(self.exit_words.len() - start) / 2 + 1;
 
         const LOOKAHEAD: usize = 4; // frames scanned by the fast match
-        for &p in ranked.iter().take(2) {
-            let bucket = self
-                .lexicon
-                .words_with_first_phone(crate::phone::Phone::new(p as u8));
-            // Rank the bucket by lookahead acoustic fit + LM prior.
-            let mut scored: Vec<(f64, WordId)> = bucket
-                .iter()
-                .map(|&w| {
-                    *work += 1;
-                    let pron = self.lexicon.word(w).pronunciation();
-                    let mut fit = self.lm.log_prob(prev, w);
-                    for k in 0..LOOKAHEAD {
-                        let Some(frame) = frames.get(t + k) else {
-                            break;
-                        };
-                        // ~2 frames per phone: frame t+k aligns to phone k/2.
-                        let phone = pron[(k / 2).min(pron.len() - 1)];
-                        fit += f64::from(frame[phone.index()]);
-                    }
-                    (fit, w)
-                })
-                .collect();
-            scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite fit"));
-            for (_, w) in scored.into_iter().take(per_phone) {
-                if out.len() >= budget {
-                    return out;
+        'phones: for p in top_two_phones(&frames[t]) {
+            let bucket = self.lexicon.words_with_first_phone(Phone::new(p as u8));
+            // Rank the bucket by lookahead acoustic fit + LM prior: best
+            // fit first, equal fits in bucket (word id) order.
+            self.ranked.clear();
+            for &w in bucket {
+                *work += 1;
+                let pron = self.lexicon.word(w).pronunciation();
+                let mut fit = self.lm.log_prob(prev, w);
+                for k in 0..LOOKAHEAD {
+                    let Some(frame) = frames.get(t + k) else {
+                        break;
+                    };
+                    // ~2 frames per phone: frame t+k aligns to phone k/2.
+                    let phone = pron[(k / 2).min(pron.len() - 1)];
+                    fit += f64::from(frame[phone.index()]);
                 }
-                if !out.contains(&w) {
-                    out.push(w);
+                self.ranked.push(rank_key(fit, self.ranked.len()));
+            }
+            let keep = per_phone.min(bucket.len());
+            if keep < bucket.len() {
+                self.ranked.select_nth_unstable(keep);
+            }
+            self.ranked[..keep].sort_unstable();
+            for &key in &self.ranked[..keep] {
+                let w = bucket[rank_position(key)];
+                if self.exit_words.len() - start >= budget {
+                    break 'phones;
+                }
+                if !self.exit_words[start..].contains(&w) {
+                    self.exit_words.push(w);
                 }
             }
         }
-        out.truncate(budget);
-        out
+        self.exit_words.truncate(start + budget);
+        let end = self.exit_words.len();
+        if let Some(prev) = prev {
+            self.exits[prev.index()] = ExitSlot {
+                stamp: self.stamp,
+                start: start as u32,
+                end: end as u32,
+            };
+        }
+        start..end
     }
 
     /// Decode emission frames under a pruning configuration.
-    pub fn decode(&self, frames: &[Frame], config: &BeamConfig) -> DecodeResult {
+    pub fn decode(&mut self, frames: &[Frame], config: &BeamConfig) -> DecodeResult {
         if frames.is_empty() {
             return DecodeResult {
                 words: Vec::new(),
@@ -149,16 +236,23 @@ impl<'a> Decoder<'a> {
                 frames: 0,
             };
         }
-        let search = self.run_search(frames, config);
-        search.finalize_best(self, frames.len())
+        self.run_search(frames, config).finalize_best(frames.len())
     }
 
     /// Decode and return the `n` best distinct word sequences the beam
-    /// retained, best first. The 1-best entry equals
-    /// [`Decoder::decode`]'s hypothesis; entries beyond what the beam
-    /// kept alive are simply absent (narrow beams may retain a single
-    /// hypothesis).
-    pub fn decode_nbest(&self, frames: &[Frame], config: &BeamConfig, n: usize) -> Vec<Hypothesis> {
+    /// retained, best first, ranking every surviving token by effective
+    /// score. [`Decoder::decode`]'s hypothesis is among them when `n`
+    /// covers the whole beam, but need not be the first:
+    /// `decode` prefers tokens that completed their word, while a
+    /// mid-word competitor may outscore them here. Entries beyond what
+    /// the beam kept alive are simply absent (narrow beams may retain a
+    /// single hypothesis).
+    pub fn decode_nbest(
+        &mut self,
+        frames: &[Frame],
+        config: &BeamConfig,
+        n: usize,
+    ) -> Vec<Hypothesis> {
         if frames.is_empty() || n == 0 {
             return Vec::new();
         }
@@ -171,7 +265,7 @@ impl<'a> Decoder<'a> {
         });
         let mut out: Vec<Hypothesis> = Vec::with_capacity(n);
         for t in ranked {
-            let words = backtrace(&search.arena, t.hist);
+            let words = backtrace(search.arena, t.hist);
             if out.iter().any(|h| h.words == words) {
                 continue;
             }
@@ -187,101 +281,79 @@ impl<'a> Decoder<'a> {
     }
 
     /// The main token-passing loop, shared by 1-best and n-best decode.
-    fn run_search(&self, frames: &[Frame], config: &BeamConfig) -> SearchState<'_> {
-        // Backtrace arena: (previous entry, word entered).
-        let mut arena: Vec<(u32, WordId)> = Vec::new();
+    fn run_search(&mut self, frames: &[Frame], config: &BeamConfig) -> SearchState<'_> {
+        let lexicon = self.lexicon;
         let mut work: u64 = 0;
-
-        // Active tokens, unique per (word, phone_idx).
-        let mut tokens: Vec<Token> = Vec::new();
-        let mut index: HashMap<(u32, u16), usize> = HashMap::new();
+        self.arena.clear();
 
         // Frame 0: enter the candidate first words.
-        for w in self.exit_candidates(None, frames, 0, config.word_exit_candidates, &mut work) {
-            let pron = self.lexicon.word(w).pronunciation();
+        self.begin_frame();
+        for k in self.exit_candidates(None, frames, 0, config.word_exit_candidates, &mut work) {
+            let w = self.exit_words[k];
+            let pron = lexicon.word(w).pronunciation();
             let total_lm =
                 config.lm_scale * self.lm.log_prob(None, w) + config.word_insertion_penalty;
             let per = total_lm / pron.len() as f64;
             let score = per + f64::from(frames[0][pron[0].index()]);
-            let hist = push(&mut arena, ROOT, w);
+            let hist = push(&mut self.arena, ROOT, w);
             work += 1;
-            upsert(
-                &mut tokens,
-                &mut index,
-                Token {
-                    word: w,
-                    phone_idx: 0,
-                    score,
-                    lm_per_phone: per,
-                    pending_lm: total_lm - per,
-                    hist,
-                },
-            );
+            self.upsert(Token {
+                word: w,
+                phone_idx: 0,
+                score,
+                lm_per_phone: per,
+                pending_lm: total_lm - per,
+                hist,
+            });
         }
-        prune(&mut tokens, &mut index, config);
+        self.end_frame(config);
 
         for fi in 1..frames.len() {
             let frame = &frames[fi];
-            let best_prev = tokens
+            let best_prev = self
+                .tokens
                 .iter()
                 .map(Token::effective_score)
                 .fold(f64::NEG_INFINITY, f64::max);
-            let mut next: Vec<Token> = Vec::with_capacity(tokens.len() * 2);
-            let mut next_index: HashMap<(u32, u16), usize> =
-                HashMap::with_capacity(tokens.len() * 2);
-            // Fast-match results are identical for every token leaving the
-            // same word at the same frame; memoize them (real decoders run
-            // the rapid match once per frame too).
-            let mut exit_cache: HashMap<u32, Vec<WordId>> = HashMap::new();
+            self.begin_frame();
 
-            for t in &tokens {
-                let pron = self.lexicon.word(t.word).pronunciation();
+            for ti in 0..self.tokens.len() {
+                let t = self.tokens[ti];
+                let pron = lexicon.word(t.word).pronunciation();
                 let idx = t.phone_idx as usize;
 
                 // Stay in the current phone.
                 work += 1;
-                upsert(
-                    &mut next,
-                    &mut next_index,
-                    Token {
-                        score: t.score + LOG_STAY + f64::from(frame[pron[idx].index()]),
-                        ..*t
-                    },
-                );
+                self.upsert(Token {
+                    score: t.score + LOG_STAY + f64::from(frame[pron[idx].index()]),
+                    ..t
+                });
 
                 // Advance to the next phone of the word, paying the next
                 // share of the pushed LM cost.
                 if idx + 1 < pron.len() {
                     work += 1;
-                    upsert(
-                        &mut next,
-                        &mut next_index,
-                        Token {
-                            phone_idx: t.phone_idx + 1,
-                            score: t.score
-                                + t.lm_per_phone
-                                + LOG_ADVANCE
-                                + f64::from(frame[pron[idx + 1].index()]),
-                            pending_lm: t.pending_lm - t.lm_per_phone,
-                            ..*t
-                        },
-                    );
+                    self.upsert(Token {
+                        phone_idx: t.phone_idx + 1,
+                        score: t.score
+                            + t.lm_per_phone
+                            + LOG_ADVANCE
+                            + f64::from(frame[pron[idx + 1].index()]),
+                        pending_lm: t.pending_lm - t.lm_per_phone,
+                        ..t
+                    });
                 } else if t.effective_score() >= best_prev - config.word_end_beam {
                     // Exit the word into candidate successors.
-                    let exits = match exit_cache.entry(t.word.0) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(self.exit_candidates(
-                                Some(t.word),
-                                frames,
-                                fi,
-                                config.word_exit_candidates,
-                                &mut work,
-                            ))
-                        }
-                    };
-                    for &w in exits.iter() {
-                        let next_pron = self.lexicon.word(w).pronunciation();
+                    let exits = self.exit_candidates(
+                        Some(t.word),
+                        frames,
+                        fi,
+                        config.word_exit_candidates,
+                        &mut work,
+                    );
+                    for k in exits {
+                        let w = self.exit_words[k];
+                        let next_pron = lexicon.word(w).pronunciation();
                         let total_lm = config.lm_scale * self.lm.log_prob(Some(t.word), w)
                             + config.word_insertion_penalty;
                         let per = total_lm / next_pron.len() as f64;
@@ -291,44 +363,157 @@ impl<'a> Decoder<'a> {
                         work += 1;
                         // Defer arena push until we know the token survives
                         // the upsert (avoids unbounded arena growth).
-                        let key = (w.0, 0u16);
-                        match next_index.get(&key) {
-                            Some(&i) if next[i].effective_score() >= score + pending_lm => {}
+                        match self.find(w, 0) {
+                            Some(i) if self.next[i].effective_score() >= score + pending_lm => {}
                             _ => {
-                                let hist = push(&mut arena, t.hist, w);
-                                upsert(
-                                    &mut next,
-                                    &mut next_index,
-                                    Token {
-                                        word: w,
-                                        phone_idx: 0,
-                                        score,
-                                        lm_per_phone: per,
-                                        pending_lm,
-                                        hist,
-                                    },
-                                );
+                                let hist = push(&mut self.arena, t.hist, w);
+                                self.upsert(Token {
+                                    word: w,
+                                    phone_idx: 0,
+                                    score,
+                                    lm_per_phone: per,
+                                    pending_lm,
+                                    hist,
+                                });
                             }
                         }
                     }
                 }
             }
 
-            tokens = next;
-            index = next_index;
-            prune(&mut tokens, &mut index, config);
-            if tokens.is_empty() {
+            self.end_frame(config);
+            if self.tokens.is_empty() {
                 break;
             }
         }
 
         SearchState {
-            tokens,
-            arena,
+            tokens: &self.tokens,
+            arena: &self.arena,
             work,
-            lexicon: self.lexicon,
+            lexicon,
         }
     }
+
+    /// Start building a frame: `next`, the state table and the exit memo
+    /// all read as empty.
+    fn begin_frame(&mut self) {
+        self.next.clear();
+        self.rows.clear();
+        self.exit_words.clear();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // The generation wrapped: slots stamped 2³² frames ago would
+            // read as live. Retire them all.
+            self.words.fill(WordSlot::default());
+            self.exits.fill(ExitSlot::default());
+            self.stamp = 1;
+        }
+    }
+
+    /// The frame under construction becomes the active beam, after the
+    /// local beam and global histogram pruning.
+    fn end_frame(&mut self, config: &BeamConfig) {
+        let best = self
+            .next
+            .iter()
+            .map(Token::effective_score)
+            .fold(f64::NEG_INFINITY, f64::max);
+        self.next
+            .retain(|t| t.effective_score() >= best - config.beam);
+        if self.next.len() <= config.max_active {
+            std::mem::swap(&mut self.tokens, &mut self.next);
+            return;
+        }
+        // Best score first, equal scores in beam order: one integer key
+        // per token that sorts ascending in exactly that order.
+        self.ranked.clear();
+        self.ranked.extend(
+            self.next
+                .iter()
+                .enumerate()
+                .map(|(i, t)| rank_key(t.effective_score(), i)),
+        );
+        self.ranked.sort_unstable();
+        self.tokens.clear();
+        self.tokens.extend(
+            self.ranked[..config.max_active]
+                .iter()
+                .map(|&key| self.next[rank_position(key)]),
+        );
+    }
+
+    /// Position in `next` of the token occupying a state, if any.
+    fn find(&self, word: WordId, phone_idx: u16) -> Option<usize> {
+        let slot = self.words[word.index()];
+        if slot.stamp != self.stamp {
+            return None;
+        }
+        let index = self.rows[slot.row as usize + phone_idx as usize];
+        (index != VACANT).then_some(index as usize)
+    }
+
+    /// Insert a token into `next`, keeping only the best-scoring token
+    /// per state (exact Viterbi merge: with a bigram LM the future
+    /// depends only on the current word).
+    fn upsert(&mut self, token: Token) {
+        let slot = &mut self.words[token.word.index()];
+        if slot.stamp != self.stamp {
+            *slot = WordSlot {
+                stamp: self.stamp,
+                row: self.rows.len() as u32,
+            };
+            self.rows.resize(self.rows.len() + self.stride, VACANT);
+        }
+        let index = &mut self.rows[slot.row as usize + token.phone_idx as usize];
+        if *index == VACANT {
+            *index = self.next.len() as u32;
+            self.next.push(token);
+        } else {
+            let held = &mut self.next[*index as usize];
+            if held.effective_score() < token.effective_score() {
+                *held = token;
+            }
+        }
+    }
+}
+
+/// A key that sorts ascending where `score` sorts descending and, among
+/// equal scores, `position` ascending: the score's bits mapped to an
+/// unsigned integer in reverse numeric order, above the position.
+fn rank_key(score: f64, position: usize) -> u128 {
+    assert!(!score.is_nan(), "scores are finite");
+    // `+ 0.0` folds -0.0 into +0.0, which compare equal as scores.
+    let bits = (score + 0.0).to_bits();
+    let descending = if bits >> 63 == 0 {
+        !bits ^ (1 << 63)
+    } else {
+        bits
+    };
+    u128::from(descending) << 32 | position as u128
+}
+
+/// The position a [`rank_key`] was built from.
+fn rank_position(key: u128) -> usize {
+    key as u32 as usize
+}
+
+/// The two best-scoring phones of a frame, best first; equal scores in
+/// phone order.
+fn top_two_phones(frame: &Frame) -> [usize; 2] {
+    let mut top = [0usize; 2];
+    let mut scores = [f32::NEG_INFINITY; 2];
+    for (p, &score) in frame.iter().enumerate() {
+        assert!(!score.is_nan(), "finite emission");
+        if score > scores[0] {
+            top = [p, top[0]];
+            scores = [score, scores[0]];
+        } else if score > scores[1] {
+            top[1] = p;
+            scores[1] = score;
+        }
+    }
+    top
 }
 
 /// A ranked alternative hypothesis from [`Decoder::decode_nbest`].
@@ -341,34 +526,23 @@ pub struct Hypothesis {
     pub score: f64,
 }
 
-/// The surviving beam at the final frame.
-struct SearchState<'a> {
-    tokens: Vec<Token>,
-    arena: Vec<(u32, WordId)>,
+/// The surviving beam at the final frame, borrowed from the decoder.
+struct SearchState<'d> {
+    tokens: &'d [Token],
+    arena: &'d [(u32, WordId)],
     work: u64,
-    lexicon: &'a Lexicon,
+    lexicon: &'d Lexicon,
 }
 
 impl SearchState<'_> {
     /// Finalize: prefer tokens that completed their word's last phone.
-    fn finalize_best(&self, _decoder: &Decoder<'_>, frames: usize) -> DecodeResult {
-        let mut finalized: Vec<&Token> = self
-            .tokens
-            .iter()
-            .filter(|t| {
-                (t.phone_idx as usize) == self.lexicon.word(t.word).pronunciation().len() - 1
-            })
-            .collect();
-        if finalized.is_empty() {
-            finalized = self.tokens.iter().collect();
-        }
-        finalized.sort_by(|a, b| {
-            b.effective_score()
-                .partial_cmp(&a.effective_score())
-                .expect("scores are finite")
-        });
-
-        let Some(best) = finalized.first() else {
+    fn finalize_best(&self, frames: usize) -> DecodeResult {
+        let completed = |t: &&Token| {
+            t.phone_idx as usize == self.lexicon.word(t.word).pronunciation().len() - 1
+        };
+        let Some(best) = first_best(self.tokens.iter().filter(completed))
+            .or_else(|| first_best(self.tokens.iter()))
+        else {
             return DecodeResult {
                 words: Vec::new(),
                 score: f64::NEG_INFINITY,
@@ -390,7 +564,7 @@ impl SearchState<'_> {
             });
 
         DecodeResult {
-            words: backtrace(&self.arena, best.hist),
+            words: backtrace(self.arena, best.hist),
             score: best.effective_score(),
             runner_up,
             work: self.work,
@@ -399,62 +573,38 @@ impl SearchState<'_> {
     }
 }
 
+/// The highest-scoring token, the first of equals.
+fn first_best<'t>(tokens: impl Iterator<Item = &'t Token>) -> Option<&'t Token> {
+    tokens.reduce(|best, t| {
+        if t.effective_score() > best.effective_score() {
+            t
+        } else {
+            best
+        }
+    })
+}
+
 fn push(arena: &mut Vec<(u32, WordId)>, prev: u32, word: WordId) -> u32 {
     arena.push((prev, word));
     (arena.len() - 1) as u32
 }
 
-fn backtrace(arena: &[(u32, WordId)], mut hist: u32) -> Vec<WordId> {
-    let mut words = Vec::new();
-    while hist != ROOT {
-        let (prev, word) = arena[hist as usize];
-        words.push(word);
-        hist = prev;
+/// The word sequence ending at `hist`, in one exactly-sized allocation.
+fn backtrace(arena: &[(u32, WordId)], hist: u32) -> Vec<WordId> {
+    let mut len = 0;
+    let mut at = hist;
+    while at != ROOT {
+        len += 1;
+        at = arena[at as usize].0;
     }
-    words.reverse();
+    let mut words = vec![WordId(0); len];
+    let mut at = hist;
+    for slot in words.iter_mut().rev() {
+        let (prev, word) = arena[at as usize];
+        *slot = word;
+        at = prev;
+    }
     words
-}
-
-/// Insert a token, keeping only the best-scoring token per state
-/// (exact Viterbi merge: with a bigram LM the future depends only on the
-/// current word).
-fn upsert(tokens: &mut Vec<Token>, index: &mut HashMap<(u32, u16), usize>, token: Token) {
-    match index.entry((token.word.0, token.phone_idx)) {
-        std::collections::hash_map::Entry::Occupied(e) => {
-            let i = *e.get();
-            if tokens[i].effective_score() < token.effective_score() {
-                tokens[i] = token;
-            }
-        }
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(tokens.len());
-            tokens.push(token);
-        }
-    }
-}
-
-/// Apply the local beam and global histogram pruning.
-fn prune(tokens: &mut Vec<Token>, index: &mut HashMap<(u32, u16), usize>, config: &BeamConfig) {
-    if tokens.is_empty() {
-        return;
-    }
-    let best = tokens
-        .iter()
-        .map(Token::effective_score)
-        .fold(f64::NEG_INFINITY, f64::max);
-    tokens.retain(|t| t.effective_score() >= best - config.beam);
-    if tokens.len() > config.max_active {
-        tokens.sort_by(|a, b| {
-            b.effective_score()
-                .partial_cmp(&a.effective_score())
-                .expect("scores are finite")
-        });
-        tokens.truncate(config.max_active);
-    }
-    index.clear();
-    for (i, t) in tokens.iter().enumerate() {
-        index.insert((t.word.0, t.phone_idx), i);
-    }
 }
 
 #[cfg(test)]
@@ -489,7 +639,7 @@ mod tests {
     #[test]
     fn empty_frames_decode_to_nothing() {
         let f = fixture();
-        let dec = Decoder::new(&f.lexicon, &f.lm);
+        let mut dec = Decoder::new(&f.lexicon, &f.lm);
         let out = dec.decode(&[], &wide());
         assert!(out.words.is_empty());
         assert_eq!(out.work, 0);
@@ -498,7 +648,7 @@ mod tests {
     #[test]
     fn clean_audio_decodes_exactly_under_a_wide_beam() {
         let f = fixture();
-        let dec = Decoder::new(&f.lexicon, &f.lm);
+        let mut dec = Decoder::new(&f.lexicon, &f.lm);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
         let reference = f.lm.sample_sentence(&mut rng, 5);
         let frames = f.acoustic.render(&f.lexicon, &reference, 0.05, 7);
@@ -509,7 +659,7 @@ mod tests {
     #[test]
     fn wide_beam_does_more_work_than_narrow() {
         let f = fixture();
-        let dec = Decoder::new(&f.lexicon, &f.lm);
+        let mut dec = Decoder::new(&f.lexicon, &f.lm);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
         let reference = f.lm.sample_sentence(&mut rng, 6);
         let frames = f.acoustic.render(&f.lexicon, &reference, 1.5, 21);
@@ -528,7 +678,7 @@ mod tests {
         // Aggregate over several utterances: the wide beam's total word
         // errors must not exceed the narrow beam's.
         let f = fixture();
-        let dec = Decoder::new(&f.lexicon, &f.lm);
+        let mut dec = Decoder::new(&f.lexicon, &f.lm);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
         let mut narrow_errors = 0usize;
         let mut wide_errors = 0usize;
@@ -552,7 +702,7 @@ mod tests {
     #[test]
     fn decoding_is_deterministic() {
         let f = fixture();
-        let dec = Decoder::new(&f.lexicon, &f.lm);
+        let mut dec = Decoder::new(&f.lexicon, &f.lm);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
         let reference = f.lm.sample_sentence(&mut rng, 5);
         let frames = f.acoustic.render(&f.lexicon, &reference, 1.0, 33);
@@ -564,7 +714,7 @@ mod tests {
     #[test]
     fn nbest_is_ranked_distinct_and_headed_by_the_one_best() {
         let f = fixture();
-        let dec = Decoder::new(&f.lexicon, &f.lm);
+        let mut dec = Decoder::new(&f.lexicon, &f.lm);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(41);
         let reference = f.lm.sample_sentence(&mut rng, 5);
         let frames = f.acoustic.render(&f.lexicon, &reference, 1.8, 77);
@@ -587,9 +737,75 @@ mod tests {
     }
 
     #[test]
+    fn nbest_over_the_whole_beam_is_ranked_distinct_and_holds_the_one_best() {
+        let f = fixture();
+        let mut dec = Decoder::new(&f.lexicon, &f.lm);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(47);
+        let versions = BeamConfig::paper_versions();
+        for i in 0..10 {
+            let reference = f.lm.sample_sentence(&mut rng, 5);
+            let frames = f.acoustic.render(&f.lexicon, &reference, 2.0, 300 + i);
+            for config in [&versions[0], &versions[6]] {
+                let nbest = dec.decode_nbest(&frames, config, config.max_active);
+                assert!(!nbest.is_empty());
+                for (k, h) in nbest.iter().enumerate() {
+                    assert!(nbest[..k].iter().all(|earlier| earlier.score >= h.score));
+                    assert!(nbest[..k].iter().all(|earlier| earlier.words != h.words));
+                }
+                // Not necessarily first: `decode` prefers tokens that
+                // completed their word, `decode_nbest` ranks them all.
+                let one_best = dec.decode(&frames, config);
+                assert!(
+                    nbest.iter().any(|h| h.words == one_best.words),
+                    "utterance {i} under {}: decode()'s hypothesis missing",
+                    config.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rank_keys_sort_best_score_first_then_by_position() {
+        let scores = [
+            -3.5,
+            2.0,
+            -0.0,
+            0.0,
+            -3.5,
+            f64::NEG_INFINITY,
+            1e-300,
+            -1e-300,
+            2.0,
+            -7e9,
+        ];
+        let mut keys: Vec<u128> = scores
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| rank_key(s, i))
+            .collect();
+        keys.sort_unstable();
+        let mut expected: Vec<usize> = (0..scores.len()).collect();
+        expected.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+        let order: Vec<usize> = keys.iter().map(|&k| rank_position(k)).collect();
+        assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn top_two_phones_match_a_stable_descending_sort() {
+        let mut frame = [-4.0f32; crate::phone::NUM_PHONES];
+        for (case, (a, b)) in [(3, 9), (9, 3), (0, 39), (17, 17)].into_iter().enumerate() {
+            frame[a] = 1.0 + case as f32;
+            frame[b] = 1.0 + case as f32; // a tie: the lower phone leads
+            let mut ranked: Vec<usize> = (0..frame.len()).collect();
+            ranked.sort_by(|&x, &y| frame[y].partial_cmp(&frame[x]).unwrap());
+            assert_eq!(top_two_phones(&frame), [ranked[0], ranked[1]]);
+        }
+    }
+
+    #[test]
     fn nbest_degenerate_inputs() {
         let f = fixture();
-        let dec = Decoder::new(&f.lexicon, &f.lm);
+        let mut dec = Decoder::new(&f.lexicon, &f.lm);
         assert!(dec.decode_nbest(&[], &wide(), 3).is_empty());
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(43);
         let reference = f.lm.sample_sentence(&mut rng, 3);
@@ -601,7 +817,7 @@ mod tests {
     #[test]
     fn runner_up_is_finite_and_usually_close_to_best() {
         let f = fixture();
-        let dec = Decoder::new(&f.lexicon, &f.lm);
+        let mut dec = Decoder::new(&f.lexicon, &f.lm);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(29);
         for i in 0..5 {
             let reference = f.lm.sample_sentence(&mut rng, 4);

@@ -35,6 +35,12 @@ pub struct LanguageModel {
     /// Per-word likely successors with their conditional probabilities
     /// (sums to `SUCCESSOR_MASS` per word).
     successors: Vec<Vec<(WordId, f64)>>,
+    /// `ln(unigram)` per word: the sentence-start log-probability.
+    ln_unigram: Vec<f64>,
+    /// `ln((1 - SUCCESSOR_MASS) · unigram)` per word: the log-probability
+    /// of any transition outside the previous word's successor set, which
+    /// is nearly every one the decoder's fast match asks for.
+    ln_backoff: Vec<f64>,
 }
 
 impl LanguageModel {
@@ -68,9 +74,15 @@ impl LanguageModel {
                 set
             })
             .collect();
+        let ln_unigram = (0..vocab).map(|w| unigram.pmf(w).ln()).collect();
+        let ln_backoff = (0..vocab)
+            .map(|w| ((1.0 - SUCCESSOR_MASS) * unigram.pmf(w)).ln())
+            .collect();
         LanguageModel {
             unigram,
             successors,
+            ln_unigram,
+            ln_backoff,
         }
     }
 
@@ -88,16 +100,19 @@ impl LanguageModel {
     /// sentence start, which uses the unigram distribution).
     pub fn log_prob(&self, prev: Option<WordId>, next: WordId) -> f64 {
         match prev {
-            None => self.unigram_prob(next).ln(),
+            None => self.ln_unigram[next.index()],
             Some(prev) => {
-                let set = &self.successors[prev.index()];
-                let direct: f64 = set
+                let direct: f64 = self.successors[prev.index()]
                     .iter()
                     .filter(|(w, _)| *w == next)
                     .map(|(_, p)| *p)
                     .sum();
-                let backoff = (1.0 - SUCCESSOR_MASS) * self.unigram_prob(next);
-                (direct + backoff).ln()
+                if direct > 0.0 {
+                    let backoff = (1.0 - SUCCESSOR_MASS) * self.unigram_prob(next);
+                    (direct + backoff).ln()
+                } else {
+                    self.ln_backoff[next.index()]
+                }
             }
         }
     }
@@ -106,29 +121,33 @@ impl LanguageModel {
     /// successors followed by the highest-frequency unigram words, with
     /// duplicates removed, truncated to `limit`.
     pub fn candidate_successors(&self, prev: Option<WordId>, limit: usize) -> Vec<WordId> {
-        let mut out: Vec<WordId> = Vec::with_capacity(limit);
-        if let Some(prev) = prev {
-            for (w, _) in &self.successors[prev.index()] {
-                if out.len() == limit {
-                    return out;
-                }
-                if !out.contains(w) {
-                    out.push(*w);
-                }
-            }
-        }
+        let mut out = Vec::with_capacity(limit);
+        self.append_candidate_successors(prev, limit, &mut out);
+        out
+    }
+
+    /// [`LanguageModel::candidate_successors`] appended to a buffer the
+    /// caller reuses; uniqueness and `limit` apply to the appended words
+    /// only.
+    pub fn append_candidate_successors(
+        &self,
+        prev: Option<WordId>,
+        limit: usize,
+        out: &mut Vec<WordId>,
+    ) {
+        let start = out.len();
+        let likely = prev.map_or(&[][..], |prev| &self.successors[prev.index()][..]);
         // Word ids are unigram rank order, so the top unigram words are
         // simply 0, 1, 2, ...
-        for rank in 0..self.vocab() {
-            if out.len() == limit {
+        let ranked = (0..self.vocab()).map(|rank| WordId(rank as u32));
+        for w in likely.iter().map(|(w, _)| *w).chain(ranked) {
+            if out.len() - start == limit {
                 break;
             }
-            let w = WordId(rank as u32);
-            if !out.contains(&w) {
+            if !out[start..].contains(&w) {
                 out.push(w);
             }
         }
-        out
     }
 
     /// Sample a sentence of `len` words.

@@ -158,36 +158,64 @@ impl AsrEngine {
         self
     }
 
-    /// Render an utterance's audio and decode it under `config`.
-    pub fn decode(&self, utterance: &Utterance, config: &BeamConfig) -> DecodeOutcome {
+    /// A decoder over this engine's lexicon and language model. It owns
+    /// its search buffers: keep one per thread and hand it to
+    /// [`AsrEngine::decode_ladder`] for every utterance.
+    pub fn decoder(&self) -> Decoder<'_> {
+        Decoder::new(&self.lexicon, &self.lm)
+    }
+
+    /// Render an utterance's audio once and decode it under each of
+    /// `configs` with `decoder` (one of [`AsrEngine::decoder`]'s);
+    /// outcomes in `configs` order.
+    pub fn decode_ladder(
+        &self,
+        decoder: &mut Decoder<'_>,
+        utterance: &Utterance,
+        configs: &[BeamConfig],
+    ) -> Vec<DecodeOutcome> {
         let frames = self.acoustic.render(
             &self.lexicon,
             &utterance.words,
             utterance.noise_sigma,
             utterance.render_seed,
         );
-        let result = Decoder::new(&self.lexicon, &self.lm).decode(&frames, config);
-        let errors = wer::word_errors(&result.words, &utterance.words);
-        let latency_us = result.frames as u64 * FRAME_OVERHEAD_US
-            + (result.work as f64 * US_PER_EXPANSION) as u64;
-        DecodeOutcome {
-            errors,
-            reference_words: utterance.words.len(),
-            wer: errors as f64 / utterance.words.len().max(1) as f64,
-            confidence: self.confidence.confidence(&result),
-            latency_us,
-            work: result.work,
-            hypothesis: result.words,
-        }
+        configs
+            .iter()
+            .map(|config| {
+                let result = decoder.decode(&frames, config);
+                let errors = wer::word_errors(&result.words, &utterance.words);
+                let latency_us = result.frames as u64 * FRAME_OVERHEAD_US
+                    + (result.work as f64 * US_PER_EXPANSION) as u64;
+                DecodeOutcome {
+                    errors,
+                    reference_words: utterance.words.len(),
+                    wer: errors as f64 / utterance.words.len().max(1) as f64,
+                    confidence: self.confidence.confidence(&result),
+                    latency_us,
+                    work: result.work,
+                    hypothesis: result.words,
+                }
+            })
+            .collect()
+    }
+
+    /// Render an utterance's audio and decode it under `config`.
+    pub fn decode(&self, utterance: &Utterance, config: &BeamConfig) -> DecodeOutcome {
+        self.decode_ladder(&mut self.decoder(), utterance, std::slice::from_ref(config))
+            .pop()
+            .expect("one outcome per configuration")
     }
 
     /// Decode the whole corpus under `config`, returning outcomes in
     /// corpus order.
     pub fn decode_corpus(&self, config: &BeamConfig) -> Vec<DecodeOutcome> {
+        let mut decoder = self.decoder();
+        let ladder = std::slice::from_ref(config);
         self.corpus
             .utterances()
             .iter()
-            .map(|u| self.decode(u, config))
+            .flat_map(|u| self.decode_ladder(&mut decoder, u, ladder))
             .collect()
     }
 
@@ -310,7 +338,6 @@ mod tests {
     #[test]
     #[ignore = "calibration aid: raw confidence signal distributions"]
     fn calibration_confidence_signals() {
-        use crate::decoder::Decoder;
         let e = AsrEngine::synthesize(CorpusConfig::evaluation().with_utterances(400));
         for cfg in [
             &BeamConfig::paper_versions()[0],
@@ -323,7 +350,7 @@ mod tests {
                 let frames = e
                     .acoustic
                     .render(&e.lexicon, &u.words, u.noise_sigma, u.render_seed);
-                let r = Decoder::new(&e.lexicon, &e.lm).decode(&frames, cfg);
+                let r = e.decoder().decode(&frames, cfg);
                 let margin = r.runner_up.map(|x| (r.score - x) / r.frames as f64);
                 if margin.is_none() {
                     no_runner += 1;

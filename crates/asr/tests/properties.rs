@@ -76,7 +76,10 @@ proptest! {
         let words = lm.sample_sentence(&mut rng, 4);
         let frames = AcousticModel::default().render(&lexicon, &words, noise, seed);
         let cfg = BeamConfig::new("prop", 12.0, 64, 16);
-        let out = Decoder::new(&lexicon, &lm).decode(&frames, &cfg);
+        let mut decoder = Decoder::new(&lexicon, &lm);
+        let out = decoder.decode(&frames, &cfg);
+        // The decoder's buffers carry nothing over between decodes.
+        prop_assert_eq!(&decoder.decode(&frames, &cfg), &out);
         prop_assert!(!out.words.is_empty());
         prop_assert!(out.score.is_finite());
         prop_assert!(out.work > 0);

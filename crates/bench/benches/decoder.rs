@@ -14,7 +14,7 @@ fn bench_decoder(c: &mut Criterion) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
     let words = lm.sample_sentence(&mut rng, 8);
     let frames = acoustic.render(&lexicon, &words, 1.2, 11);
-    let decoder = Decoder::new(&lexicon, &lm);
+    let mut decoder = Decoder::new(&lexicon, &lm);
 
     let mut group = c.benchmark_group("decode_one_utterance");
     group.sample_size(20);

@@ -20,7 +20,8 @@
 //! The pool is built from scoped threads plus an unbounded MPMC channel
 //! used as a work queue (workers pull the next index as they free up,
 //! giving dynamic load balancing for items of uneven cost — bootstrap
-//! candidates converge after wildly different trial counts).
+//! candidates converge after wildly different trial counts). The calling
+//! thread is one of the workers.
 
 use crossbeam::channel;
 
@@ -68,51 +69,74 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    parallel_map_init(threads, items, || (), |(), i, x| f(i, x))
+}
+
+/// [`parallel_map`] with per-worker state: each worker calls `init`
+/// once and hands the value to `f` with every item it runs, so buffers
+/// that are expensive to build are reused across items without being
+/// shared between threads.
+///
+/// Which items share a state depends on the schedule; the output is
+/// schedule-independent only if `f`'s result does not depend on what
+/// earlier items left in the state.
+///
+/// # Panics
+///
+/// Propagates panics from `init` and `f`.
+pub fn parallel_map_init<T, S, R, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
     let threads = if threads == 0 {
         available_threads()
     } else {
         threads
     };
     if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+        let mut state = init();
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| f(&mut state, i, x))
+            .collect();
     }
     let threads = threads.min(items.len());
 
     let (task_tx, task_rx) = channel::unbounded::<usize>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
     for i in 0..items.len() {
         task_tx.send(i).expect("receiver alive");
     }
     drop(task_tx);
 
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                while let Ok(i) = task_rx.recv() {
-                    // A send failure means the collector bailed; stop.
-                    if result_tx.send((i, f(i, &items[i]))).is_err() {
-                        break;
-                    }
-                }
-            });
+    let work = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        while let Ok(i) = task_rx.recv() {
+            done.push((i, f(&mut state, i, &items[i])));
         }
-        drop(result_tx);
-        for _ in 0..items.len() {
-            let (i, r) = result_rx
-                .recv()
-                .expect("a worker panicked before draining the work queue");
-            slots[i] = Some(r);
+        done
+    };
+    let mut done = std::thread::scope(|scope| {
+        // The caller is one of the workers: it would only wait
+        // otherwise, and what it allocates while working goes back to
+        // the heap it keeps using instead of to a finished thread's.
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for worker in spawned {
+            match worker.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
+        done
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index produces exactly one result"))
-        .collect()
+    // The queue hands every index out exactly once.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A task rejected by a saturated [`TaskPool`].
@@ -268,6 +292,29 @@ mod tests {
         let sequential = parallel_map(1, &items, draw);
         for threads in [2, 8] {
             assert_eq!(parallel_map(threads, &items, draw), sequential);
+        }
+    }
+
+    #[test]
+    fn worker_state_is_built_once_per_worker_and_reused() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let items: Vec<u64> = (0..100).collect();
+        for threads in [1, 2, 4] {
+            let built = AtomicUsize::new(0);
+            let got = parallel_map_init(
+                threads,
+                &items,
+                || {
+                    built.fetch_add(1, Ordering::SeqCst);
+                    Vec::<u64>::new()
+                },
+                |seen, _, &x| {
+                    seen.push(x);
+                    x + 1
+                },
+            );
+            assert_eq!(got, (1..=100).collect::<Vec<u64>>(), "threads={threads}");
+            assert_eq!(built.load(Ordering::SeqCst), threads, "threads={threads}");
         }
     }
 

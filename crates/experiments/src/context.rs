@@ -109,10 +109,17 @@ impl ExperimentContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The Quick context, built once for every test in this binary.
+    fn quick_context() -> &'static ExperimentContext {
+        static CELL: OnceLock<ExperimentContext> = OnceLock::new();
+        CELL.get_or_init(|| ExperimentContext::at_scale(Scale::Quick))
+    }
 
     #[test]
     fn quick_context_builds_all_three_deployments() {
-        let ctx = ExperimentContext::at_scale(Scale::Quick);
+        let ctx = quick_context();
         assert_eq!(ctx.deployments().len(), 3);
         assert_eq!(ctx.asr.matrix().versions(), 7);
         assert_eq!(ctx.ic_cpu.matrix().versions(), 6);

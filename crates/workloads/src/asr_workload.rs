@@ -1,12 +1,11 @@
 //! The ASR service as a Tolerance Tiers workload.
 
+use crate::profile::{assemble, observation};
 use tt_asr::decoder::BeamConfig;
 use tt_asr::service::AsrEngine;
 use tt_asr::CorpusConfig;
-use tt_core::profile::{Observation, ProfileMatrix, ProfileMatrixBuilder};
-
-/// Fraction of an hour per microsecond (for IaaS cost conversion).
-const HOURS_PER_US: f64 = 1.0 / 3.6e9;
+use tt_core::parallel::parallel_map_init;
+use tt_core::profile::ProfileMatrix;
 
 /// The ASR workload: every corpus utterance decoded under every beam
 /// configuration, assembled into a profile matrix.
@@ -32,34 +31,35 @@ impl AsrWorkload {
     ///
     /// Panics if `versions` is empty.
     pub fn build_with_versions(config: CorpusConfig, versions: Vec<BeamConfig>) -> Self {
+        Self::build_on(0, config, versions)
+    }
+
+    /// [`AsrWorkload::build_with_versions`] on `threads` workers (`0`:
+    /// one per hardware thread). Crate-private because it is not a
+    /// choice: every utterance is rendered once and decoded under the
+    /// whole ladder by whichever worker picks it up, rows are collected
+    /// in corpus order, and a decode depends on nothing an earlier one
+    /// left in the worker's decoder — so the matrix is the same at any
+    /// count, and the tests hold it to that.
+    fn build_on(threads: usize, config: CorpusConfig, versions: Vec<BeamConfig>) -> Self {
         assert!(!versions.is_empty(), "need at least one service version");
         let engine = AsrEngine::synthesize(config);
         let cpu_price = tt_sim::InstanceType::cpu_node().price_per_hour();
 
-        // Decode once per version, then transpose into request rows.
-        let per_version: Vec<Vec<tt_asr::service::DecodeOutcome>> = versions
-            .iter()
-            .map(|cfg| engine.decode_corpus(cfg))
-            .collect();
-
-        let mut builder =
-            ProfileMatrixBuilder::new(versions.iter().map(|v| v.name.clone()).collect());
-        for r in 0..engine.corpus().utterances().len() {
-            let row: Vec<Observation> = per_version
-                .iter()
-                .map(|outs| {
-                    let o = &outs[r];
-                    Observation {
-                        quality_err: o.wer,
-                        latency_us: o.latency_us,
-                        cost: o.latency_us as f64 * HOURS_PER_US * cpu_price,
-                        confidence: o.confidence,
-                    }
-                })
-                .collect();
-            builder.push_request(row);
-        }
-        let matrix = builder.build().expect("non-empty corpus and versions");
+        let rows = parallel_map_init(
+            threads,
+            engine.corpus().utterances(),
+            || engine.decoder(),
+            |decoder, _, utterance| {
+                engine
+                    .decode_ladder(decoder, utterance, &versions)
+                    .iter()
+                    .map(|o| observation(o.wer, o.confidence, o.latency_us, cpu_price))
+                    .collect()
+            },
+        );
+        let names = versions.iter().map(|v| v.name.clone()).collect();
+        let matrix = assemble(names, rows);
         AsrWorkload {
             engine,
             versions,
@@ -116,6 +116,23 @@ mod tests {
         let w = AsrWorkload::build(CorpusConfig::small().with_utterances(120));
         let best = w.matrix().best_version().unwrap();
         assert!(best >= 4, "expected a wide beam to win, got v{}", best + 1);
+    }
+
+    #[test]
+    fn matrix_is_the_same_on_any_number_of_workers() {
+        // `tests/asr_profile_golden.rs` pins `build` to the recorded
+        // fingerprints; this pins every worker count to `build`.
+        for config in [
+            CorpusConfig::small(),
+            CorpusConfig::evaluation().with_utterances(400),
+        ] {
+            let reference = AsrWorkload::build(config.clone());
+            for threads in [1, 2, 4] {
+                let built =
+                    AsrWorkload::build_on(threads, config.clone(), BeamConfig::paper_versions());
+                assert_eq!(built.matrix(), reference.matrix(), "threads={threads}");
+            }
+        }
     }
 
     #[test]

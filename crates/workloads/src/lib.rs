@@ -20,6 +20,7 @@ pub mod asr_workload;
 pub mod faults;
 pub mod keyspace;
 pub mod mix;
+mod profile;
 pub mod vision_workload;
 
 pub use asr_workload::AsrWorkload;

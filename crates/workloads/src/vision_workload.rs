@@ -1,12 +1,10 @@
 //! The image-classification service as a Tolerance Tiers workload.
 
-use tt_core::profile::{Observation, ProfileMatrix, ProfileMatrixBuilder};
+use crate::profile::{assemble, observation};
+use tt_core::profile::ProfileMatrix;
 use tt_vision::dataset::DatasetConfig;
 use tt_vision::latency::Device;
 use tt_vision::service::VisionService;
-
-/// Fraction of an hour per microsecond (for IaaS cost conversion).
-const HOURS_PER_US: f64 = 1.0 / 3.6e9;
 
 /// The IC workload: every dataset image classified by every zoo model
 /// on a given device, assembled into a profile matrix.
@@ -36,30 +34,18 @@ impl VisionWorkload {
             Device::Gpu => tt_sim::InstanceType::gpu_node().price_per_hour(),
         };
 
-        let per_model: Vec<Vec<tt_vision::service::ClassifyOutcome>> = service
-            .zoo()
-            .iter()
-            .map(|m| service.classify_dataset(m, device))
-            .collect();
-
-        let mut builder =
-            ProfileMatrixBuilder::new(service.zoo().iter().map(|m| m.name().to_string()).collect());
-        for r in 0..service.dataset().images().len() {
-            let row: Vec<Observation> = per_model
+        let names = service.zoo().iter().map(|m| m.name().to_string()).collect();
+        let rows = service.dataset().images().iter().map(|image| {
+            service
+                .zoo()
                 .iter()
-                .map(|outs| {
-                    let o = &outs[r];
-                    Observation {
-                        quality_err: o.top1_err,
-                        latency_us: o.latency_us,
-                        cost: o.latency_us as f64 * HOURS_PER_US * price,
-                        confidence: o.confidence,
-                    }
+                .map(|model| {
+                    let o = service.classify(image, model, device);
+                    observation(o.top1_err, o.confidence, o.latency_us, price)
                 })
-                .collect();
-            builder.push_request(row);
-        }
-        let matrix = builder.build().expect("non-empty dataset and zoo");
+                .collect()
+        });
+        let matrix = assemble(names, rows);
         VisionWorkload {
             service,
             device,

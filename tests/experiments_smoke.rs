@@ -1,13 +1,20 @@
 //! Smoke tests for the experiment harness: every sweep and table the
 //! figure binaries rely on runs end to end at CI scale.
 
+use std::sync::OnceLock;
 use tt_core::objective::Objective;
 use tt_experiments::context::{ExperimentContext, Scale};
 use tt_experiments::sweep::{point_at, policy_label, sweep_tiers};
 
+/// The Quick context, built once for every test in this binary.
+fn quick_context() -> &'static ExperimentContext {
+    static CELL: OnceLock<ExperimentContext> = OnceLock::new();
+    CELL.get_or_init(|| ExperimentContext::at_scale(Scale::Quick))
+}
+
 #[test]
 fn quick_context_sweeps_both_objectives() {
-    let ctx = ExperimentContext::at_scale(Scale::Quick);
+    let ctx = quick_context();
     for (label, matrix) in ctx.deployments() {
         for objective in Objective::all() {
             let points =
