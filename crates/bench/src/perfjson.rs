@@ -5,6 +5,12 @@
 //! numbers, so this hand-rolled emitter keeps the artifact format
 //! stable without a new dependency. Insertion order is preserved —
 //! reports diff cleanly across runs.
+//!
+//! Two ways in, one printer: [`JsonObject`] builds a tree (the ops
+//! documents, the bench artifacts) and [`JsonWriter`] streams straight
+//! into a `String` (the serving path's replies). The tree renders
+//! through the writer, so escaping, number formatting, the two-space
+//! indent and the trailing newline are written once.
 
 use std::fmt::Write as _;
 
@@ -77,90 +83,198 @@ impl JsonObject {
     /// trailing newline, ready to write to disk.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        render_object(self, 0, &mut out);
-        out.push('\n');
+        let mut writer = JsonWriter::object(&mut out);
+        write_members(self, &mut writer);
+        writer.finish();
         out
     }
 }
 
-fn indent(depth: usize, out: &mut String) {
-    for _ in 0..depth {
-        out.push_str("  ");
+fn write_members(object: &JsonObject, writer: &mut JsonWriter<'_>) {
+    for (key, value) in &object.entries {
+        write_value(value, writer.key(key));
     }
 }
 
-fn render_value(value: &Json, depth: usize, out: &mut String) {
+fn write_value(value: &Json, writer: &mut JsonWriter<'_>) {
     match value {
-        Json::Str(s) => render_string(s, out),
-        Json::Int(i) => {
-            let _ = write!(out, "{i}");
+        Json::Str(s) => writer.str(s),
+        Json::Int(i) => writer.int(*i),
+        Json::Num(n) => writer.num(*n),
+        Json::Bool(b) => writer.bool(*b),
+        Json::Object(o) => {
+            writer.open_object();
+            write_members(o, writer);
+            writer.close_object();
         }
-        Json::Num(n) => {
-            assert!(n.is_finite(), "non-finite JSON number");
-            // `Display` for f64 always produces a valid JSON number for
-            // finite values (shortest roundtrip form).
-            let _ = write!(out, "{n}");
-        }
-        Json::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Json::Object(o) => render_object(o, depth, out),
         Json::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
+            writer.open_array();
+            for item in items {
+                write_value(item, writer.element());
             }
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                indent(depth + 1, out);
-                render_value(item, depth + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            indent(depth, out);
-            out.push(']');
+            writer.close_array();
         }
     }
 }
 
-fn render_object(object: &JsonObject, depth: usize, out: &mut String) {
-    if object.entries.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push_str("{\n");
-    for (i, (key, value)) in object.entries.iter().enumerate() {
-        indent(depth + 1, out);
-        render_string(key, out);
-        out.push_str(": ");
-        render_value(value, depth + 1, out);
-        if i + 1 < object.entries.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    indent(depth, out);
-    out.push('}');
+/// A streaming writer of the document format: the same bytes
+/// [`JsonObject::render`] produces (which is written on top of it),
+/// appended to a caller-owned `String` with no tree in between — what
+/// the serving path uses to print a reply's dozen scalars without a
+/// heap block per key.
+///
+/// Position, then value: [`key`](Self::key) inside an object or
+/// [`element`](Self::element) inside an array places the separator and
+/// indent, and exactly one value call (`str`, `int`, `num`, `bool`, or
+/// an `open_*` … `close_*` pair) must follow it.
+///
+/// ```
+/// use tt_bench::perfjson::JsonWriter;
+///
+/// let mut out = String::new();
+/// let mut doc = JsonWriter::object(&mut out);
+/// doc.key("version").int(2);
+/// doc.key("degraded").bool(false);
+/// doc.finish();
+/// assert_eq!(out, "{\n  \"version\": 2,\n  \"degraded\": false\n}\n");
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    depth: usize,
+    /// Whether the innermost open container has no member yet. One
+    /// flag serves every level: closing a container makes it a member
+    /// of its parent, so the parent is never empty afterwards.
+    empty: bool,
 }
 
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+impl<'a> JsonWriter<'a> {
+    /// Open a document's root object at the end of `out`.
+    pub fn object(out: &'a mut String) -> Self {
+        out.push('{');
+        JsonWriter {
+            out,
+            depth: 1,
+            empty: true,
         }
     }
-    out.push('"');
+
+    fn place(&mut self) {
+        self.out.push_str(if self.empty { "\n" } else { ",\n" });
+        self.empty = false;
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// Start the next member of the open object.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.place();
+        self.str(key);
+        self.out.push_str(": ");
+        self
+    }
+
+    /// Start the next element of the open array.
+    pub fn element(&mut self) -> &mut Self {
+        self.place();
+        self
+    }
+
+    /// A string value, escaped.
+    pub fn str(&mut self, value: &str) {
+        self.out.push('"');
+        // Everything that needs escaping is one ASCII byte, so the
+        // text between two of them is copied as a run.
+        let mut run = 0;
+        for (i, byte) in value.bytes().enumerate() {
+            let escape = match byte {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0x20.. => continue,
+                _ => "",
+            };
+            self.out.push_str(&value[run..i]);
+            run = i + 1;
+            if escape.is_empty() {
+                let _ = write!(self.out, "\\u{byte:04x}");
+            } else {
+                self.out.push_str(escape);
+            }
+        }
+        self.out.push_str(&value[run..]);
+        self.out.push('"');
+    }
+
+    /// An integer value, rendered without a fraction.
+    pub fn int(&mut self, value: i64) {
+        let _ = write!(self.out, "{value}");
+    }
+
+    /// A float value.
+    ///
+    /// # Panics
+    ///
+    /// Panics on non-finite values — JSON has no representation for
+    /// them.
+    pub fn num(&mut self, value: f64) {
+        assert!(value.is_finite(), "non-finite JSON number");
+        // `Display` for f64 always produces a valid JSON number for
+        // finite values (shortest roundtrip form).
+        let _ = write!(self.out, "{value}");
+    }
+
+    /// A boolean value.
+    pub fn bool(&mut self, value: bool) {
+        self.out.push_str(if value { "true" } else { "false" });
+    }
+
+    /// An object value; members follow until [`close_object`](Self::close_object).
+    pub fn open_object(&mut self) {
+        self.open('{');
+    }
+
+    /// An array value; elements follow until [`close_array`](Self::close_array).
+    pub fn open_array(&mut self) {
+        self.open('[');
+    }
+
+    /// End the innermost open object.
+    pub fn close_object(&mut self) {
+        self.close('}');
+    }
+
+    /// End the innermost open array.
+    pub fn close_array(&mut self) {
+        self.close(']');
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty {
+            self.out.push('\n');
+            for _ in 0..self.depth {
+                self.out.push_str("  ");
+            }
+        }
+        self.empty = false;
+        self.out.push(bracket);
+    }
+
+    /// Close the root object and end the document with a newline.
+    pub fn finish(mut self) {
+        self.close('}');
+        self.out.push('\n');
+    }
 }
 
 #[cfg(test)]
@@ -208,5 +322,118 @@ mod tests {
             .with("a", Json::Array(vec![]));
         assert!(doc.render().contains("\"o\": {}"));
         assert!(doc.render().contains("\"a\": []"));
+    }
+
+    /// Every `Json` variant, nesting, both empty containers and every
+    /// escape class, as the tree renderer printed them before it was
+    /// rebuilt on the writer.
+    const EVERY_SHAPE: &str = r#"{
+  "s": "q\"b\\n\nr\rt\tc\u0001\u001f é",
+  "i": -7,
+  "n": 0.00035,
+  "whole": 3,
+  "t": true,
+  "f": false,
+  "o": {
+    "inner": {},
+    "list": [
+      1,
+      [],
+      [
+        "x"
+      ],
+      {
+        "k": 1.5
+      }
+    ]
+  },
+  "e": [],
+  "k\"ey": "v"
+}
+"#;
+
+    fn every_shape_tree() -> JsonObject {
+        JsonObject::new()
+            .with_str("s", "q\"b\\n\nr\rt\tc\u{1}\u{1f} é")
+            .with_int("i", -7)
+            .with_num("n", 0.00035)
+            .with_num("whole", 3.0)
+            .with("t", Json::Bool(true))
+            .with("f", Json::Bool(false))
+            .with(
+                "o",
+                Json::Object(
+                    JsonObject::new()
+                        .with("inner", Json::Object(JsonObject::new()))
+                        .with(
+                            "list",
+                            Json::Array(vec![
+                                Json::Int(1),
+                                Json::Array(vec![]),
+                                Json::Array(vec![Json::Str("x".into())]),
+                                Json::Object(JsonObject::new().with_num("k", 1.5)),
+                            ]),
+                        ),
+                ),
+            )
+            .with("e", Json::Array(vec![]))
+            .with_str("k\"ey", "v")
+    }
+
+    #[test]
+    fn tree_and_stream_print_the_same_bytes() {
+        assert_eq!(every_shape_tree().render(), EVERY_SHAPE);
+
+        let mut out = String::from("prefix kept|");
+        let mut doc = JsonWriter::object(&mut out);
+        doc.key("s").str("q\"b\\n\nr\rt\tc\u{1}\u{1f} é");
+        doc.key("i").int(-7);
+        doc.key("n").num(0.00035);
+        doc.key("whole").num(3.0);
+        doc.key("t").bool(true);
+        doc.key("f").bool(false);
+        doc.key("o").open_object();
+        doc.key("inner").open_object();
+        doc.close_object();
+        doc.key("list").open_array();
+        doc.element().int(1);
+        doc.element().open_array();
+        doc.close_array();
+        doc.element().open_array();
+        doc.element().str("x");
+        doc.close_array();
+        doc.element().open_object();
+        doc.key("k").num(1.5);
+        doc.close_object();
+        doc.close_array();
+        doc.close_object();
+        doc.key("e").open_array();
+        doc.close_array();
+        doc.key("k\"ey").str("v");
+        doc.finish();
+        assert_eq!(out.strip_prefix("prefix kept|"), Some(EVERY_SHAPE));
+    }
+
+    #[test]
+    fn empty_root_object() {
+        assert_eq!(JsonObject::new().render(), "{}\n");
+        let mut out = String::new();
+        JsonWriter::object(&mut out).finish();
+        assert_eq!(out, "{}\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite JSON number")]
+    fn tree_render_rejects_a_smuggled_infinity() {
+        let _ = JsonObject::new()
+            .with("x", Json::Num(f64::INFINITY))
+            .render();
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite JSON number")]
+    fn stream_rejects_nan() {
+        let mut out = String::new();
+        JsonWriter::object(&mut out).key("x").num(f64::NAN);
     }
 }

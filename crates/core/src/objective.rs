@@ -32,10 +32,14 @@ impl Objective {
     ///
     /// Returns the unrecognized input on failure.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "response-time" | "latency" => Ok(Objective::ResponseTime),
-            "cost" => Ok(Objective::Cost),
-            other => Err(format!("unknown objective `{other}`")),
+        let s = s.trim();
+        let is = |spelling: &str| s.eq_ignore_ascii_case(spelling);
+        if is("response-time") || is("latency") {
+            Ok(Objective::ResponseTime)
+        } else if is("cost") {
+            Ok(Objective::Cost)
+        } else {
+            Err(format!("unknown objective `{}`", s.to_ascii_lowercase()))
         }
     }
 }

@@ -549,12 +549,12 @@ impl FrontTier {
                     .with_int("epoch", self.epoch() as i64)
                     .render(),
             )
-            .with_header(RULES_EPOCH_HEADER, self.epoch().to_string())
+            .with_header(RULES_EPOCH_HEADER, self.epoch())
         });
         // The front's trace id wins over the node's echo: both name
         // the same fleet-wide trace, but only one copy may cross back
         // to the client.
-        reply.with_header(TRACE_ID_HEADER, trace_id.to_string())
+        reply.with_header(TRACE_ID_HEADER, trace_id)
     }
 
     /// `GET /trace/{id}` at the fleet level: join the front's route

@@ -235,6 +235,21 @@ fn read_line_bounded(
     }
 }
 
+/// Whether the client asked to keep the connection open: an explicit
+/// `Connection: close` / `keep-alive` decides, otherwise the version's
+/// default (persistent from HTTP/1.1 on).
+fn wants_keep_alive(headers: &[(String, String)], version: &str) -> bool {
+    let connection = headers
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case("connection"))
+        .map(|(_, v)| v.as_str());
+    match connection {
+        Some(v) if v.eq_ignore_ascii_case("close") => false,
+        Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
+        _ => version == "HTTP/1.1",
+    }
+}
+
 /// Read one request off `reader` under `limits`.
 ///
 /// Returns `Ok(None)` when the connection closed cleanly before a new
@@ -337,17 +352,7 @@ pub fn read_request(
         }
     }
 
-    let keep_alive = {
-        let connection = headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case("connection"))
-            .map(|(_, v)| v.to_ascii_lowercase());
-        match connection.as_deref() {
-            Some("close") => false,
-            Some("keep-alive") => true,
-            _ => version == "HTTP/1.1",
-        }
-    };
+    let keep_alive = wants_keep_alive(&headers, version);
 
     Ok(Some(Request {
         method,
@@ -450,7 +455,9 @@ fn assemble(buf: &[u8], limits: &Limits) -> Result<Assembled, HttpError> {
     }
 
     // Header block.
-    let mut headers: Vec<(String, String)> = Vec::new();
+    // Sized for the API's own request (two annotations, `Payload`,
+    // length, connection, a trace stamp) so the list never regrows.
+    let mut headers: Vec<(String, String)> = Vec::with_capacity(8);
     loop {
         let line = match take_line(buf, &mut pos, &mut budget)? {
             None => return Ok(Assembled::NeedMore { required: None }),
@@ -500,17 +507,7 @@ fn assemble(buf: &[u8], limits: &Limits) -> Result<Assembled, HttpError> {
     }
     let body = buf[head_end..required].to_vec();
 
-    let keep_alive = {
-        let connection = headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case("connection"))
-            .map(|(_, v)| v.to_ascii_lowercase());
-        match connection.as_deref() {
-            Some("close") => false,
-            Some("keep-alive") => true,
-            _ => version == "HTTP/1.1",
-        }
-    };
+    let keep_alive = wants_keep_alive(&headers, version);
 
     Ok(Assembled::Complete {
         request: Request {
@@ -629,6 +626,148 @@ impl RequestAssembler {
     }
 }
 
+/// A response header's value, kept off the heap for everything this
+/// server originates: a fixed label (`X-Cache: hit`), or an integer
+/// (`Rules-Epoch`, `X-Trace-Id`, `Retry-After`) formatted into inline
+/// bytes. Only text relayed from elsewhere — the front tier passing a
+/// node's headers through — owns a `String`.
+#[derive(Clone)]
+pub enum HeaderValue {
+    /// A fixed label.
+    Static(&'static str),
+    /// A decimal integer, formatted inline.
+    Int(Decimal),
+    /// Text this process did not originate.
+    Owned(String),
+}
+
+/// A `u64` in decimal, held in the 20 bytes its longest value needs.
+#[derive(Clone, Copy)]
+pub struct Decimal {
+    /// Right-aligned ASCII digits; the number is `digits[start..]`.
+    digits: [u8; 20],
+    start: u8,
+}
+
+impl Decimal {
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.digits[usize::from(self.start)..]).expect("ASCII digits")
+    }
+}
+
+impl HeaderValue {
+    /// The value as it goes on the wire.
+    pub fn as_str(&self) -> &str {
+        match self {
+            HeaderValue::Static(text) => text,
+            HeaderValue::Int(number) => number.as_str(),
+            HeaderValue::Owned(text) => text,
+        }
+    }
+}
+
+impl From<&'static str> for HeaderValue {
+    fn from(text: &'static str) -> Self {
+        HeaderValue::Static(text)
+    }
+}
+
+impl From<u64> for HeaderValue {
+    fn from(n: u64) -> Self {
+        let mut digits = [0u8; 20];
+        let start = decimal(n, &mut digits) as u8;
+        HeaderValue::Int(Decimal { digits, start })
+    }
+}
+
+impl From<String> for HeaderValue {
+    fn from(text: String) -> Self {
+        HeaderValue::Owned(text)
+    }
+}
+
+impl PartialEq for HeaderValue {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for HeaderValue {}
+
+impl std::fmt::Debug for HeaderValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// Write `n` in decimal, right-aligned in `digits` (`u64::MAX` has 20
+/// digits); returns where the number starts.
+fn decimal(mut n: u64, digits: &mut [u8; 20]) -> usize {
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return start;
+        }
+    }
+}
+
+/// The one response encoder: append status line, headers, blank line
+/// and body to `out`. `content_type` is omitted when the body is empty.
+/// Header names and values must already be wire-safe; this layer does
+/// no escaping. Every response this crate puts on a socket or into a
+/// reactor completion is these bytes.
+pub(crate) fn encode_response(
+    out: &mut Vec<u8>,
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    extra_headers: &[(&str, HeaderValue)],
+    body: &[u8],
+    keep_alive: bool,
+) {
+    let mut digits = [0u8; 20];
+    let mut number = |out: &mut Vec<u8>, n: u64| {
+        let start = decimal(n, &mut digits);
+        out.extend_from_slice(&digits[start..]);
+    };
+    out.extend_from_slice(b"HTTP/1.1 ");
+    number(out, u64::from(status));
+    out.push(b' ');
+    out.extend_from_slice(reason.as_bytes());
+    if !body.is_empty() {
+        out.extend_from_slice(b"\r\nContent-Type: ");
+        out.extend_from_slice(content_type.as_bytes());
+    }
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    number(out, body.len() as u64);
+    out.extend_from_slice(b"\r\n");
+    for (name, value) in extra_headers {
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(value.as_str().as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(if keep_alive {
+        b"Connection: keep-alive\r\n\r\n".as_slice()
+    } else {
+        b"Connection: close\r\n\r\n".as_slice()
+    });
+    out.extend_from_slice(body);
+}
+
+/// Most a thread's response scratch keeps between responses: every
+/// `/compute` reply fits with room to spare, and an ops document that
+/// outgrew it gives the excess back once it is written.
+const SCRATCH_KEEP: usize = 4096;
+
+thread_local! {
+    /// The buffer a response is encoded into before its one write.
+    static SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
 /// Serialize and send one response. `content_type` is omitted when the
 /// body is empty.
 ///
@@ -650,6 +789,10 @@ pub fn write_response(
 /// `Brownout`, ...). Header names and values must already be
 /// wire-safe; this layer does no escaping.
 ///
+/// Head and body are encoded into this thread's scratch buffer and
+/// leave in one `write_all`, so a socket sees one segment per reply
+/// and a steady stream of replies allocates nothing here.
+///
 /// # Errors
 ///
 /// Propagates socket write failures.
@@ -658,27 +801,27 @@ pub fn write_response_with(
     status: u16,
     reason: &str,
     content_type: &str,
-    extra_headers: &[(&str, String)],
+    extra_headers: &[(&str, HeaderValue)],
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
-    if !body.is_empty() {
-        head.push_str(&format!("Content-Type: {content_type}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n", body.len()));
-    for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(if keep_alive {
-        "Connection: keep-alive\r\n"
-    } else {
-        "Connection: close\r\n"
-    });
-    head.push_str("\r\n");
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body)?;
-    writer.flush()
+    // Taken, not borrowed: a writer that itself writes a response
+    // finds an empty scratch rather than a held one.
+    let mut wire = SCRATCH.with(std::cell::Cell::take);
+    encode_response(
+        &mut wire,
+        status,
+        reason,
+        content_type,
+        extra_headers,
+        body,
+        keep_alive,
+    );
+    let written = writer.write_all(&wire).and_then(|()| writer.flush());
+    wire.clear();
+    wire.shrink_to(SCRATCH_KEEP);
+    SCRATCH.with(|scratch| scratch.set(wire));
+    written
 }
 
 /// A response as the load-generator client sees it.
@@ -830,7 +973,7 @@ mod tests {
             200,
             "OK",
             "application/json",
-            &[(RULES_EPOCH_HEADER, "42".to_string())],
+            &[(RULES_EPOCH_HEADER, HeaderValue::from(42u64))],
             b"{}",
             false,
         )
@@ -1009,7 +1152,7 @@ mod tests {
             429,
             "Too Many Requests",
             "application/json",
-            &[("Retry-After", "2".to_string())],
+            &[("Retry-After", HeaderValue::from(2u64))],
             b"{}",
             true,
         )
@@ -1017,6 +1160,107 @@ mod tests {
         let resp = read_response(&mut Cursor::new(wire), &Limits::default()).unwrap();
         assert_eq!(resp.status, 429);
         assert_eq!(resp.header("retry-after"), Some("2"));
+    }
+
+    #[test]
+    fn integer_header_values_format_inline() {
+        for (n, text) in [
+            (0u64, "0"),
+            (9, "9"),
+            (10, "10"),
+            (1_234_567_890, "1234567890"),
+            (u64::MAX, "18446744073709551615"),
+        ] {
+            let value = HeaderValue::from(n);
+            assert!(matches!(value, HeaderValue::Int(_)));
+            assert_eq!(value.as_str(), text);
+            assert_eq!(value.as_str(), n.to_string());
+        }
+    }
+
+    #[test]
+    fn header_values_compare_and_print_as_their_text() {
+        let label = HeaderValue::from("7");
+        let number = HeaderValue::from(7u64);
+        let relayed = HeaderValue::from("7".to_string());
+        assert_eq!(label, number);
+        assert_eq!(number, relayed);
+        assert_ne!(number, HeaderValue::from(8u64));
+        assert_eq!(format!("{number:?}"), "\"7\"");
+    }
+
+    #[test]
+    fn the_encoder_spells_the_head_the_way_the_line_formatter_did() {
+        let mut wire = Vec::new();
+        write_response_with(
+            &mut wire,
+            503,
+            "Service Unavailable",
+            "application/json",
+            &[
+                ("Retry-After", HeaderValue::from(1u64)),
+                ("X-Cache", HeaderValue::from("miss")),
+                ("Served-By", HeaderValue::from("node-2".to_string())),
+            ],
+            b"{}\n",
+            false,
+        )
+        .unwrap();
+        assert_eq!(
+            String::from_utf8(wire).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 3\r\nRetry-After: 1\r\nX-Cache: miss\r\nServed-By: node-2\r\n\
+             Connection: close\r\n\r\n{}\n"
+        );
+    }
+
+    /// A writer that counts `write` calls and takes at most `chunk`
+    /// bytes per call.
+    struct Dribble {
+        taken: Vec<u8>,
+        calls: usize,
+        chunk: usize,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.chunk);
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write_and_survives_short_writes() {
+        let body = vec![b'x'; 3 * SCRATCH_KEEP];
+        let send = |chunk: usize| {
+            let mut writer = Dribble {
+                taken: Vec::new(),
+                calls: 0,
+                chunk,
+            };
+            write_response(&mut writer, 200, "OK", "text/plain", &body, true).unwrap();
+            writer
+        };
+        let whole = send(usize::MAX);
+        assert_eq!(whole.calls, 1, "head and body are one write");
+        assert!(whole.taken.ends_with(&body));
+        let dribbled = send(7);
+        assert!(dribbled.calls > 1);
+        assert_eq!(dribbled.taken, whole.taken);
+        // The oversized reply did not stay behind in the scratch.
+        let kept = SCRATCH.with(|scratch| {
+            let wire = scratch.take();
+            let capacity = wire.capacity();
+            scratch.set(wire);
+            capacity
+        });
+        assert!(kept <= SCRATCH_KEEP, "scratch kept {kept} bytes");
     }
 
     #[test]

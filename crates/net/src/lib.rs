@@ -54,8 +54,8 @@ pub use admission::{
 };
 pub use batch::BatchConfig;
 pub use http::{
-    read_request, read_response, write_response, write_response_with, HttpError, Limits, Request,
-    RequestAssembler, Response,
+    read_request, read_response, write_response, write_response_with, HeaderValue, HttpError,
+    Limits, Request, RequestAssembler, Response,
 };
 pub use loadgen::{
     post_drain, run_load, ArrivalShape, CacheFact, DrainAck, DrainedBy, LoadConfig, LoadMode,

@@ -164,12 +164,10 @@ fn token_for(index: usize, generation: u32) -> u64 {
 }
 
 /// Serialize one reply exactly as the threaded engine would put it on
-/// the wire (infallible: the sink is a `Vec`).
-fn serialize_reply(reply: &Reply, is_head: bool, keep_alive: bool) -> Vec<u8> {
+/// the wire, straight into the `Vec` a completion carries to the loop.
+pub fn serialize_reply(reply: &Reply, is_head: bool, keep_alive: bool) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(256 + reply.body.len());
-    reply
-        .write_to(&mut bytes, is_head, keep_alive)
-        .expect("serializing to a Vec cannot fail");
+    reply.encode_into(&mut bytes, is_head, keep_alive);
     bytes
 }
 

@@ -28,8 +28,8 @@
 use crate::admission::{AdmissionDecision, BrownoutLevel, InFlight};
 use crate::doc::{capacity_object, events_document, windows_document};
 use crate::http::{
-    read_request, write_response, write_response_with, Limits, Request, RULES_EPOCH_HEADER,
-    TRACE_ID_HEADER,
+    encode_response, read_request, write_response, write_response_with, HeaderValue, Limits,
+    Request, RULES_EPOCH_HEADER, TRACE_ID_HEADER,
 };
 use crate::metrics::{admission_object, metrics_document, supervisor_object};
 use crate::obs::{CacheEvent, Observability};
@@ -42,12 +42,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tt_bench::perfjson::{Json, JsonObject};
+use tt_bench::perfjson::{Json, JsonObject, JsonWriter};
 use tt_core::policy::Policy;
+use tt_core::profile::ProfileMatrix;
 use tt_core::request::ServiceRequest;
 use tt_core::TaskPool;
 use tt_obs::{AdmissionOutcome, TraceHandle};
-use tt_serve::frontend::parse_annotations;
+use tt_serve::frontend::Annotations;
 
 /// How long any component of the stack waits on a peer's response
 /// before giving up on the connection: the proxy tier reading from a
@@ -397,7 +398,7 @@ pub struct Reply {
     /// Response body.
     pub body: String,
     /// Extra headers beyond the ones the writer always emits.
-    pub headers: Vec<(&'static str, String)>,
+    pub headers: Vec<(&'static str, HeaderValue)>,
 }
 
 impl Reply {
@@ -412,10 +413,11 @@ impl Reply {
         }
     }
 
-    /// Append one extra header.
+    /// Append one extra header: a fixed label or an integer stays off
+    /// the heap, a `String` is carried as is.
     #[must_use]
-    pub fn with_header(mut self, name: &'static str, value: String) -> Reply {
-        self.headers.push((name, value));
+    pub fn with_header(mut self, name: &'static str, value: impl Into<HeaderValue>) -> Reply {
+        self.headers.push((name, value.into()));
         self
     }
 
@@ -427,29 +429,50 @@ impl Reply {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Put this reply on the wire — the one serializer call both
-    /// engines and their shed paths share. A `HEAD` reply keeps its
-    /// headers and drops its body.
-    pub(crate) fn write_to(
+    /// A `HEAD` reply keeps its headers and drops its body.
+    fn wire_body(&self, is_head: bool) -> &[u8] {
+        if is_head {
+            &[]
+        } else {
+            self.body.as_bytes()
+        }
+    }
+
+    /// Put this reply on the wire in one write — the serializer call
+    /// the threaded engine and both engines' shed paths share.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket write failures.
+    pub fn write_to(
         &self,
         writer: &mut impl io::Write,
         is_head: bool,
         keep_alive: bool,
     ) -> io::Result<()> {
-        let body = if is_head {
-            &[][..]
-        } else {
-            self.body.as_bytes()
-        };
         write_response_with(
             writer,
             self.status,
             self.reason,
             self.content_type,
             &self.headers,
-            body,
+            self.wire_body(is_head),
             keep_alive,
         )
+    }
+
+    /// The same bytes as [`Reply::write_to`], appended to `out`: how
+    /// the reactor fills a completion.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>, is_head: bool, keep_alive: bool) {
+        encode_response(
+            out,
+            self.status,
+            self.reason,
+            self.content_type,
+            &self.headers,
+            self.wire_body(is_head),
+            keep_alive,
+        );
     }
 }
 
@@ -461,7 +484,7 @@ impl HttpHandler for ComputeService {
         let (epoch, refusal) = epoch_gate(self, request);
         refusal
             .unwrap_or_else(|| route(self, shutdown, request))
-            .with_header(RULES_EPOCH_HEADER, epoch.to_string())
+            .with_header(RULES_EPOCH_HEADER, epoch)
     }
 
     /// The reactor's entry point: `POST /compute` goes through the
@@ -474,7 +497,7 @@ impl HttpHandler for ComputeService {
         }
         let (epoch, refusal) = epoch_gate(self, request);
         let done: ReplySink =
-            Box::new(move |reply| done(reply.with_header(RULES_EPOCH_HEADER, epoch.to_string())));
+            Box::new(move |reply| done(reply.with_header(RULES_EPOCH_HEADER, epoch)));
         match refusal {
             Some(reply) => done(reply),
             None => compute_async(self, request, done),
@@ -519,10 +542,7 @@ impl HttpHandler for ComputeService {
             "Service Unavailable",
             error_body("server saturated, retry later"),
         )
-        .with_header(
-            "Retry-After",
-            self.admission().retry_after_secs().to_string(),
-        )
+        .with_header("Retry-After", self.admission().retry_after_secs())
     }
 }
 
@@ -555,8 +575,21 @@ impl Read for DeadlineStream {
     }
 }
 
+/// `{"error": message}`, plus the request's id when it is traced: the
+/// body of every refusal.
+fn refusal_body(message: &str, request_id: Option<u64>) -> String {
+    let mut body = String::with_capacity(message.len() + 64);
+    let mut doc = JsonWriter::object(&mut body);
+    doc.key("error").str(message);
+    if let Some(id) = request_id {
+        doc.key("request_id").int(id as i64);
+    }
+    doc.finish();
+    body
+}
+
 pub(crate) fn error_body(message: &str) -> String {
-    JsonObject::new().with_str("error", message).render()
+    refusal_body(message, None)
 }
 
 /// The rules-epoch protocol at the door, once for both entry points:
@@ -994,6 +1027,10 @@ struct ComputeCall {
     cache_match: Option<&'static str>,
 }
 
+/// Room for any `/compute` answer (a 200 is under 330 bytes), so a
+/// body is one block that never regrows.
+const COMPUTE_BODY_BYTES: usize = 384;
+
 impl ComputeCall {
     /// The front half of `POST /compute`, the same on both engines:
     /// begin (or join) the trace, parse and admit, raise the in-flight
@@ -1031,7 +1068,7 @@ impl ComputeCall {
         match call.consult_cache(service, request, &tier) {
             // A hit already settled: answer on the calling thread,
             // never touching the batcher or a worker pool.
-            Some(outcome) => Err(call.finish(obs, Ok(outcome))),
+            Some(outcome) => Err(call.finish(obs, service.matrix(), Ok(outcome))),
             None => Ok((call, tier)),
         }
     }
@@ -1082,57 +1119,56 @@ impl ComputeCall {
     fn finish(
         self,
         obs: Option<&Arc<Observability>>,
+        matrix: &ProfileMatrix,
         result: Result<ComputeOutcome, ServiceError>,
     ) -> Reply {
         if let (Some(ticket), Ok(outcome)) = (&self.ticket, &result) {
             ticket.admit(outcome);
         }
         let request = &self.service_request;
-        let request_id = self
-            .handle
-            .as_ref()
-            .map(|handle| handle.request_id() as i64);
+        let request_id = self.handle.as_ref().map(TraceHandle::request_id);
         let mut reply = match result {
             Ok(outcome) => {
-                let mut body = JsonObject::new()
-                    .with_str("answered_by", &outcome.version_name)
-                    .with_int("version", outcome.answered_by as i64)
-                    .with_int("payload", request.payload as i64)
-                    .with_num("tolerance", request.tolerance.value())
-                    .with_num("billed_tolerance", outcome.billed_tolerance)
-                    .with_str("objective", &request.objective.to_string())
-                    .with_num("quality_err", outcome.quality_err)
-                    .with_num("confidence", outcome.confidence)
-                    .with_int("latency_us", outcome.simulated_latency_us as i64)
-                    .with_num("price_usd", outcome.price.as_dollars())
-                    .with("degraded", Json::Bool(outcome.degraded));
+                let mut body = String::with_capacity(COMPUTE_BODY_BYTES);
+                let mut doc = JsonWriter::object(&mut body);
+                doc.key("answered_by")
+                    .str(&matrix.version_names()[outcome.answered_by]);
+                doc.key("version").int(outcome.answered_by as i64);
+                doc.key("payload").int(request.payload as i64);
+                doc.key("tolerance").num(request.tolerance.value());
+                doc.key("billed_tolerance").num(outcome.billed_tolerance);
+                doc.key("objective").str(request.objective.name());
+                doc.key("quality_err").num(outcome.quality_err);
+                doc.key("confidence").num(outcome.confidence);
+                doc.key("latency_us")
+                    .int(outcome.simulated_latency_us as i64);
+                doc.key("price_usd").num(outcome.price.as_dollars());
+                doc.key("degraded").bool(outcome.degraded);
                 if let Some(level) = outcome.brownout {
-                    body = body.with_str("brownout", level.label());
+                    doc.key("brownout").str(level.label());
                 }
                 if let Some(id) = request_id {
-                    body = body.with_int("request_id", id);
+                    doc.key("request_id").int(id as i64);
                 }
-                let reply = Reply::json(200, "OK", body.render());
+                doc.finish();
+                let reply = Reply::json(200, "OK", body);
                 match outcome.brownout {
-                    Some(level) => reply.with_header("Brownout", level.label().to_string()),
+                    Some(level) => reply.with_header("Brownout", level.label()),
                     None => reply,
                 }
             }
-            Err(ServiceError::Unavailable) => {
-                let mut body =
-                    JsonObject::new().with_str("error", &ServiceError::Unavailable.to_string());
-                if let Some(id) = request_id {
-                    body = body.with_int("request_id", id);
-                }
-                Reply::json(503, "Service Unavailable", body.render())
-                    .with_header("Retry-After", self.retry_after_secs.to_string())
-            }
+            Err(ServiceError::Unavailable) => Reply::json(
+                503,
+                "Service Unavailable",
+                refusal_body(&ServiceError::Unavailable.to_string(), request_id),
+            )
+            .with_header("Retry-After", self.retry_after_secs),
         };
         if let Some(tag) = self.cache_tag {
-            reply = reply.with_header("X-Cache", tag.to_string());
+            reply = reply.with_header("X-Cache", tag);
         }
         if let Some(kind) = self.cache_match {
-            reply = reply.with_header("X-Cache-Match", kind.to_string());
+            reply = reply.with_header("X-Cache-Match", kind);
         }
         seal(obs, self.handle.as_ref(), reply)
     }
@@ -1145,7 +1181,7 @@ fn seal(obs: Option<&Arc<Observability>>, handle: Option<&TraceHandle>, reply: R
     match obs.zip(handle) {
         Some((obs, handle)) => {
             obs.tracer().finish(handle);
-            reply.with_header(TRACE_ID_HEADER, handle.trace_id().to_string())
+            reply.with_header(TRACE_ID_HEADER, handle.trace_id())
         }
         None => reply,
     }
@@ -1162,7 +1198,7 @@ fn compute(service: &ComputeService, request: &Request) -> Reply {
                 call.brownout,
                 call.handle.as_ref(),
             );
-            call.finish(service.observability(), result)
+            call.finish(service.observability(), service.matrix(), result)
         }
         Err(reply) => reply,
     }
@@ -1178,13 +1214,14 @@ fn compute_async(service: &ComputeService, request: &Request, done: ReplySink) {
     match ComputeCall::prepare(service, request) {
         Ok((call, tier)) => {
             let obs = service.observability().cloned();
+            let matrix = Arc::clone(service.shared_matrix());
             let (executed, handle) = (call.service_request.clone(), call.handle.clone());
             service.execute_tier_async(
                 &executed,
                 tier,
                 call.brownout,
                 handle.as_ref(),
-                Box::new(move |result| done(call.finish(obs.as_ref(), result))),
+                Box::new(move |result| done(call.finish(obs.as_ref(), &matrix, result))),
             );
         }
         Err(reply) => done(reply),
@@ -1201,19 +1238,18 @@ fn parse_and_admit(
 ) -> Result<(ServiceRequest, Tier, Option<BrownoutPlan>), Reply> {
     let parse_span = handle.map(|h| h.open("parse", None, service.wall_us()));
 
-    // Only the API's own annotation headers are forwarded to the
-    // annotation parser; transport headers (Host, Content-Length, ...)
-    // belong to HTTP, not to the Tolerance Tiers API. Duplicates are
-    // preserved so the parser's DuplicateHeader error still fires.
-    let mut annotations = String::new();
-    for (name, value) in &request.headers {
-        if name.eq_ignore_ascii_case("tolerance") || name.eq_ignore_ascii_case("objective") {
-            annotations.push_str(name);
-            annotations.push_str(": ");
-            annotations.push_str(value);
-            annotations.push_str("\r\n");
-        }
-    }
+    // Only the API's own annotation headers reach the annotation
+    // parser; transport headers (Host, Content-Length, ...) belong to
+    // HTTP, not to the Tolerance Tiers API. Duplicates reach it too,
+    // so its DuplicateHeader error still fires.
+    let mut annotations = Annotations::new();
+    let parsed = request
+        .headers
+        .iter()
+        .filter(|(name, _)| {
+            name.eq_ignore_ascii_case("tolerance") || name.eq_ignore_ascii_case("objective")
+        })
+        .try_for_each(|(name, value)| annotations.header(name, value));
     let close_parse = |error: Option<&str>| {
         if let (Some(h), Some(id)) = (handle, parse_span) {
             if let Some(why) = error {
@@ -1222,8 +1258,8 @@ fn parse_and_admit(
             h.close(id, service.wall_us());
         }
     };
-    let (tolerance, objective) = match parse_annotations(&annotations) {
-        Ok(parsed) => parsed,
+    let (tolerance, objective) = match parsed {
+        Ok(()) => annotations.finish(),
         Err(err) => {
             let why = err.to_string();
             close_parse(Some(&why));
@@ -1272,14 +1308,15 @@ fn parse_and_admit(
         o.record_admission(&tier, outcome);
     }
     match decision {
-        AdmissionDecision::Reject { retry_after_secs } => {
-            let mut body = JsonObject::new().with_str("error", "overloaded, retry later");
-            if let Some(h) = handle {
-                body = body.with_int("request_id", h.request_id() as i64);
-            }
-            Err(Reply::json(429, "Too Many Requests", body.render())
-                .with_header("Retry-After", retry_after_secs.to_string()))
-        }
+        AdmissionDecision::Reject { retry_after_secs } => Err(Reply::json(
+            429,
+            "Too Many Requests",
+            refusal_body(
+                "overloaded, retry later",
+                handle.map(TraceHandle::request_id),
+            ),
+        )
+        .with_header("Retry-After", retry_after_secs)),
         AdmissionDecision::Brownout {
             policy,
             billed_tolerance,

@@ -28,7 +28,7 @@ use std::time::Instant;
 use tt_cache::{Lookup, SemanticCache};
 use tt_core::objective::Objective;
 use tt_core::policy::{Policy, Scheduling, Termination};
-use tt_core::profile::ProfileMatrix;
+use tt_core::profile::{Observation, ProfileMatrix};
 use tt_core::request::{ServiceRequest, Tolerance};
 use tt_core::rulegen::{RoutingRuleGenerator, RoutingRules};
 use tt_obs::TraceHandle;
@@ -73,7 +73,7 @@ pub struct CachedAnswer {
 /// whether a stored answer is admissible.
 pub fn semantic_key(objective: Objective, payload: usize) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in objective.to_string().as_bytes() {
+    for b in objective.name().as_bytes() {
         hash ^= u64::from(*b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -335,8 +335,6 @@ impl std::error::Error for ServiceError {}
 pub struct ComputeOutcome {
     /// The version whose answer was returned.
     pub answered_by: usize,
-    /// Its display name.
-    pub version_name: String,
     /// Quality error of the returned answer (virtual-cost model).
     pub quality_err: f64,
     /// Confidence the answering version reported.
@@ -556,7 +554,6 @@ impl Accounts {
 
         ComputeOutcome {
             answered_by: stage.answered_by,
-            version_name: self.matrix.version_names()[stage.answered_by].clone(),
             quality_err,
             confidence,
             simulated_latency_us: stage.sim_latency_us,
@@ -566,6 +563,95 @@ impl Accounts {
             billed_tolerance: billed.tolerance,
             brownout,
         }
+    }
+}
+
+/// The service state one model invocation reads and updates.
+#[derive(Clone, Copy)]
+struct CallEnv<'a> {
+    health: &'a VersionHealth,
+    faults: Option<&'a Mutex<FaultPlan>>,
+    breakers: &'a Mutex<Vec<CircuitBreaker>>,
+    stats: &'a Mutex<ResilienceStats>,
+    started: Instant,
+    scale: f64,
+}
+
+impl CallEnv<'_> {
+    /// One model invocation: an optionally-slept lookup of the
+    /// profiled observation `obs` whose failure behaviour comes from
+    /// the seeded fault plan, with breaker bookkeeping folded in and a
+    /// `model_call` span under `span`'s `(handle, parent, attempt)`.
+    fn invoke(
+        &self,
+        version: usize,
+        obs: Observation,
+        span: Option<(&TraceHandle, u32, u32)>,
+    ) -> (Result<usize, ()>, f64) {
+        let CallEnv {
+            health,
+            faults,
+            breakers,
+            stats,
+            started,
+            scale,
+        } = *self;
+        health.attempts[version].fetch_add(1, Ordering::SeqCst);
+        let call_span = span.map(|(handle, parent, attempt)| {
+            let wall_us = started.elapsed().as_micros() as u64;
+            let id = handle.open("model_call", Some(parent), wall_us);
+            handle.attr_int(id, "version", version as i64);
+            handle.attr_int(id, "attempt", i64::from(attempt));
+            id
+        });
+        let fault = match faults {
+            Some(plan) => plan.lock().draw(version),
+            None => FaultOutcome::None,
+        };
+        let nominal_secs = obs.latency_us as f64 * 1e-6 * scale;
+        let sleep = |factor: f64| {
+            if nominal_secs > 0.0 {
+                std::thread::sleep(std::time::Duration::from_secs_f64(nominal_secs * factor));
+            }
+        };
+        let now = SimTime::from_micros(started.elapsed().as_micros() as u64);
+        let record = |success: bool| {
+            if let Some(b) = breakers.lock().get_mut(version) {
+                b.record(success, now);
+            }
+        };
+        let (result, outcome) = match fault {
+            FaultOutcome::None => {
+                sleep(1.0);
+                record(true);
+                ((Ok(version), obs.confidence), "ok")
+            }
+            FaultOutcome::Straggler { factor } => {
+                sleep(factor);
+                record(true);
+                stats.lock().slow_invocations += 1;
+                ((Ok(version), obs.confidence), "straggler")
+            }
+            FaultOutcome::Crash { at_fraction } => {
+                sleep(at_fraction);
+                record(false);
+                stats.lock().failed_invocations += 1;
+                health.failures[version].fetch_add(1, Ordering::SeqCst);
+                ((Err(()), 0.0), "crash")
+            }
+            FaultOutcome::Transient => {
+                sleep(1.0);
+                record(false);
+                stats.lock().failed_invocations += 1;
+                health.failures[version].fetch_add(1, Ordering::SeqCst);
+                ((Err(()), 0.0), "transient")
+            }
+        };
+        if let (Some(id), Some((handle, _, _))) = (call_span, span) {
+            handle.attr_str(id, "outcome", outcome);
+            handle.close(id, started.elapsed().as_micros() as u64);
+        }
+        result
     }
 }
 
@@ -816,6 +902,13 @@ impl ComputeService {
         &self.matrix
     }
 
+    /// The same matrix, for a continuation that outlives the borrow
+    /// of the service (a batched `/compute` names its answering
+    /// version when it finishes on an executor).
+    pub(crate) fn shared_matrix(&self) -> &Arc<ProfileMatrix> {
+        &self.matrix
+    }
+
     /// A clone of the live routing frontend. The supervisor may
     /// hot-swap the rules; the clone reflects the state at call time.
     pub fn frontend(&self) -> TieredFrontend {
@@ -932,9 +1025,22 @@ impl ComputeService {
         !LIVE || self.allows(version)
     }
 
-    /// Build one model invocation: an optionally-slept table lookup
-    /// whose failure behaviour comes from the seeded fault plan, with
-    /// breaker bookkeeping folded in.
+    /// What a model invocation touches of this service, borrowed: the
+    /// form an inline call (run on the caller's thread) uses.
+    fn call_env(&self) -> CallEnv<'_> {
+        CallEnv {
+            health: &self.health,
+            faults: self.faults.as_deref(),
+            breakers: &self.breakers,
+            stats: &self.stats,
+            started: self.started,
+            scale: self.config.latency_scale,
+        }
+    }
+
+    /// Build one model invocation for a pool worker: it outlives this
+    /// borrow of the service, so it owns its share of the state
+    /// [`CallEnv::invoke`] touches.
     ///
     /// `span` carries the request's trace across the pool hand-off:
     /// the worker thread that executes the call opens a `model_call`
@@ -953,62 +1059,18 @@ impl ComputeService {
         let health = Arc::clone(&self.health);
         let started = self.started;
         Box::new(move || {
-            health.attempts[version].fetch_add(1, Ordering::SeqCst);
-            let call_span = span.as_ref().map(|(handle, parent, attempt)| {
-                let wall_us = started.elapsed().as_micros() as u64;
-                let id = handle.open("model_call", Some(*parent), wall_us);
-                handle.attr_int(id, "version", version as i64);
-                handle.attr_int(id, "attempt", i64::from(*attempt));
-                id
-            });
-            let fault = match &faults {
-                Some(plan) => plan.lock().draw(version),
-                None => FaultOutcome::None,
+            let env = CallEnv {
+                health: &health,
+                faults: faults.as_deref(),
+                breakers: &breakers,
+                stats: &stats,
+                started,
+                scale,
             };
-            let nominal_secs = obs.latency_us as f64 * 1e-6 * scale;
-            let sleep = |factor: f64| {
-                if nominal_secs > 0.0 {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(nominal_secs * factor));
-                }
-            };
-            let now = SimTime::from_micros(started.elapsed().as_micros() as u64);
-            let record = |success: bool| {
-                if let Some(b) = breakers.lock().get_mut(version) {
-                    b.record(success, now);
-                }
-            };
-            let (result, outcome) = match fault {
-                FaultOutcome::None => {
-                    sleep(1.0);
-                    record(true);
-                    ((Ok(version), obs.confidence), "ok")
-                }
-                FaultOutcome::Straggler { factor } => {
-                    sleep(factor);
-                    record(true);
-                    stats.lock().slow_invocations += 1;
-                    ((Ok(version), obs.confidence), "straggler")
-                }
-                FaultOutcome::Crash { at_fraction } => {
-                    sleep(at_fraction);
-                    record(false);
-                    stats.lock().failed_invocations += 1;
-                    health.failures[version].fetch_add(1, Ordering::SeqCst);
-                    ((Err(()), 0.0), "crash")
-                }
-                FaultOutcome::Transient => {
-                    sleep(1.0);
-                    record(false);
-                    stats.lock().failed_invocations += 1;
-                    health.failures[version].fetch_add(1, Ordering::SeqCst);
-                    ((Err(()), 0.0), "transient")
-                }
-            };
-            if let (Some(id), Some((handle, _, _))) = (call_span, span.as_ref()) {
-                handle.attr_str(id, "outcome", outcome);
-                handle.close(id, started.elapsed().as_micros() as u64);
-            }
-            result
+            let span = span
+                .as_ref()
+                .map(|(handle, parent, attempt)| (handle, *parent, *attempt));
+            env.invoke(version, obs, span)
         })
     }
 
@@ -1031,15 +1093,18 @@ impl ComputeService {
             out.busy_us += profiled.latency_us;
             return Ok(profiled.confidence);
         }
+        // Attempts run on this thread under a pool permit, so each
+        // borrows the service and the trace: no box, no handle clone.
+        let (env, obs) = (self.call_env(), *profiled);
         let mut attempts = 0u32;
         let result = self.pool.call_with_retry(
             || {
                 attempts += 1;
-                self.make_call(
-                    version,
-                    payload,
-                    span.map(|(handle, parent)| (handle.clone(), parent, attempts)),
-                )
+                let attempt = attempts;
+                move || {
+                    let span = span.map(|(handle, parent)| (handle, parent, attempt));
+                    env.invoke(version, obs, span)
+                }
             },
             &self.config.retry,
         );
@@ -1224,14 +1289,16 @@ impl ComputeService {
             // await.
             out.invocations += 2;
             let (cheap_result, accurate_call) = if LIVE {
-                let hedge_span = span.map(|(handle, parent)| (handle.clone(), parent, 1));
                 let launched = self.pool.submit_cancellable(self.make_call(
                     accurate,
                     payload,
-                    hedge_span.clone(),
+                    span.map(|(handle, parent)| (handle.clone(), parent, 1)),
                 ));
-                let cheap_call = self.make_call(cheap, payload, hedge_span);
-                (self.pool.run_inline(cheap_call), Some(launched))
+                let cheap_span = span.map(|(handle, parent)| (handle, parent, 1));
+                let cheap_result = self
+                    .pool
+                    .run_inline(|| self.call_env().invoke(cheap, cheap_obs, cheap_span));
+                (cheap_result, Some(launched))
             } else {
                 out.invoked.extend([accurate, cheap]);
                 ((Ok(cheap), cheap_obs.confidence), None)

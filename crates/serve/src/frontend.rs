@@ -67,6 +67,67 @@ impl std::fmt::Display for AnnotationError {
 
 impl std::error::Error for AnnotationError {}
 
+/// The paper's two annotations, accumulated one header at a time: the
+/// single reading of `Tolerance:` / `Objective:` (case-insensitive
+/// names, each at most once, missing objective defaults to
+/// response-time, missing tolerance to zero). [`parse_annotations`]
+/// feeds it a text block's lines; a server that already holds parsed
+/// header pairs feeds those, with no block re-joined in between.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Annotations {
+    tolerance: Option<Tolerance>,
+    objective: Option<Objective>,
+}
+
+impl Annotations {
+    /// Nothing seen yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Take one header. Surrounding whitespace on either side is
+    /// ignored.
+    ///
+    /// # Errors
+    ///
+    /// An [`AnnotationError`] for a name the API does not define (in
+    /// lowercase), a repeated header, or a bad value.
+    pub fn header(&mut self, name: &str, value: &str) -> Result<(), AnnotationError> {
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("tolerance") {
+            if self.tolerance.is_some() {
+                return Err(AnnotationError::DuplicateHeader("Tolerance".to_string()));
+            }
+            let v: f64 = value
+                .parse()
+                .map_err(|_| AnnotationError::InvalidTolerance(value.to_string()))?;
+            self.tolerance = Some(
+                Tolerance::new(v)
+                    .map_err(|_| AnnotationError::ToleranceOutOfRange(value.to_string()))?,
+            );
+        } else if name.eq_ignore_ascii_case("objective") {
+            if self.objective.is_some() {
+                return Err(AnnotationError::DuplicateHeader("Objective".to_string()));
+            }
+            self.objective = Some(
+                Objective::parse(value)
+                    .map_err(|_| AnnotationError::InvalidObjective(value.to_string()))?,
+            );
+        } else {
+            return Err(AnnotationError::UnknownHeader(name.to_ascii_lowercase()));
+        }
+        Ok(())
+    }
+
+    /// The annotations, defaults filled in.
+    pub fn finish(self) -> (Tolerance, Objective) {
+        (
+            self.tolerance.unwrap_or(Tolerance::ZERO),
+            self.objective.unwrap_or(Objective::ResponseTime),
+        )
+    }
+}
+
 /// Parse a `Tolerance:` / `Objective:` annotation block (one header per
 /// line, case-insensitive names, missing objective defaults to
 /// response-time, missing tolerance to zero).
@@ -79,8 +140,7 @@ impl std::error::Error for AnnotationError {}
 /// Returns an [`AnnotationError`] describing the first malformed,
 /// unknown, out-of-range, or duplicated header.
 pub fn parse_annotations(headers: &str) -> Result<(Tolerance, Objective), AnnotationError> {
-    let mut tolerance: Option<Tolerance> = None;
-    let mut objective: Option<Objective> = None;
+    let mut annotations = Annotations::new();
     for line in headers.lines() {
         // `str::lines` splits on `\n` only; shed the `\r` of a CRLF
         // terminator explicitly before the whitespace trim so the
@@ -92,36 +152,9 @@ pub fn parse_annotations(headers: &str) -> Result<(Tolerance, Objective), Annota
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| AnnotationError::MalformedLine(line.to_string()))?;
-        match name.trim().to_ascii_lowercase().as_str() {
-            "tolerance" => {
-                if tolerance.is_some() {
-                    return Err(AnnotationError::DuplicateHeader("Tolerance".to_string()));
-                }
-                let value = value.trim();
-                let v: f64 = value
-                    .parse()
-                    .map_err(|_| AnnotationError::InvalidTolerance(value.to_string()))?;
-                tolerance = Some(
-                    Tolerance::new(v)
-                        .map_err(|_| AnnotationError::ToleranceOutOfRange(value.to_string()))?,
-                );
-            }
-            "objective" => {
-                if objective.is_some() {
-                    return Err(AnnotationError::DuplicateHeader("Objective".to_string()));
-                }
-                objective =
-                    Some(Objective::parse(value).map_err(|_| {
-                        AnnotationError::InvalidObjective(value.trim().to_string())
-                    })?);
-            }
-            other => return Err(AnnotationError::UnknownHeader(other.to_string())),
-        }
+        annotations.header(name, value)?;
     }
-    Ok((
-        tolerance.unwrap_or(Tolerance::ZERO),
-        objective.unwrap_or(Objective::ResponseTime),
-    ))
+    Ok(annotations.finish())
 }
 
 /// The deployed frontend: routing rules per objective.

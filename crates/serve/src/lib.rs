@@ -48,7 +48,7 @@ pub mod trace;
 
 pub use billing::{BillingReport, TierPriceSchedule};
 pub use cluster::{ClusterConfig, ClusterSim, ServingReport};
-pub use frontend::{parse_annotations, AnnotationError, TieredFrontend};
+pub use frontend::{parse_annotations, AnnotationError, Annotations, TieredFrontend};
 pub use planner::{
     Planner, PlannerAction, PlannerConfig, PlannerInput, PlannerStatus, ServiceTotals, Tuner,
     TunerConfig, TunerDecision,

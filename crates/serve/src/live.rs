@@ -41,11 +41,15 @@ struct Permits {
 /// for removal that are currently held by running calls. A shrink never
 /// waits for in-flight work: it takes what is free immediately and
 /// books the remainder as deficit, which future releases pay down
-/// before any permit becomes available again.
+/// before any permit becomes available again. `waiters` counts callers
+/// blocked in `acquire`: `Condvar::notify_one` is a `futex` syscall
+/// whether or not anyone is parked, and a release with nobody waiting
+/// (every inline model call on an uncontended pool) skips it.
 #[derive(Debug)]
 struct PermitState {
     available: usize,
     deficit: usize,
+    waiters: usize,
 }
 
 impl Permits {
@@ -54,6 +58,7 @@ impl Permits {
             state: std::sync::Mutex::new(PermitState {
                 available: count,
                 deficit: 0,
+                waiters: 0,
             }),
             freed: std::sync::Condvar::new(),
         }
@@ -65,10 +70,15 @@ impl Permits {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         while s.available == 0 {
+            // Counted under the lock `release` reads it under, so a
+            // release either sees this waiter or has already made its
+            // permit visible to the check above.
+            s.waiters += 1;
             s = self
                 .freed
                 .wait(s)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
+            s.waiters -= 1;
         }
         s.available -= 1;
     }
@@ -83,8 +93,11 @@ impl Permits {
             return;
         }
         s.available += 1;
+        let wake = s.waiters > 0;
         drop(s);
-        self.freed.notify_one();
+        if wake {
+            self.freed.notify_one();
+        }
     }
 
     /// Grow capacity by `count` permits (paying down any deficit
@@ -266,8 +279,11 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// so capacity semantics are identical to [`WorkerPool::submit`] —
     /// but the dispatch round trip (a reply channel and two context
     /// switches) disappears, which matters when the call itself is a
-    /// sub-millisecond simulated model invocation.
-    pub fn run_inline(&self, call: ModelCall<T>) -> (T, f64) {
+    /// sub-millisecond simulated model invocation. Nothing crosses a
+    /// thread, so the call needs neither a box nor `Send + 'static`: a
+    /// closure borrowing the caller's state does (a [`ModelCall`] is
+    /// accepted as before).
+    pub fn run_inline<F: FnOnce() -> (T, f64)>(&self, call: F) -> (T, f64) {
         self.permits.acquire();
         let out = call();
         self.permits.release();
@@ -362,10 +378,12 @@ impl<R: Send + 'static, E: Send + 'static> WorkerPool<Result<R, E>> {
     /// or the retry budget is exhausted, sleeping the policy's capped
     /// exponential backoff between attempts — the wall-clock twin of
     /// the simulated cluster's retry events. Returns the final error
-    /// when every attempt fails.
-    pub fn call_with_retry<F>(&self, mut attempt: F, retry: &RetryPolicy) -> Result<(R, f64), E>
+    /// when every attempt fails. Attempts run inline on the caller's
+    /// thread ([`WorkerPool::run_inline`]), so they may borrow from it.
+    pub fn call_with_retry<F, C>(&self, mut attempt: F, retry: &RetryPolicy) -> Result<(R, f64), E>
     where
-        F: FnMut() -> ModelCall<Result<R, E>>,
+        F: FnMut() -> C,
+        C: FnOnce() -> (Result<R, E>, f64),
     {
         let mut used = 0u32;
         loop {
@@ -497,6 +515,95 @@ mod tests {
             "four jobs must overlap after regrowth, took {:?}",
             started.elapsed()
         );
+    }
+
+    /// A model call that holds its permit until released through the
+    /// returned sender; the receiver fires once the call is running.
+    fn holder(
+        pool: &Arc<WorkerPool<usize>>,
+    ) -> (
+        std::sync::mpsc::Sender<()>,
+        std::thread::JoinHandle<(usize, f64)>,
+    ) {
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let (running_tx, running) = std::sync::mpsc::channel::<()>();
+        let pool = Arc::clone(pool);
+        let thread = std::thread::spawn(move || {
+            pool.run_inline(Box::new(move || {
+                running_tx.send(()).expect("the test waits for this");
+                released.recv().expect("the test releases every holder");
+                (usize::MAX, 1.0)
+            }))
+        });
+        running.recv().expect("the holder starts");
+        (release, thread)
+    }
+
+    /// `count` threads calling `run_inline`, returned once every one
+    /// of them is parked in `acquire`.
+    fn blocked_callers(
+        pool: &Arc<WorkerPool<usize>>,
+        count: usize,
+    ) -> std::sync::mpsc::Receiver<usize> {
+        let (done_tx, done) = std::sync::mpsc::channel();
+        for i in 0..count {
+            let (pool, done_tx) = (Arc::clone(pool), done_tx.clone());
+            std::thread::spawn(move || {
+                let (i, _) = pool.run_inline(Box::new(move || (i, 1.0)));
+                done_tx.send(i).expect("the test collects every caller");
+            });
+        }
+        while pool.permits.state.lock().expect("not poisoned").waiters < count {
+            std::thread::yield_now();
+        }
+        done
+    }
+
+    fn all_complete(done: &std::sync::mpsc::Receiver<usize>, count: usize) {
+        let mut seen: Vec<usize> = (0..count)
+            .map(|_| {
+                done.recv_timeout(Duration::from_secs(10))
+                    .expect("a blocked caller was never woken")
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..count).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn no_blocked_inline_caller_is_left_asleep_across_a_resize() {
+        const CALLERS: usize = 6;
+        let pool: Arc<WorkerPool<usize>> = Arc::new(WorkerPool::new(2));
+        let (release_a, a) = holder(&pool);
+        let (release_b, b) = holder(&pool);
+        let done = blocked_callers(&pool, CALLERS);
+
+        // Shrink with both permits held: the removal is booked as
+        // deficit, the first release pays it and frees nothing, so
+        // nobody may run yet.
+        pool.resize(1);
+        release_a.send(()).unwrap();
+        a.join().unwrap();
+        assert!(done.try_recv().is_err(), "a caller ran on a retired permit");
+        assert_eq!(pool.permits.state.lock().unwrap().waiters, CALLERS);
+
+        // The second release frees the one remaining permit: it must
+        // wake a caller, and every caller's own release the next.
+        release_b.send(()).unwrap();
+        b.join().unwrap();
+        all_complete(&done, CALLERS);
+        assert_eq!(pool.permits.state.lock().unwrap().waiters, 0);
+
+        // Grow with the permit held and callers parked again: the new
+        // permits reach them without any release.
+        let (release_c, c) = holder(&pool);
+        let done = blocked_callers(&pool, CALLERS);
+        pool.resize(3);
+        all_complete(&done, CALLERS);
+        release_c.send(()).unwrap();
+        c.join().unwrap();
+        let state = pool.permits.state.lock().unwrap();
+        assert_eq!((state.available, state.deficit, state.waiters), (3, 0, 0));
     }
 
     #[test]
