@@ -1,11 +1,10 @@
 //! Token-passing Viterbi beam search.
 
+use super::fast_match::{next_generation, FastMatch};
 use crate::acoustic::Frame;
 use crate::decoder::BeamConfig;
 use crate::lexicon::{Lexicon, WordId};
 use crate::lm::LanguageModel;
-use crate::phone::Phone;
-use std::ops::Range;
 
 /// Log-probability of remaining in the current phone for another frame.
 const LOG_STAY: f64 = -0.5108256237659907; // ln 0.6
@@ -75,22 +74,14 @@ struct WordSlot {
 /// A state of a live word that holds no token yet.
 const VACANT: u32 = u32::MAX;
 
-/// A word's exit candidates at the current frame, as a range of
-/// [`Decoder::exit_words`]. Live only while `stamp` is the current
-/// frame's.
-#[derive(Debug, Clone, Copy, Default)]
-struct ExitSlot {
-    stamp: u32,
-    start: u32,
-    end: u32,
-}
-
 /// A beam-search decoder borrowing a lexicon and language model.
 ///
 /// The decoder owns every buffer the search needs and reuses them across
 /// frames, configurations and utterances: once they have grown to an
 /// utterance's size, a decode allocates only the hypothesis it returns.
-/// Keep one decoder per thread.
+/// Keep one decoder per thread, and decode an utterance's whole ladder
+/// in one [`Decoder::decode_ladder`] call: its configurations share the
+/// fast match's per-frame ranking.
 #[derive(Debug, Clone)]
 pub struct Decoder<'a> {
     lexicon: &'a Lexicon,
@@ -110,14 +101,16 @@ pub struct Decoder<'a> {
     words: Vec<WordSlot>,
     rows: Vec<u32>,
     stride: usize,
-    /// Per word, this frame's exit candidates once computed.
-    exits: Vec<ExitSlot>,
-    exit_words: Vec<WordId>,
-    /// The current frame's generation; bumping it empties `words` and
-    /// `exits` without touching them.
+    /// The current frame's generation; bumping it empties `words`
+    /// without touching it.
     stamp: u32,
-    /// Ranking buffer of the fast match and of histogram pruning: one
-    /// [`rank_key`] per bucket word or token.
+    /// Per word, the frame it last exited at, kept by a debug assertion
+    /// only: a word has one last-phone token, so it exits at most once
+    /// per frame.
+    exited: Vec<u32>,
+    /// Each word exit's candidate successors.
+    fast_match: FastMatch<'a>,
+    /// Ranking buffer of histogram pruning: one [`rank_key`] per token.
     ranked: Vec<u128>,
 }
 
@@ -138,105 +131,46 @@ impl<'a> Decoder<'a> {
             words: vec![WordSlot::default(); lexicon.len()],
             rows: Vec::new(),
             stride,
-            exits: vec![ExitSlot::default(); lexicon.len()],
-            exit_words: Vec::new(),
             stamp: 0,
+            exited: vec![0; lexicon.len()],
+            fast_match: FastMatch::new(lexicon, lm),
             ranked: Vec::new(),
         }
     }
 
-    /// Assemble the words to expand at a word boundary, as a range of
-    /// `exit_words`. The result is the same for every token leaving the
-    /// same word at the same frame, so it is memoized per word (real
-    /// decoders run the rapid match once per frame too) and `work` is
-    /// charged once. Half the budget goes to the language model's likely
-    /// successors (plus top unigram words); the other half to *acoustic
-    /// fast-match* candidates — the classic rapid-match idea: words whose
-    /// first phone matches the frame's best-scoring phones, ranked by a
-    /// short emission lookahead over their opening phones plus their
-    /// language-model prior. The fast match is what lets the decoder
-    /// recover words the language model would never propose; how many
-    /// candidates survive is the "network scope" pruning dimension of
-    /// the paper's engine.
-    fn exit_candidates(
-        &mut self,
-        prev: Option<WordId>,
-        frames: &[Frame],
-        t: usize,
-        budget: usize,
-        work: &mut u64,
-    ) -> Range<usize> {
-        if let Some(prev) = prev {
-            let memo = self.exits[prev.index()];
-            if memo.stamp == self.stamp {
-                return memo.start as usize..memo.end as usize;
-            }
-        }
-        let start = self.exit_words.len();
-        let lm_budget = budget / 2 + 1;
-        self.lm
-            .append_candidate_successors(prev, lm_budget, &mut self.exit_words);
-        let per_phone = budget.saturating_sub(self.exit_words.len() - start) / 2 + 1;
-
-        const LOOKAHEAD: usize = 4; // frames scanned by the fast match
-        'phones: for p in top_two_phones(&frames[t]) {
-            let bucket = self.lexicon.words_with_first_phone(Phone::new(p as u8));
-            // Rank the bucket by lookahead acoustic fit + LM prior: best
-            // fit first, equal fits in bucket (word id) order.
-            self.ranked.clear();
-            for &w in bucket {
-                *work += 1;
-                let pron = self.lexicon.word(w).pronunciation();
-                let mut fit = self.lm.log_prob(prev, w);
-                for k in 0..LOOKAHEAD {
-                    let Some(frame) = frames.get(t + k) else {
-                        break;
-                    };
-                    // ~2 frames per phone: frame t+k aligns to phone k/2.
-                    let phone = pron[(k / 2).min(pron.len() - 1)];
-                    fit += f64::from(frame[phone.index()]);
-                }
-                self.ranked.push(rank_key(fit, self.ranked.len()));
-            }
-            let keep = per_phone.min(bucket.len());
-            if keep < bucket.len() {
-                self.ranked.select_nth_unstable(keep);
-            }
-            self.ranked[..keep].sort_unstable();
-            for &key in &self.ranked[..keep] {
-                let w = bucket[rank_position(key)];
-                if self.exit_words.len() - start >= budget {
-                    break 'phones;
-                }
-                if !self.exit_words[start..].contains(&w) {
-                    self.exit_words.push(w);
-                }
-            }
-        }
-        self.exit_words.truncate(start + budget);
-        let end = self.exit_words.len();
-        if let Some(prev) = prev {
-            self.exits[prev.index()] = ExitSlot {
-                stamp: self.stamp,
-                start: start as u32,
-                end: end as u32,
-            };
-        }
-        start..end
-    }
-
     /// Decode emission frames under a pruning configuration.
     pub fn decode(&mut self, frames: &[Frame], config: &BeamConfig) -> DecodeResult {
+        let mut result = None;
+        self.decode_ladder(frames, std::slice::from_ref(config), |r| result = Some(r));
+        result.expect("one result per configuration")
+    }
+
+    /// Decode emission frames under each of `configs` in turn, handing
+    /// `each` the results in `configs` order. They are the results
+    /// [`Decoder::decode`] returns; the configurations share the fast
+    /// match's ranking of each frame, so the ladder costs less than its
+    /// decodes one by one.
+    pub fn decode_ladder(
+        &mut self,
+        frames: &[Frame],
+        configs: &[BeamConfig],
+        mut each: impl FnMut(DecodeResult),
+    ) {
         if frames.is_empty() {
-            return DecodeResult {
-                words: Vec::new(),
-                score: 0.0,
-                runner_up: None,
-                work: 0,
-                frames: 0,
-            };
+            for _ in configs {
+                each(DecodeResult {
+                    words: Vec::new(),
+                    score: 0.0,
+                    runner_up: None,
+                    work: 0,
+                    frames: 0,
+                });
+            }
+            return;
         }
-        self.run_search(frames, config).finalize_best(frames.len())
+        self.search_ladder(frames, configs, |search| {
+            each(search.finalize_best(frames.len()));
+        });
     }
 
     /// Decode and return the `n` best distinct word sequences the beam
@@ -256,28 +190,27 @@ impl<'a> Decoder<'a> {
         if frames.is_empty() || n == 0 {
             return Vec::new();
         }
-        let search = self.run_search(frames, config);
-        let mut ranked: Vec<&Token> = search.tokens.iter().collect();
-        ranked.sort_by(|a, b| {
-            b.effective_score()
-                .partial_cmp(&a.effective_score())
-                .expect("scores are finite")
+        let mut out = Vec::new();
+        self.search_ladder(frames, std::slice::from_ref(config), |search| {
+            out = search.n_best(n);
         });
-        let mut out: Vec<Hypothesis> = Vec::with_capacity(n);
-        for t in ranked {
-            let words = backtrace(search.arena, t.hist);
-            if out.iter().any(|h| h.words == words) {
-                continue;
-            }
-            out.push(Hypothesis {
-                words,
-                score: t.effective_score(),
-            });
-            if out.len() == n {
-                break;
-            }
-        }
         out
+    }
+
+    /// Search `frames` under each of `configs` in turn, handing `finish`
+    /// each final beam; the fast match ranks each frame once for all.
+    fn search_ladder(
+        &mut self,
+        frames: &[Frame],
+        configs: &[BeamConfig],
+        mut finish: impl FnMut(SearchState<'_>),
+    ) {
+        let max_budget = configs.iter().map(|c| c.word_exit_candidates).max();
+        self.fast_match
+            .begin_utterance(frames.len(), max_budget.unwrap_or(0));
+        for config in configs {
+            finish(self.run_search(frames, config));
+        }
     }
 
     /// The main token-passing loop, shared by 1-best and n-best decode.
@@ -288,8 +221,12 @@ impl<'a> Decoder<'a> {
 
         // Frame 0: enter the candidate first words.
         self.begin_frame();
-        for k in self.exit_candidates(None, frames, 0, config.word_exit_candidates, &mut work) {
-            let w = self.exit_words[k];
+        let exits = self
+            .fast_match
+            .exit_candidates(frames, 0, None, config.word_exit_candidates, &mut work)
+            .len();
+        for k in 0..exits {
+            let w = self.fast_match.words()[k];
             let pron = lexicon.word(w).pronunciation();
             let total_lm =
                 config.lm_scale * self.lm.log_prob(None, w) + config.word_insertion_penalty;
@@ -344,15 +281,24 @@ impl<'a> Decoder<'a> {
                     });
                 } else if t.effective_score() >= best_prev - config.word_end_beam {
                     // Exit the word into candidate successors.
-                    let exits = self.exit_candidates(
-                        Some(t.word),
-                        frames,
-                        fi,
-                        config.word_exit_candidates,
-                        &mut work,
+                    debug_assert!(
+                        std::mem::replace(&mut self.exited[t.word.index()], self.stamp)
+                            != self.stamp,
+                        "{} exits twice at frame {fi}",
+                        t.word
                     );
-                    for k in exits {
-                        let w = self.exit_words[k];
+                    let exits = self
+                        .fast_match
+                        .exit_candidates(
+                            frames,
+                            fi,
+                            Some(t.word),
+                            config.word_exit_candidates,
+                            &mut work,
+                        )
+                        .len();
+                    for k in 0..exits {
+                        let w = self.fast_match.words()[k];
                         let next_pron = lexicon.word(w).pronunciation();
                         let total_lm = config.lm_scale * self.lm.log_prob(Some(t.word), w)
                             + config.word_insertion_penalty;
@@ -395,20 +341,14 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Start building a frame: `next`, the state table and the exit memo
-    /// all read as empty.
+    /// Start building a frame: `next` and the state table read as empty.
     fn begin_frame(&mut self) {
         self.next.clear();
         self.rows.clear();
-        self.exit_words.clear();
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // The generation wrapped: slots stamped 2³² frames ago would
-            // read as live. Retire them all.
+        next_generation(&mut self.stamp, || {
             self.words.fill(WordSlot::default());
-            self.exits.fill(ExitSlot::default());
-            self.stamp = 1;
-        }
+            self.exited.fill(0);
+        });
     }
 
     /// The frame under construction becomes the active beam, after the
@@ -481,7 +421,7 @@ impl<'a> Decoder<'a> {
 /// A key that sorts ascending where `score` sorts descending and, among
 /// equal scores, `position` ascending: the score's bits mapped to an
 /// unsigned integer in reverse numeric order, above the position.
-fn rank_key(score: f64, position: usize) -> u128 {
+pub(super) fn rank_key(score: f64, position: usize) -> u128 {
     assert!(!score.is_nan(), "scores are finite");
     // `+ 0.0` folds -0.0 into +0.0, which compare equal as scores.
     let bits = (score + 0.0).to_bits();
@@ -494,26 +434,8 @@ fn rank_key(score: f64, position: usize) -> u128 {
 }
 
 /// The position a [`rank_key`] was built from.
-fn rank_position(key: u128) -> usize {
+pub(super) fn rank_position(key: u128) -> usize {
     key as u32 as usize
-}
-
-/// The two best-scoring phones of a frame, best first; equal scores in
-/// phone order.
-fn top_two_phones(frame: &Frame) -> [usize; 2] {
-    let mut top = [0usize; 2];
-    let mut scores = [f32::NEG_INFINITY; 2];
-    for (p, &score) in frame.iter().enumerate() {
-        assert!(!score.is_nan(), "finite emission");
-        if score > scores[0] {
-            top = [p, top[0]];
-            scores = [score, scores[0]];
-        } else if score > scores[1] {
-            top[1] = p;
-            scores[1] = score;
-        }
-    }
-    top
 }
 
 /// A ranked alternative hypothesis from [`Decoder::decode_nbest`].
@@ -570,6 +492,32 @@ impl SearchState<'_> {
             work: self.work,
             frames,
         }
+    }
+
+    /// The `n` best distinct word sequences, best first (see
+    /// [`Decoder::decode_nbest`]).
+    fn n_best(&self, n: usize) -> Vec<Hypothesis> {
+        let mut ranked: Vec<&Token> = self.tokens.iter().collect();
+        ranked.sort_by(|a, b| {
+            b.effective_score()
+                .partial_cmp(&a.effective_score())
+                .expect("scores are finite")
+        });
+        let mut out: Vec<Hypothesis> = Vec::with_capacity(n);
+        for t in ranked {
+            let words = backtrace(self.arena, t.hist);
+            if out.iter().any(|h| h.words == words) {
+                continue;
+            }
+            out.push(Hypothesis {
+                words,
+                score: t.effective_score(),
+            });
+            if out.len() == n {
+                break;
+            }
+        }
+        out
     }
 }
 
@@ -788,18 +736,6 @@ mod tests {
         expected.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
         let order: Vec<usize> = keys.iter().map(|&k| rank_position(k)).collect();
         assert_eq!(order, expected);
-    }
-
-    #[test]
-    fn top_two_phones_match_a_stable_descending_sort() {
-        let mut frame = [-4.0f32; crate::phone::NUM_PHONES];
-        for (case, (a, b)) in [(3, 9), (9, 3), (0, 39), (17, 17)].into_iter().enumerate() {
-            frame[a] = 1.0 + case as f32;
-            frame[b] = 1.0 + case as f32; // a tie: the lower phone leads
-            let mut ranked: Vec<usize> = (0..frame.len()).collect();
-            ranked.sort_by(|&x, &y| frame[y].partial_cmp(&frame[x]).unwrap());
-            assert_eq!(top_two_phones(&frame), [ranked[0], ranked[1]]);
-        }
     }
 
     #[test]

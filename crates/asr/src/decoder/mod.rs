@@ -20,6 +20,8 @@
 
 mod beam;
 mod config;
+mod fast_match;
 
 pub use beam::{DecodeResult, Decoder, Hypothesis};
 pub use config::BeamConfig;
+pub use fast_match::FastMatch;

@@ -111,10 +111,23 @@ impl LanguageModel {
                     let backoff = (1.0 - SUCCESSOR_MASS) * self.unigram_prob(next);
                     (direct + backoff).ln()
                 } else {
-                    self.ln_backoff[next.index()]
+                    self.backoff_log_prob(next)
                 }
             }
         }
+    }
+
+    /// Log probability of `next` after any word that does not list it
+    /// as a likely successor: what [`LanguageModel::log_prob`] returns,
+    /// bit for bit, for every such predecessor.
+    pub(crate) fn backoff_log_prob(&self, next: WordId) -> f64 {
+        self.ln_backoff[next.index()]
+    }
+
+    /// The likely successors `prev` lists, in drawing order. A word may
+    /// appear more than once (its probabilities add).
+    pub fn likely_successors(&self, prev: WordId) -> impl Iterator<Item = WordId> + '_ {
+        self.successors[prev.index()].iter().map(|&(w, _)| w)
     }
 
     /// The words the decoder should consider after `prev`: the likely

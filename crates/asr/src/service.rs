@@ -180,24 +180,22 @@ impl AsrEngine {
             utterance.noise_sigma,
             utterance.render_seed,
         );
-        configs
-            .iter()
-            .map(|config| {
-                let result = decoder.decode(&frames, config);
-                let errors = wer::word_errors(&result.words, &utterance.words);
-                let latency_us = result.frames as u64 * FRAME_OVERHEAD_US
-                    + (result.work as f64 * US_PER_EXPANSION) as u64;
-                DecodeOutcome {
-                    errors,
-                    reference_words: utterance.words.len(),
-                    wer: errors as f64 / utterance.words.len().max(1) as f64,
-                    confidence: self.confidence.confidence(&result),
-                    latency_us,
-                    work: result.work,
-                    hypothesis: result.words,
-                }
-            })
-            .collect()
+        let mut outcomes = Vec::with_capacity(configs.len());
+        decoder.decode_ladder(&frames, configs, |result| {
+            let errors = wer::word_errors(&result.words, &utterance.words);
+            let latency_us = result.frames as u64 * FRAME_OVERHEAD_US
+                + (result.work as f64 * US_PER_EXPANSION) as u64;
+            outcomes.push(DecodeOutcome {
+                errors,
+                reference_words: utterance.words.len(),
+                wer: errors as f64 / utterance.words.len().max(1) as f64,
+                confidence: self.confidence.confidence(&result),
+                latency_us,
+                work: result.work,
+                hypothesis: result.words,
+            });
+        });
+        outcomes
     }
 
     /// Render an utterance's audio and decode it under `config`.

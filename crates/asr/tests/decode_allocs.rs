@@ -6,7 +6,9 @@
 //! benchmark run, experiment binary and test session. The decoder owns
 //! its buffers instead. These tests install a counting global allocator
 //! and assert that a warm decoder allocates exactly one block per decode
-//! — the hypothesis it returns — however many frames the utterance has.
+//! — the hypothesis it returns — however many frames the utterance has,
+//! alone or in a ladder call, whose versions share the fast match's
+//! per-frame ranking table.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -95,6 +97,40 @@ fn a_warm_decoder_allocates_only_the_hypothesis_it_returns() {
 }
 
 #[test]
+fn a_warm_ladder_call_allocates_one_hypothesis_per_version() {
+    let engine = AsrEngine::synthesize(CorpusConfig::small());
+    let versions = BeamConfig::paper_versions();
+    let mut decoder = engine.decoder();
+    let corpus: Vec<Vec<Frame>> = engine
+        .corpus()
+        .utterances()
+        .iter()
+        .map(|u| render(&engine, u))
+        .collect();
+    for frames in &corpus {
+        decoder.decode_ladder(frames, &versions, drop);
+    }
+
+    for (utterance, frames) in corpus.iter().enumerate() {
+        let (allocations, decoded) = allocations_during(|| {
+            let mut decoded = 0;
+            decoder.decode_ladder(frames, &versions, |result| {
+                assert!(!result.words.is_empty());
+                decoded += 1;
+            });
+            decoded
+        });
+        assert_eq!(decoded, versions.len());
+        assert_eq!(
+            allocations,
+            versions.len() as u64,
+            "utterance {utterance}: {} frames",
+            frames.len()
+        );
+    }
+}
+
+#[test]
 fn one_warm_up_utterance_ends_per_frame_allocation() {
     // Straight after a single utterance the buffers may still grow, but
     // by doubling: a handful of blocks, not one per frame.
@@ -108,15 +144,26 @@ fn one_warm_up_utterance_ends_per_frame_allocation() {
     }
 
     let frames = render(&engine, &utterances[1]);
+    let returned = versions.len() as u64;
     let (allocations, _) = allocations_during(|| {
         for version in &versions {
             decoder.decode(&frames, version);
         }
     });
-    let returned = versions.len() as u64;
     assert!(
         allocations < returned + 8,
         "{allocations} allocations over {} frames x {returned} versions",
+        frames.len()
+    );
+
+    // The same for a ladder call, on a decoder that has seen only one
+    // ladder: its ranking table grows with the utterance, by doubling.
+    let mut decoder = engine.decoder();
+    decoder.decode_ladder(&warm_up, &versions, drop);
+    let (allocations, _) = allocations_during(|| decoder.decode_ladder(&frames, &versions, drop));
+    assert!(
+        allocations < returned + 8,
+        "{allocations} allocations in a ladder call over {} frames",
         frames.len()
     );
 }
