@@ -21,9 +21,18 @@
 //! | Seq        | FO          | conf? c.lat : c.lat + a.lat    | c.cost + a.cost                       |
 //! | Conc       | ET          | conf? c.lat : max(c.lat,a.lat) | conf? c.cost + a.cost·min(1, c/a) : both |
 //! | Conc       | FO          | conf? c.lat : max(c.lat,a.lat) | c.cost + a.cost                       |
+//!
+//! The algebra is executed in one place, the [`Walk`] stage machine
+//! that every driver (this module's [`Policy::execute`], the live
+//! service, the cluster simulator) feeds; [`PolicyEvaluator`] is its
+//! closed form for aggregates, held to it by test.
 
 use crate::profile::{ProfileMatrix, VersionColumns};
 use crate::{CoreError, Result};
+
+mod walk;
+
+pub use walk::{Action, Walk};
 
 /// When the ensemble launches each version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -204,105 +213,24 @@ impl Policy {
         Ok(())
     }
 
-    /// Evaluate the policy on one profiled request.
+    /// Evaluate the policy on one profiled request: the [`Walk`] over
+    /// the request's matrix row, cheap stage first.
     ///
     /// # Panics
     ///
     /// Panics if the policy references versions outside the matrix
     /// (call [`Policy::validate`] first at the trust boundary).
     pub fn execute(&self, matrix: &ProfileMatrix, request: usize) -> PolicyOutcome {
-        match *self {
-            Policy::Single { version } => {
-                let o = matrix.get(request, version);
-                PolicyOutcome {
-                    quality_err: o.quality_err,
-                    latency_us: o.latency_us,
-                    cost: o.cost,
-                    answered_by: version,
-                }
-            }
-            Policy::Cascade {
-                cheap,
-                accurate,
-                threshold,
-                scheduling,
-                termination,
-            } => {
-                let c = matrix.get(request, cheap);
-                let a = matrix.get(request, accurate);
-                let confident = c.confidence >= threshold;
-
-                let latency_us = match (scheduling, confident) {
-                    (_, true) => c.latency_us,
-                    (Scheduling::Sequential, false) => c.latency_us + a.latency_us,
-                    (Scheduling::Concurrent, false) => c.latency_us.max(a.latency_us),
-                };
-
-                let cost = match (scheduling, termination, confident) {
-                    // Sequential + confident + ET: the accurate version
-                    // was never launched.
-                    (Scheduling::Sequential, Termination::EarlyTerminate, true) => c.cost,
-                    // A non-confident cascade always pays both in full.
-                    (Scheduling::Sequential, Termination::EarlyTerminate, false) => c.cost + a.cost,
-                    // Concurrent + confident + ET: the accurate version ran
-                    // until the moment the cheap answer landed.
-                    (Scheduling::Concurrent, Termination::EarlyTerminate, true) => {
-                        let fraction = (c.latency_us as f64 / a.latency_us.max(1) as f64).min(1.0);
-                        c.cost + a.cost * fraction
-                    }
-                    (Scheduling::Concurrent, Termination::EarlyTerminate, false) => c.cost + a.cost,
-                    // Finish-out always pays both in full.
-                    (_, Termination::FinishOut, _) => c.cost + a.cost,
-                };
-
-                let (quality_err, answered_by) = if confident {
-                    (c.quality_err, cheap)
-                } else {
-                    (a.quality_err, accurate)
-                };
-
-                PolicyOutcome {
-                    quality_err,
-                    latency_us,
-                    cost,
-                    answered_by,
-                }
-            }
-            Policy::Chain3 {
-                first,
-                second,
-                third,
-                threshold_first,
-                threshold_second,
-            } => {
-                // Sequential, early-terminating: each stage runs only if
-                // every earlier stage was unconfident.
-                let o1 = matrix.get(request, first);
-                if o1.confidence >= threshold_first {
-                    return PolicyOutcome {
-                        quality_err: o1.quality_err,
-                        latency_us: o1.latency_us,
-                        cost: o1.cost,
-                        answered_by: first,
-                    };
-                }
-                let o2 = matrix.get(request, second);
-                if o2.confidence >= threshold_second {
-                    return PolicyOutcome {
-                        quality_err: o2.quality_err,
-                        latency_us: o1.latency_us + o2.latency_us,
-                        cost: o1.cost + o2.cost,
-                        answered_by: second,
-                    };
-                }
-                let o3 = matrix.get(request, third);
-                PolicyOutcome {
-                    quality_err: o3.quality_err,
-                    latency_us: o1.latency_us + o2.latency_us + o3.latency_us,
-                    cost: o1.cost + o2.cost + o3.cost,
-                    answered_by: third,
-                }
-            }
+        let row = matrix.request_row(request);
+        let walk = Walk::profiled(self, row);
+        let answered_by = walk
+            .answered_by()
+            .expect("a walk with nothing failing answers");
+        PolicyOutcome {
+            quality_err: row[answered_by].quality_err,
+            latency_us: walk.latency_us(),
+            cost: walk.cost(),
+            answered_by,
         }
     }
 

@@ -180,6 +180,8 @@ fn main() {
     let mut table = Table::new(vec![
         "stack",
         "hedges",
+        "early terms",
+        "compute ($)",
         "max latency (ms)",
         "mean latency (ms)",
         "availability",
@@ -200,6 +202,8 @@ fn main() {
         table.row(vec![
             stack.to_string(),
             report.resilience.hedges.to_string(),
+            report.early_terminations.to_string(),
+            format!("{:.4}", report.ledger.compute_cost().as_dollars()),
             format!("{:.1}", summary.max()),
             format!("{:.1}", summary.mean()),
             pct(report.resilience.availability()),

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tt_cache::{Lookup, SemanticCache};
 use tt_core::objective::Objective;
-use tt_core::policy::{Policy, Scheduling, Termination};
+use tt_core::policy::{Action, Policy, Walk};
 use tt_core::profile::{Observation, ProfileMatrix};
 use tt_core::request::{ServiceRequest, Tolerance};
 use tt_core::rulegen::{RoutingRuleGenerator, RoutingRules};
@@ -383,8 +383,8 @@ struct Ledgered {
     tiers: BTreeMap<(&'static str, u32), TierEconomics>,
 }
 
-/// The outcome of walking one policy, on the worker pool or against
-/// the profile matrix.
+/// What executing one request accounted: its policy walk's answer and
+/// charges, plus whatever retries and a degrade hop added.
 #[derive(Default)]
 struct StageOutcome {
     answered_by: usize,
@@ -395,11 +395,17 @@ struct StageOutcome {
     busy_us: u64,
     /// Model invocations launched (for per-invocation billing).
     invocations: u64,
-    /// The versions invoked, in launch order. Only the table walk
-    /// fills this in (the batched flush replays it into the health
-    /// and breaker bookkeeping); the live walk's model calls do that
-    /// bookkeeping themselves and leave it empty.
-    invoked: Vec<usize>,
+}
+
+impl StageOutcome {
+    /// Add `walk`'s answer, latency and charges to what `self` holds.
+    fn with_walk(mut self, walk: &Walk) -> Self {
+        self.answered_by = walk.answered_by().unwrap_or(self.answered_by);
+        self.sim_latency_us = walk.latency_us();
+        self.busy_us += walk.busy_us();
+        self.invocations += walk.invocations();
+        self
+    }
 }
 
 type StageCall = ModelCall<Result<usize, ()>>;
@@ -1013,16 +1019,12 @@ impl ComputeService {
 
     /// Account one shed: demand a version's breaker (or quarantine)
     /// turned away — the supervisor's failure-by-proxy signal.
-    fn shed(&self, version: usize) {
+    fn shed(&self, version: usize, span: Option<(&TraceHandle, u32)>) {
         self.stats.lock().breaker_sheds += 1;
         self.health.sheds[version].fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// The policy walk's gate on `version`. The table walk (`!LIVE`)
-    /// asks no breaker: its caller checks the versions it invoked
-    /// once the walk is done.
-    fn admits<const LIVE: bool>(&self, version: usize) -> bool {
-        !LIVE || self.allows(version)
+        if let Some((handle, parent)) = span {
+            handle.attr_str(parent, "breaker", "shed");
+        }
     }
 
     /// What a model invocation touches of this service, borrowed: the
@@ -1074,28 +1076,20 @@ impl ComputeService {
         })
     }
 
-    /// Run one stage, charging every attempt to the outcome's
-    /// invocation/busy tallies. Live, that is `call_with_retry` on the
-    /// worker pool. The table walk's invoker (`!LIVE`) touches no
-    /// pool, sleep or breaker: it answers with the profiled confidence
-    /// and appends the version to the outcome's invocation list.
-    fn run_stage<const LIVE: bool>(
+    /// Run `version` on this thread under the retry policy, charging
+    /// every attempt past the first `skip` to `out`. Returns the
+    /// confidence, or the failure once the retries are spent.
+    fn run_stage(
         &self,
         version: usize,
         payload: usize,
         out: &mut StageOutcome,
+        skip: u64,
         span: Option<(&TraceHandle, u32)>,
     ) -> Result<f64, ()> {
-        let profiled = self.matrix.get(payload, version);
-        if !LIVE {
-            out.invoked.push(version);
-            out.invocations += 1;
-            out.busy_us += profiled.latency_us;
-            return Ok(profiled.confidence);
-        }
         // Attempts run on this thread under a pool permit, so each
         // borrows the service and the trace: no box, no handle clone.
-        let (env, obs) = (self.call_env(), *profiled);
+        let (env, obs) = (self.call_env(), *self.matrix.get(payload, version));
         let mut attempts = 0u32;
         let result = self.pool.call_with_retry(
             || {
@@ -1109,18 +1103,15 @@ impl ComputeService {
             &self.config.retry,
         );
         let attempts = u64::from(attempts);
-        out.invocations += attempts;
-        out.busy_us += profiled.latency_us * attempts;
+        out.invocations += attempts - skip;
+        out.busy_us += obs.latency_us * (attempts - skip);
         if attempts > 1 {
             self.stats.lock().retries += (attempts - 1) as usize;
             if let Some((handle, parent)) = span {
                 handle.attr_int(parent, "retries", (attempts - 1) as i64);
             }
         }
-        match result {
-            Ok((_, confidence)) => Ok(confidence),
-            Err(()) => Err(()),
-        }
+        result.map(|(_, confidence)| confidence)
     }
 
     /// The nearest strictly-cheaper version whose breaker accepts work.
@@ -1133,8 +1124,7 @@ impl ComputeService {
             .find(|&v| self.allows(v))
     }
 
-    /// Last resort: answer from a cheaper sibling (single un-retried
-    /// invocation), or give up.
+    /// Last resort: answer from a cheaper sibling, or give up.
     fn degrade_or_fail(
         &self,
         failed: usize,
@@ -1151,7 +1141,7 @@ impl ComputeService {
                     (handle, id)
                 });
                 let served = self
-                    .run_stage::<true>(alt, payload, &mut out, degrade_span)
+                    .run_stage(alt, payload, &mut out, 0, degrade_span)
                     .is_ok();
                 if let Some((handle, id)) = degrade_span {
                     handle.attr_str(id, "outcome", if served { "served" } else { "failed" });
@@ -1168,217 +1158,68 @@ impl ComputeService {
         Err(ServiceError::Unavailable)
     }
 
-    /// Walk `policy` for `payload`: the one implementation of the
-    /// service's policy arithmetic. `LIVE` walks it on the worker
-    /// pool, under breakers, retries and the fault plan. `!LIVE` is
-    /// the same walk against the profile matrix alone — what the live
-    /// walk accounts when every version it asks for is allowed and no
-    /// call fails, which is the batched path's precondition — so it
-    /// never reaches a shed or degrade arm.
-    fn run_policy<const LIVE: bool>(
+    /// Walk `policy` for `payload` on the worker pool, under breakers,
+    /// retries and the fault plan. A stage the walk asks for runs on
+    /// this thread, with retries; a stage asked for alongside it (a
+    /// concurrent cascade's accurate version) runs once on a pool
+    /// worker, where an early-terminating answer can cancel it.
+    fn run_policy(
         &self,
         policy: Policy,
         payload: usize,
         span: Option<(&TraceHandle, u32)>,
     ) -> Result<StageOutcome, ServiceError> {
+        let mut walk = Walk::new(&policy, self.matrix.request_row(payload));
+        // The walk charges one attempt per stage; retries land here.
         let mut out = StageOutcome::default();
-        match policy {
-            Policy::Single { version } => {
-                if !self.admits::<LIVE>(version) {
-                    self.shed(version);
-                    if let Some((handle, parent)) = span {
-                        handle.attr_str(parent, "breaker", "shed");
-                    }
-                    return self.degrade_or_fail(version, payload, out, span);
-                }
-                match self.run_stage::<LIVE>(version, payload, &mut out, span) {
-                    Ok(_) => {
-                        out.answered_by = version;
-                        out.sim_latency_us = self.matrix.get(payload, version).latency_us;
-                        Ok(out)
-                    }
-                    Err(()) => self.degrade_or_fail(version, payload, out, span),
-                }
-            }
-            Policy::Cascade {
-                cheap,
-                accurate,
-                threshold,
-                scheduling,
-                termination,
-            } => self.run_cascade::<LIVE>(
-                cheap,
-                accurate,
-                threshold,
-                scheduling,
-                termination,
-                payload,
-                out,
-                span,
-            ),
-            Policy::Chain3 {
-                first,
-                second,
-                third,
-                threshold_first,
-                threshold_second,
-            } => {
-                let stages = [
-                    (first, Some(threshold_first)),
-                    (second, Some(threshold_second)),
-                    (third, None),
-                ];
-                let mut fallback: Option<usize> = None;
-                let mut last = third;
-                for (version, gate) in stages {
-                    last = version;
-                    if !self.admits::<LIVE>(version) {
-                        self.shed(version);
-                        continue;
-                    }
-                    if let Ok(confidence) = self.run_stage::<LIVE>(version, payload, &mut out, span)
-                    {
-                        out.sim_latency_us += self.matrix.get(payload, version).latency_us;
-                        match gate {
-                            Some(threshold) if confidence < threshold => {
-                                fallback = Some(version);
-                            }
-                            _ => {
-                                out.answered_by = version;
-                                return Ok(out);
-                            }
+        let mut pooled = None;
+        loop {
+            let mut inline = None;
+            while let Some(action) = walk.poll() {
+                match action {
+                    Action::Invoke(stage) => {
+                        let version = walk.version(stage);
+                        if !self.allows(version) {
+                            self.shed(version, span);
+                            walk.shed(stage);
+                        } else if inline.is_none() {
+                            inline = Some(stage);
+                        } else {
+                            let span = span.map(|(handle, parent)| (handle.clone(), parent, 1));
+                            let call = self.make_call(version, payload, span);
+                            pooled = Some((stage, self.pool.submit_cancellable(call)));
                         }
                     }
-                }
-                if let Some(version) = fallback {
-                    out.answered_by = version;
-                    out.degraded = true;
-                    return Ok(out);
-                }
-                self.degrade_or_fail(last, payload, out, span)
-            }
-        }
-    }
-
-    /// Two-version cascades, both schedulings, with the live-pool
-    /// analogue of early termination for the concurrent case.
-    #[allow(clippy::too_many_arguments)]
-    fn run_cascade<const LIVE: bool>(
-        &self,
-        cheap: usize,
-        accurate: usize,
-        threshold: f64,
-        scheduling: Scheduling,
-        termination: Termination,
-        payload: usize,
-        mut out: StageOutcome,
-        span: Option<(&TraceHandle, u32)>,
-    ) -> Result<StageOutcome, ServiceError> {
-        let cheap_obs = *self.matrix.get(payload, cheap);
-        let accurate_lat = self.matrix.get(payload, accurate).latency_us;
-        let cheap_allowed = self.admits::<LIVE>(cheap);
-        if !cheap_allowed {
-            self.shed(cheap);
-        }
-
-        if scheduling == Scheduling::Concurrent && cheap_allowed && self.admits::<LIVE>(accurate) {
-            // Launch both; answer with a confident cheap result and
-            // cancel the accurate call (the ET refund), otherwise wait
-            // for the accurate answer. The table walk's pair has
-            // already landed: no pending accurate call to cancel or
-            // await.
-            out.invocations += 2;
-            let (cheap_result, accurate_call) = if LIVE {
-                let launched = self.pool.submit_cancellable(self.make_call(
-                    accurate,
-                    payload,
-                    span.map(|(handle, parent)| (handle.clone(), parent, 1)),
-                ));
-                let cheap_span = span.map(|(handle, parent)| (handle, parent, 1));
-                let cheap_result = self
-                    .pool
-                    .run_inline(|| self.call_env().invoke(cheap, cheap_obs, cheap_span));
-                (cheap_result, Some(launched))
-            } else {
-                out.invoked.extend([accurate, cheap]);
-                ((Ok(cheap), cheap_obs.confidence), None)
-            };
-            match cheap_result {
-                (Ok(_), confidence) if confidence >= threshold => {
-                    if termination == Termination::EarlyTerminate {
-                        if let Some((_, cancel)) = &accurate_call {
+                    Action::Cancel(stage) => {
+                        if let Some((_, (_, cancel))) = pooled.as_ref().filter(|(s, _)| *s == stage)
+                        {
                             cancel.store(true, Ordering::Relaxed);
                         }
-                        // Busy time for a cancelled launch is charged in
-                        // full only under FinishOut; ET refunds it.
-                        out.busy_us += cheap_obs.latency_us;
-                    } else {
-                        out.busy_us += cheap_obs.latency_us + accurate_lat;
                     }
-                    out.answered_by = cheap;
-                    out.sim_latency_us = cheap_obs.latency_us;
-                    return Ok(out);
+                    Action::Answer { degraded, .. } => out.degraded = degraded,
+                    Action::Exhausted => {
+                        let last = walk.version(walk.stages() - 1);
+                        return self.degrade_or_fail(last, payload, out.with_walk(&walk), span);
+                    }
                 }
-                _ => {
-                    out.busy_us += cheap_obs.latency_us + accurate_lat;
-                    let accurate_landed =
-                        accurate_call.is_none_or(|(rx, _)| matches!(rx.recv(), Ok((Ok(_), _))));
-                    if accurate_landed {
-                        out.answered_by = accurate;
-                        out.sim_latency_us = cheap_obs.latency_us.max(accurate_lat);
-                        return Ok(out);
-                    }
-                    // Accurate failed; an unconfident cheap answer is
-                    // still an answer.
-                    if cheap_result.0.is_ok() {
-                        out.answered_by = cheap;
-                        out.degraded = true;
-                        out.sim_latency_us = cheap_obs.latency_us;
-                        return Ok(out);
-                    }
-                    return self.degrade_or_fail(accurate, payload, out, span);
+            }
+            if let Some(stage) = inline {
+                match self.run_stage(walk.version(stage), payload, &mut out, 1, span) {
+                    Ok(confidence) => walk.landed(stage, confidence),
+                    Err(()) => walk.failed(stage),
+                }
+            } else if walk.answered_by().is_some() {
+                return Ok(out.with_walk(&walk));
+            } else {
+                let (stage, (reply, _)) = pooled
+                    .take()
+                    .expect("an unanswered walk has a stage running");
+                match reply.recv() {
+                    Ok((Ok(_), confidence)) => walk.landed(stage, confidence),
+                    _ => walk.failed(stage),
                 }
             }
         }
-
-        // Sequential (or breaker-constrained concurrent): cheap first.
-        let cheap_confidence = if cheap_allowed {
-            self.run_stage::<LIVE>(cheap, payload, &mut out, span).ok()
-        } else {
-            None
-        };
-        if let Some(confidence) = cheap_confidence {
-            out.sim_latency_us += cheap_obs.latency_us;
-            if confidence >= threshold {
-                out.answered_by = cheap;
-                if termination == Termination::FinishOut && self.admits::<LIVE>(accurate) {
-                    // FO semantics: the accurate version computes
-                    // regardless — cost, no latency.
-                    let _ = self.run_stage::<LIVE>(accurate, payload, &mut out, span);
-                }
-                return Ok(out);
-            }
-        }
-        if !self.admits::<LIVE>(accurate) {
-            self.shed(accurate);
-        } else if self
-            .run_stage::<LIVE>(accurate, payload, &mut out, span)
-            .is_ok()
-        {
-            // Escalation to the accurate version is the policy's own
-            // intended path, never a degradation.
-            out.answered_by = accurate;
-            out.sim_latency_us += accurate_lat;
-            return Ok(out);
-        }
-        // Accurate unavailable: fall back to the unconfident cheap
-        // answer if one landed.
-        if cheap_confidence.is_some() {
-            out.answered_by = cheap;
-            out.degraded = true;
-            return Ok(out);
-        }
-        self.degrade_or_fail(accurate, payload, out, span)
     }
 
     /// Serve one annotated request end to end: route, execute
@@ -1501,7 +1342,7 @@ impl ComputeService {
         trace: Option<&TraceHandle>,
     ) -> Result<ComputeOutcome, ServiceError> {
         let span = trace.zip(opened.root);
-        match self.run_policy::<true>(opened.policy, opened.payload, span) {
+        match self.run_policy(opened.policy, opened.payload, span) {
             Ok(stage) => Ok(self.accounts.settle(opened, stage, trace)),
             Err(e) => {
                 self.stats.lock().dropped_requests += 1;
@@ -1657,9 +1498,11 @@ impl ComputeService {
     ///
     /// Batch membership is invisible in the result: both arms share
     /// the prologue ([`ComputeService::open_request`]), the policy
-    /// walk ([`ComputeService::run_policy`], here against the profile
-    /// matrix) and the settlement ([`Accounts::settle`]), so response
-    /// fields and billed totals are bit-identical either way.
+    /// walk ([`Walk`]: driven by the pool in
+    /// [`ComputeService::run_policy`], here by the profile matrix in
+    /// [`Walk::profiled`]) and the settlement ([`Accounts::settle`]),
+    /// so response fields and billed totals are bit-identical either
+    /// way.
     pub fn execute_shaped_async(
         &self,
         request: &ServiceRequest,
@@ -1688,17 +1531,17 @@ impl ComputeService {
             request.tolerance.value(),
             self.batch_slack_permille.load(Ordering::SeqCst),
         );
-        // The table walk stands for the live one only while every
+        // The matrix walk stands for the live one only while every
         // version it invoked would have been let through.
         let parked = match (&self.batcher, deadline_in, &self.faults) {
-            (Some(batcher), Some(deadline_in), None) => self
-                .run_policy::<false>(opened.policy, opened.payload, None)
-                .ok()
-                .filter(|stage| stage.invoked.iter().all(|&v| self.allows(v)))
-                .map(|stage| (batcher, deadline_in, stage)),
+            (Some(batcher), Some(deadline_in), None) => {
+                let walk = Walk::profiled(&opened.policy, self.matrix.request_row(opened.payload));
+                let allowed = walk.invoked().all(|v| self.allows(v));
+                allowed.then_some((batcher, deadline_in, walk))
+            }
             _ => None,
         };
-        let Some((batcher, deadline_in, mut stage)) = parked else {
+        let Some((batcher, deadline_in, walk)) = parked else {
             return done(self.run_opened(opened, trace));
         };
 
@@ -1708,8 +1551,8 @@ impl ComputeService {
             .zip(opened.root)
             .map(|(handle, parent)| handle.open("batch", Some(parent), self.wall_us()));
         let key = (request.objective, opened.policy);
+        let stage = StageOutcome::default().with_walk(&walk);
         let sim_latency_us = stage.sim_latency_us;
-        let invoked = std::mem::take(&mut stage.invoked);
         let accounts = Arc::clone(&self.accounts);
         let health = Arc::clone(&self.health);
         let breakers = Arc::clone(&self.breakers);
@@ -1718,7 +1561,7 @@ impl ComputeService {
             // The health/breaker bookkeeping the live path does per
             // model call; fault-free, so every invocation succeeds.
             let now = SimTime::from_micros(accounts.started.elapsed().as_micros() as u64);
-            for &version in &invoked {
+            for version in walk.invoked() {
                 health.attempts[version].fetch_add(1, Ordering::SeqCst);
                 if let Some(b) = breakers.lock().get_mut(version) {
                     b.record(true, now);
@@ -2193,6 +2036,9 @@ impl ComputeService {
         }
     }
 }
+
+#[cfg(test)]
+use tt_core::policy::{Scheduling, Termination};
 
 #[cfg(test)]
 mod tests {
@@ -2733,6 +2579,40 @@ mod tests {
                 .counters
         };
         assert_eq!(counters(&sync_svc), counters(&batched_svc));
+    }
+
+    #[test]
+    fn concurrent_et_charges_the_cancelled_call_until_the_cheap_answer() {
+        let m = matrix3();
+        let svc = ComputeService::new(Arc::clone(&m), frontend3(&m), ServiceConfig::defaults());
+        let policy = Policy::Cascade {
+            cheap: 0,
+            accurate: 2,
+            threshold: 0.5,
+            scheduling: Scheduling::Concurrent,
+            termination: Termination::EarlyTerminate,
+        };
+        let tolerance = Tolerance::new(0.10).unwrap();
+        let mut expected = CostLedger::new();
+        let mut confident = 0;
+        for payload in 0..m.requests() {
+            let (c, a) = (m.get(payload, 0), m.get(payload, 2));
+            if c.confidence < 0.5 {
+                continue;
+            }
+            confident += 1;
+            let req = ServiceRequest::new(payload, tolerance, Objective::ResponseTime);
+            let plan = Some((policy, 0.05, BrownoutLevel::LooserTier));
+            assert_eq!(svc.execute_shaped(&req, plan, None).unwrap().answered_by, 0);
+            // The accurate call ran until the cheap answer landed.
+            let busy = c.latency_us + c.latency_us.min(a.latency_us);
+            expected.charge_compute(&InstanceType::cpu_node(), SimDuration::from_micros(busy));
+        }
+        assert!(confident > 0);
+        assert_eq!(
+            svc.snapshot().billing.compute_cost.as_dollars().to_bits(),
+            expected.compute_cost().as_dollars().to_bits()
+        );
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The discrete-event serving cluster.
 //!
 //! A load balancer in front of per-version node pools, executing each
-//! request's tier policy with real queueing: sequential cascades admit
-//! the accurate version only after a disappointing cheap answer,
-//! concurrent cascades admit both at arrival, and early termination
-//! cancels the in-flight accurate invocation the moment a confident
-//! cheap answer lands — refunding the unused busy time, which is
-//! exactly where the ET policy's IaaS savings come from (paper §IV-C).
+//! request's tier policy with real queueing. What runs when is the
+//! request's [`Walk`], fed completions in simulated-time order:
+//! sequential cascades admit the accurate version only after a
+//! disappointing cheap answer, concurrent cascades admit both at
+//! arrival, and early termination cancels the in-flight accurate
+//! invocation the moment a confident cheap answer lands — refunding the
+//! unused busy time, which is exactly where the ET policy's IaaS
+//! savings come from (paper §IV-C).
 //!
 //! On top of the fault-free core sits a resilience layer
 //! ([`crate::resilience`]): invocations may crash, error, or straggle
@@ -23,7 +25,7 @@ use crate::frontend::TieredFrontend;
 use crate::pricing::PricingCatalog;
 use crate::resilience::{CircuitBreaker, ResilienceConfig, ResilienceStats, RetryPolicy};
 use crate::trace::{TraceEvent, TraceRecorder};
-use tt_core::policy::{Policy, Scheduling, Termination};
+use tt_core::policy::{Action, Policy, Walk};
 use tt_core::profile::ProfileMatrix;
 use tt_core::request::ServiceRequest;
 use tt_sim::engine::EventToken;
@@ -94,49 +96,45 @@ pub struct ServingReport {
     pub resilience: ResilienceStats,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    Only,
-    Cheap,
-    Mid,
-    Accurate,
-    /// Serving in place of the policy's version: a breaker shed or a
-    /// failure re-route to a cheaper sibling.
-    Degraded,
-}
-
 #[derive(Debug)]
 struct InFlight {
     policy: Policy,
+    /// The request's walk through its policy's stages.
+    walk: Walk,
     arrival: SimTime,
     responded: bool,
     dropped: bool,
-    err: f64,
+    /// Whether an invocation was admitted yet: the first one records
+    /// the request's queueing delay.
+    launched: bool,
     /// Invocations (and pending retries) currently in flight.
     outstanding: u32,
     /// Retry budget consumed (shared across the request's stages).
     retries_used: u32,
-    /// Whether the cascade's accurate version has been launched.
-    escalated: bool,
-    accurate_cancel: Option<(usize, JobId, EventToken)>,
+    /// Per stage, the job a cancellation releases: the walk's own
+    /// launch of that stage, until it completes (retries are not
+    /// cancellable).
+    jobs: [Option<(JobId, EventToken)>; 3],
     hedge_token: Option<EventToken>,
     deadline_token: Option<EventToken>,
-    /// A usable-but-unconfident answer stashed for degradation.
-    fallback: Option<(usize, f64)>,
 }
+
+/// An invocation's place in its request: a stage of the walk, or
+/// `None` for a re-route to a sibling the policy does not name.
+type StageRef = Option<usize>;
 
 #[derive(Debug)]
 enum Event {
     Arrival(usize),
     Done {
         flight: usize,
-        role: Role,
+        stage: StageRef,
         version: usize,
         completion: JobCompletion,
     },
     Retry {
         flight: usize,
-        role: Role,
+        stage: StageRef,
         version: usize,
     },
     Hedge {
@@ -203,29 +201,29 @@ impl<'m, 'r> RunState<'m, 'r> {
     fn launch(
         &mut self,
         flight: usize,
-        role: Role,
+        stage: StageRef,
         version: usize,
         now: SimTime,
-        record_queueing: bool,
     ) -> (JobId, EventToken) {
         let payload = self.arrivals[flight].1.payload;
         let service = SimDuration::from_micros(self.matrix.get(payload, version).latency_us);
         let fault = self.faults.draw(version);
         let (timing, job, completion) = self.pools[version].admit_faulty(now, service, fault);
         self.ledger.charge_invocation(self.pricing.api_price());
-        if record_queueing {
+        let f = &mut self.flights[flight];
+        if !std::mem::replace(&mut f.launched, true) {
             self.queueing.record(timing.queueing(now));
         }
+        f.outstanding += 1;
         let token = self.queue.schedule(
             timing.finish,
             Event::Done {
                 flight,
-                role,
+                stage,
                 version,
                 completion,
             },
         );
-        self.flights[flight].outstanding += 1;
         (job, token)
     }
 
@@ -235,7 +233,6 @@ impl<'m, 'r> RunState<'m, 'r> {
         let request = &self.arrivals[flight].1;
         let f = &mut self.flights[flight];
         f.responded = true;
-        f.err = err;
         self.latency.record(now.saturating_since(f.arrival));
         self.total_err += err;
         self.trace.record(TraceEvent {
@@ -248,10 +245,11 @@ impl<'m, 'r> RunState<'m, 'r> {
         });
     }
 
-    /// Respond with an answer the tier policy did not intend (stash or
-    /// cheaper re-route), counting it — and, when its extra quality
-    /// error exceeds the request's advertised tolerance relative to the
-    /// fault-free policy outcome, counting a tolerance violation.
+    /// Respond with an answer the tier policy did not intend (the
+    /// walk's fallback or a cheaper re-route), counting it — and, when
+    /// its extra quality error exceeds the request's advertised
+    /// tolerance relative to the fault-free policy outcome, counting a
+    /// tolerance violation.
     fn respond_degraded(&mut self, flight: usize, now: SimTime, version: usize, err: f64) {
         self.stats.degraded_responses += 1;
         let request = &self.arrivals[flight].1;
@@ -305,7 +303,7 @@ impl<'m, 'r> RunState<'m, 'r> {
             .find(|&v| self.allows(v, now))
     }
 
-    fn drop_request(&mut self, flight: usize, _now: SimTime) {
+    fn drop_request(&mut self, flight: usize) {
         if self.flights[flight].dropped || self.flights[flight].responded {
             return;
         }
@@ -319,115 +317,94 @@ impl<'m, 'r> RunState<'m, 'r> {
         }
     }
 
-    /// Resolve a request that has nothing left in flight: answer from
-    /// the stashed fallback, re-route to a cheaper version, or drop.
-    fn degrade_or_drop(&mut self, flight: usize, failed_version: usize, now: SimTime) {
+    /// Resolve a request with nothing in flight and nothing left in its
+    /// walk: re-route to a version cheaper than `failed`, or drop. A
+    /// request whose walk never admitted anything sheds to any sibling
+    /// instead.
+    fn degrade_or_drop(&mut self, flight: usize, failed: usize, now: SimTime) {
         let f = &self.flights[flight];
         if f.responded || f.dropped || f.outstanding > 0 {
             return;
         }
-        if let Some((version, err)) = f.fallback {
-            self.respond_degraded(flight, now, version, err);
-            return;
-        }
-        if self.degrade {
-            if let Some(alt) = self.degrade_target(failed_version, now) {
-                self.launch(flight, Role::Degraded, alt, now, false);
-                return;
+        let target = if !f.launched {
+            self.shed_target(failed, now)
+        } else if self.degrade {
+            self.degrade_target(failed, now)
+        } else {
+            None
+        };
+        match target {
+            Some(alt) => {
+                self.launch(flight, None, alt, now);
             }
-        }
-        self.drop_request(flight, now);
-    }
-
-    /// Safety net after every completion: an unresolved request with no
-    /// in-flight work must degrade or drop, never hang.
-    fn settle(&mut self, flight: usize, version: usize, now: SimTime) {
-        let f = &self.flights[flight];
-        if f.responded || f.dropped || f.outstanding > 0 {
-            return;
-        }
-        self.degrade_or_drop(flight, version, now);
-    }
-
-    /// Launch a later policy stage, respecting breakers; a blocked
-    /// stage sheds onward to the next one.
-    fn guarded_escalate(&mut self, flight: usize, role: Role, version: usize, now: SimTime) {
-        if self.allows(version, now) {
-            self.launch(flight, role, version, now, false);
-            return;
-        }
-        self.stats.breaker_sheds += 1;
-        if role == Role::Mid {
-            if let Policy::Chain3 { third, .. } = self.flights[flight].policy {
-                if self.allows(third, now) {
-                    self.launch(flight, Role::Accurate, third, now, false);
-                    return;
-                }
-                self.stats.breaker_sheds += 1;
-            }
-        }
-        // No further stage: settle()/degrade_or_drop picks it up.
-    }
-
-    /// A failed (or breaker-blocked) stage is treated like an
-    /// unconfident one: move to the policy's next stage if it exists.
-    fn escalate_after_failure(&mut self, flight: usize, role: Role, now: SimTime) {
-        let policy = self.flights[flight].policy;
-        match (policy, role) {
-            (Policy::Cascade { accurate, .. }, Role::Cheap) if !self.flights[flight].escalated => {
-                if let Some(tok) = self.flights[flight].hedge_token.take() {
-                    self.queue.cancel(tok);
-                }
-                self.flights[flight].escalated = true;
-                self.guarded_escalate(flight, Role::Accurate, accurate, now);
-            }
-            (Policy::Chain3 { second, .. }, Role::Cheap) => {
-                self.guarded_escalate(flight, Role::Mid, second, now);
-            }
-            (Policy::Chain3 { third, .. }, Role::Mid) => {
-                self.guarded_escalate(flight, Role::Accurate, third, now);
-            }
-            _ => {}
+            None => self.drop_request(flight),
         }
     }
 
-    /// First launch of a request's entry stage, shedding around open
-    /// breakers (to later stages, then siblings) or dropping.
-    fn launch_entry(&mut self, flight: usize, role: Role, version: usize, now: SimTime) {
-        if self.allows(version, now) {
-            self.launch(flight, role, version, now, true);
-            return;
-        }
-        self.stats.breaker_sheds += 1;
-        let policy = self.flights[flight].policy;
-        match (policy, role) {
-            (Policy::Cascade { accurate, .. }, Role::Cheap) => {
-                if self.allows(accurate, now) {
-                    self.flights[flight].escalated = true;
-                    self.launch(flight, Role::Accurate, accurate, now, true);
-                    return;
+    /// Carry out what `flight`'s walk asks for. `failed` is the version
+    /// a re-route starts from should the walk run out of stages; a hedge
+    /// counts its launch and sheds nothing when the breaker refuses.
+    fn drive(&mut self, flight: usize, failed: usize, hedge: bool, now: SimTime) {
+        while let Some(action) = self.flights[flight].walk.poll() {
+            match action {
+                Action::Invoke(stage) => {
+                    let version = self.flights[flight].walk.version(stage);
+                    if self.allows(version, now) {
+                        self.stats.hedges += usize::from(hedge);
+                        self.flights[flight].jobs[stage] =
+                            Some(self.launch(flight, Some(stage), version, now));
+                    } else {
+                        self.stats.breaker_sheds += usize::from(!hedge);
+                        self.flights[flight].walk.shed(stage);
+                    }
                 }
-                self.stats.breaker_sheds += 1;
+                Action::Cancel(stage) => {
+                    if let Some((job, token)) = self.flights[flight].jobs[stage].take() {
+                        if self.queue.cancel(token) {
+                            self.flights[flight].outstanding -= 1;
+                        }
+                        let version = self.flights[flight].walk.version(stage);
+                        if self.pools[version].release_early(job, now) {
+                            self.early_terminations += 1;
+                        }
+                    }
+                }
+                Action::Answer { stage, degraded } => {
+                    let version = self.flights[flight].walk.version(stage);
+                    let payload = self.arrivals[flight].1.payload;
+                    let err = self.matrix.get(payload, version).quality_err;
+                    if degraded {
+                        self.respond_degraded(flight, now, version, err);
+                    } else {
+                        self.respond(flight, now, version, err);
+                    }
+                }
+                Action::Exhausted => self.degrade_or_drop(flight, failed, now),
             }
-            (Policy::Chain3 { second, third, .. }, Role::Cheap) => {
-                if self.allows(second, now) {
-                    self.launch(flight, Role::Mid, second, now, true);
-                    return;
-                }
-                self.stats.breaker_sheds += 1;
-                if self.allows(third, now) {
-                    self.launch(flight, Role::Accurate, third, now, true);
-                    return;
-                }
-                self.stats.breaker_sheds += 1;
+        }
+    }
+
+    /// Feed the walk stage `stage`'s outcome (`Some(confidence)` when
+    /// it landed). The hedge timer only ever races the first stage.
+    fn resolve(
+        &mut self,
+        flight: usize,
+        stage: usize,
+        version: usize,
+        landed: Option<f64>,
+        now: SimTime,
+    ) {
+        let f = &mut self.flights[flight];
+        if stage == 0 {
+            if let Some(tok) = f.hedge_token.take() {
+                self.queue.cancel(tok);
             }
-            _ => {}
         }
-        if let Some(alt) = self.shed_target(version, now) {
-            self.launch(flight, Role::Degraded, alt, now, true);
-            return;
+        match landed {
+            Some(confidence) => f.walk.landed(stage, confidence),
+            None => f.walk.failed(stage),
         }
-        self.drop_request(flight, now);
+        self.drive(flight, version, false, now);
     }
 
     fn on_arrival(&mut self, frontend: &TieredFrontend, index: usize, now: SimTime) {
@@ -436,204 +413,67 @@ impl<'m, 'r> RunState<'m, 'r> {
         policy
             .validate(self.matrix.versions())
             .expect("frontend produced a valid policy");
+        let walk = Walk::new(&policy, self.matrix.request_row(request.payload));
         let flight = self.flights.len();
         self.flights.push(InFlight {
             policy,
+            walk,
             arrival: now,
             responded: false,
             dropped: false,
-            err: 0.0,
+            launched: false,
             outstanding: 0,
             retries_used: 0,
-            escalated: false,
-            accurate_cancel: None,
+            jobs: [None; 3],
             hedge_token: None,
             deadline_token: None,
-            fallback: None,
         });
-        match policy {
-            Policy::Single { version } => {
-                self.launch_entry(flight, Role::Only, version, now);
-            }
-            Policy::Chain3 { first, .. } => {
-                self.launch_entry(flight, Role::Cheap, first, now);
-            }
-            Policy::Cascade {
-                cheap,
-                accurate,
-                scheduling,
-                ..
-            } => {
-                self.launch_entry(flight, Role::Cheap, cheap, now);
-                if scheduling == Scheduling::Concurrent
-                    && !self.flights[flight].dropped
-                    && !self.flights[flight].escalated
-                {
-                    if self.allows(accurate, now) {
-                        self.flights[flight].escalated = true;
-                        let (job, token) =
-                            self.launch(flight, Role::Accurate, accurate, now, false);
-                        self.flights[flight].accurate_cancel = Some((accurate, job, token));
-                    } else {
-                        self.stats.breaker_sheds += 1;
-                    }
-                }
-                if scheduling == Scheduling::Sequential && !self.flights[flight].dropped {
-                    if let Some(h) = self.hedge_factor {
-                        let nominal = self.matrix.get(request.payload, cheap).latency_us;
-                        let fire_at =
-                            now + SimDuration::from_micros((nominal as f64 * h).round() as u64);
-                        let tok = self.queue.schedule(fire_at, Event::Hedge { flight });
-                        self.flights[flight].hedge_token = Some(tok);
-                    }
-                }
-            }
+        let entry = walk.version(0);
+        self.drive(flight, entry, false, now);
+        if self.flights[flight].dropped {
+            return;
         }
-        if !self.flights[flight].dropped {
-            if let Some(span) = self.deadline_for(policy) {
-                let tok = self.queue.schedule(now + span, Event::Deadline { flight });
-                self.flights[flight].deadline_token = Some(tok);
-            }
+        if let Some(h) = self.hedge_factor.filter(|_| walk.hedgeable()) {
+            let nominal = self.matrix.get(request.payload, entry).latency_us;
+            let fire_at = now + SimDuration::from_micros((nominal as f64 * h).round() as u64);
+            let tok = self.queue.schedule(fire_at, Event::Hedge { flight });
+            self.flights[flight].hedge_token = Some(tok);
+        }
+        if let Some(span) = self.deadline_for(policy) {
+            let tok = self.queue.schedule(now + span, Event::Deadline { flight });
+            self.flights[flight].deadline_token = Some(tok);
         }
     }
 
-    fn on_success(&mut self, flight: usize, role: Role, version: usize, now: SimTime) {
-        let matrix = self.matrix;
-        let payload = self.arrivals[flight].1.payload;
-        let policy = self.flights[flight].policy;
-        match (policy, role) {
-            (_, Role::Degraded) => {
-                if !self.flights[flight].responded {
-                    let err = matrix.get(payload, version).quality_err;
-                    self.respond_degraded(flight, now, version, err);
-                }
-            }
-            (Policy::Single { .. }, Role::Only) => {
-                if !self.flights[flight].responded {
-                    let err = matrix.get(payload, version).quality_err;
-                    self.respond(flight, now, version, err);
-                }
-            }
-            (
-                Policy::Cascade {
-                    cheap,
-                    accurate,
-                    threshold,
-                    scheduling,
-                    termination,
-                },
-                Role::Cheap,
-            ) => {
-                let obs = matrix.get(payload, cheap);
-                let confident = obs.confidence >= threshold;
-                if confident && !self.flights[flight].responded {
-                    if let Some(tok) = self.flights[flight].hedge_token.take() {
-                        self.queue.cancel(tok);
-                    }
-                    self.respond(flight, now, cheap, obs.quality_err);
-                    match (scheduling, termination) {
-                        (Scheduling::Concurrent, Termination::EarlyTerminate) => {
-                            if let Some((v, job, token)) =
-                                self.flights[flight].accurate_cancel.take()
-                            {
-                                if self.queue.cancel(token) {
-                                    self.flights[flight].outstanding -= 1;
-                                }
-                                if self.pools[v].release_early(job, now) {
-                                    self.early_terminations += 1;
-                                }
-                            }
-                        }
-                        (Scheduling::Sequential, Termination::FinishOut)
-                            if !self.flights[flight].escalated =>
-                        {
-                            // The paper's FO semantics: the accurate
-                            // version computes its result regardless
-                            // (cost, no latency impact).
-                            self.flights[flight].escalated = true;
-                            self.guarded_escalate(flight, Role::Accurate, accurate, now);
-                        }
-                        _ => {}
-                    }
-                } else if !confident {
-                    self.flights[flight].fallback = Some((cheap, obs.quality_err));
-                    if scheduling == Scheduling::Sequential
-                        && !self.flights[flight].escalated
-                        && !self.flights[flight].responded
-                    {
-                        if let Some(tok) = self.flights[flight].hedge_token.take() {
-                            self.queue.cancel(tok);
-                        }
-                        self.flights[flight].escalated = true;
-                        self.guarded_escalate(flight, Role::Accurate, accurate, now);
-                    }
-                }
-            }
-            (Policy::Cascade { accurate, .. }, Role::Accurate) => {
-                if !self.flights[flight].responded {
-                    let err = matrix.get(payload, accurate).quality_err;
-                    self.respond(flight, now, accurate, err);
-                }
-            }
-            (
-                Policy::Chain3 {
-                    first,
-                    second,
-                    threshold_first,
-                    ..
-                },
-                Role::Cheap,
-            ) => {
-                let obs = matrix.get(payload, first);
-                if obs.confidence >= threshold_first {
-                    if !self.flights[flight].responded {
-                        self.respond(flight, now, first, obs.quality_err);
-                    }
-                } else {
-                    self.flights[flight].fallback = Some((first, obs.quality_err));
-                    if !self.flights[flight].responded {
-                        self.guarded_escalate(flight, Role::Mid, second, now);
-                    }
-                }
-            }
-            (
-                Policy::Chain3 {
-                    second,
-                    third,
-                    threshold_second,
-                    ..
-                },
-                Role::Mid,
-            ) => {
-                let obs = matrix.get(payload, second);
-                if obs.confidence >= threshold_second {
-                    if !self.flights[flight].responded {
-                        self.respond(flight, now, second, obs.quality_err);
-                    }
-                } else {
-                    self.flights[flight].fallback = Some((second, obs.quality_err));
-                    if !self.flights[flight].responded {
-                        self.guarded_escalate(flight, Role::Accurate, third, now);
-                    }
-                }
-            }
-            (Policy::Chain3 { third, .. }, Role::Accurate) => {
-                if !self.flights[flight].responded {
-                    let err = matrix.get(payload, third).quality_err;
-                    self.respond(flight, now, third, err);
-                }
-            }
-            (policy, role) => {
-                unreachable!("event role {role:?} impossible under {policy}")
-            }
+    fn on_success(&mut self, flight: usize, stage: StageRef, version: usize, now: SimTime) {
+        let f = &self.flights[flight];
+        if f.responded || f.dropped {
+            return;
+        }
+        let obs = *self.matrix.get(self.arrivals[flight].1.payload, version);
+        match stage {
+            Some(stage) => self.resolve(flight, stage, version, Some(obs.confidence), now),
+            None => self.respond_degraded(flight, now, version, obs.quality_err),
         }
     }
 
-    fn on_failure(&mut self, flight: usize, role: Role, version: usize, now: SimTime) {
+    /// An invocation failed, or its retry was refused: retry it while
+    /// the budget and its breaker allow, else give the stage up.
+    fn on_failure(
+        &mut self,
+        flight: usize,
+        stage: StageRef,
+        version: usize,
+        now: SimTime,
+        retry: bool,
+    ) {
         if self.flights[flight].responded || self.flights[flight].dropped {
             return;
         }
-        if self.flights[flight].retries_used < self.retry.max_retries && self.allows(version, now) {
+        if retry
+            && self.flights[flight].retries_used < self.retry.max_retries
+            && self.allows(version, now)
+        {
             let used = self.flights[flight].retries_used;
             self.flights[flight].retries_used += 1;
             self.stats.retries += 1;
@@ -643,13 +483,16 @@ impl<'m, 'r> RunState<'m, 'r> {
                 now + delay,
                 Event::Retry {
                     flight,
-                    role,
+                    stage,
                     version,
                 },
             );
             return;
         }
-        self.escalate_after_failure(flight, role, now);
+        match stage {
+            Some(stage) => self.resolve(flight, stage, version, None, now),
+            None => self.degrade_or_drop(flight, version, now),
+        }
     }
 
     fn handle(&mut self, frontend: &TieredFrontend, now: SimTime, event: Event) {
@@ -657,78 +500,72 @@ impl<'m, 'r> RunState<'m, 'r> {
             Event::Arrival(index) => self.on_arrival(frontend, index, now),
             Event::Done {
                 flight,
-                role,
+                stage,
                 version,
                 completion,
             } => {
                 self.flights[flight].outstanding -= 1;
-                if role == Role::Accurate {
-                    self.flights[flight].accurate_cancel = None;
+                if let Some(stage) = stage {
+                    self.flights[flight].jobs[stage] = None;
                 }
                 match completion {
                     JobCompletion::Failed => {
                         self.stats.failed_invocations += 1;
                         self.breaker_record(version, false, now);
-                        self.on_failure(flight, role, version, now);
+                        self.on_failure(flight, stage, version, now, true);
                     }
                     JobCompletion::Slow => {
                         self.stats.slow_invocations += 1;
                         self.breaker_record(version, true, now);
-                        self.on_success(flight, role, version, now);
+                        self.on_success(flight, stage, version, now);
                     }
                     JobCompletion::Success => {
                         self.breaker_record(version, true, now);
-                        self.on_success(flight, role, version, now);
+                        self.on_success(flight, stage, version, now);
                     }
                 }
-                self.settle(flight, version, now);
             }
             Event::Retry {
                 flight,
-                role,
+                stage,
                 version,
             } => {
                 self.flights[flight].outstanding -= 1;
-                if !self.flights[flight].responded && !self.flights[flight].dropped {
-                    if self.allows(version, now) {
-                        self.launch(flight, role, version, now, false);
-                    } else {
-                        // The pool's breaker opened during the backoff.
-                        self.escalate_after_failure(flight, role, now);
-                    }
-                }
-                self.settle(flight, version, now);
-            }
-            Event::Hedge { flight } => {
-                self.flights[flight].hedge_token = None;
-                let f = &self.flights[flight];
-                if f.responded || f.dropped || f.escalated {
-                    return;
-                }
-                if let Policy::Cascade { accurate, .. } = f.policy {
-                    if self.allows(accurate, now) {
-                        self.stats.hedges += 1;
-                        self.flights[flight].escalated = true;
-                        let (job, token) =
-                            self.launch(flight, Role::Accurate, accurate, now, false);
-                        self.flights[flight].accurate_cancel = Some((accurate, job, token));
-                    }
-                    // Pool unavailable: the hedge is opportunistic —
-                    // abort it and leave escalation to the cheap result.
-                }
-            }
-            Event::Deadline { flight } => {
-                self.flights[flight].deadline_token = None;
                 let f = &self.flights[flight];
                 if f.responded || f.dropped {
                     return;
                 }
-                self.stats.deadline_misses += 1;
-                if let Some((version, err)) = f.fallback {
-                    // Deadline pressure: answer now with what we have
-                    // rather than keep waiting on the intended version.
-                    self.respond_degraded(flight, now, version, err);
+                if self.allows(version, now) {
+                    self.launch(flight, stage, version, now);
+                } else {
+                    // The pool's breaker opened during the backoff.
+                    self.on_failure(flight, stage, version, now, false);
                 }
+            }
+            Event::Hedge { flight } => {
+                self.flights[flight].hedge_token = None;
+                let f = &mut self.flights[flight];
+                if f.responded || f.dropped {
+                    return;
+                }
+                // Opportunistic: a refused hedge is no shed, and the
+                // walk still asks for the stage when it escalates.
+                f.walk.hedge();
+                let entry = f.walk.version(0);
+                self.drive(flight, entry, true, now);
+            }
+            Event::Deadline { flight } => {
+                self.flights[flight].deadline_token = None;
+                let f = &mut self.flights[flight];
+                if f.responded || f.dropped {
+                    return;
+                }
+                self.stats.deadline_misses += 1;
+                // Deadline pressure: answer now with what the walk has
+                // rather than keep waiting on the intended version.
+                f.walk.deadline();
+                let entry = f.walk.version(0);
+                self.drive(flight, entry, false, now);
             }
         }
     }
@@ -890,6 +727,9 @@ impl<'a> ClusterSim<'a> {
         }
     }
 }
+
+#[cfg(test)]
+use tt_core::policy::{Scheduling, Termination};
 
 #[cfg(test)]
 mod tests {
@@ -1294,6 +1134,102 @@ mod tests {
             hedged_p_max < unhedged_p_max,
             "hedging must cap straggler tail latency: {hedged_p_max} vs {unhedged_p_max}"
         );
+    }
+
+    #[test]
+    fn a_confident_cheap_answer_cancels_the_hedged_accurate_call_under_et() {
+        // Cheap stragglers land at 5x nominal (50 ms): after the 3x
+        // hedge launched the accurate version (30 ms) and before it
+        // finishes (70 ms). Early termination must cancel it there.
+        let m = matrix();
+        let seq = |termination: Termination| Policy::Cascade {
+            cheap: 0,
+            accurate: 1,
+            threshold: 0.5,
+            scheduling: Scheduling::Sequential,
+            termination,
+        };
+        let arrivals = forced_arrivals(&m);
+        let sim = ClusterSim::new(&m, ClusterConfig::uniform_cpu(2, 8));
+        let hedged = ResilienceConfig {
+            faults: FaultPlan::new(
+                17,
+                vec![
+                    FaultRates {
+                        crash: 0.0,
+                        transient: 0.0,
+                        straggler: 0.3,
+                        straggler_factor: 5.0,
+                    },
+                    FaultRates::NONE,
+                ],
+            ),
+            hedge_factor: Some(3.0),
+            ..ResilienceConfig::disabled(2)
+        };
+        let run = |termination| {
+            sim.run_resilient(
+                &forced_frontend(&m, seq(termination)),
+                &arrivals,
+                hedged.clone(),
+            )
+        };
+        let et = run(Termination::EarlyTerminate);
+        let fo = run(Termination::FinishOut);
+        assert!(et.resilience.hedges > 0);
+        assert!(et.early_terminations > 0, "the hedge ran to completion");
+        assert_eq!(fo.early_terminations, 0);
+        assert!(et.ledger.compute_cost() < fo.ledger.compute_cost());
+        assert_eq!(et.trace.events(), fo.trace.events());
+    }
+
+    #[test]
+    fn a_concurrent_launch_refused_at_arrival_is_one_shed() {
+        // Both ends of a concurrent cascade crash once and trip their
+        // breakers (threshold 1, cooldown past the run). Every later
+        // request finds both refused at arrival and is re-routed to the
+        // middle version: one shed per refused launch, two per request.
+        let mut b = ProfileMatrixBuilder::new(vec!["fast".into(), "mid".into(), "slow".into()]);
+        for _ in 0..20 {
+            b.push_request(
+                [10_000, 20_000, 40_000]
+                    .map(|latency_us| Observation {
+                        quality_err: 0.0,
+                        latency_us,
+                        cost: 0.0,
+                        confidence: 0.9,
+                    })
+                    .to_vec(),
+            );
+        }
+        let m = b.build().unwrap();
+        let policy = Policy::Cascade {
+            cheap: 0,
+            accurate: 2,
+            threshold: 0.5,
+            scheduling: Scheduling::Concurrent,
+            termination: Termination::EarlyTerminate,
+        };
+        let sim = ClusterSim::new(&m, ClusterConfig::uniform_cpu(3, 8));
+        let config = ResilienceConfig {
+            faults: FaultPlan::new(
+                5,
+                vec![
+                    FaultRates::crash_only(1.0),
+                    FaultRates::NONE,
+                    FaultRates::crash_only(1.0),
+                ],
+            ),
+            breaker: Some(BreakerPolicy {
+                failure_threshold: 1,
+                cooldown: SimDuration::from_secs_f64(1e6),
+            }),
+            degrade: true,
+            ..ResilienceConfig::disabled(3)
+        };
+        let report = sim.run_resilient(&forced_frontend(&m, policy), &forced_arrivals(&m), config);
+        assert_eq!(report.served, m.requests());
+        assert_eq!(report.resilience.breaker_sheds, 2 * (m.requests() - 1));
     }
 
     #[test]

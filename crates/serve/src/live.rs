@@ -1,27 +1,26 @@
 //! A real thread-pool executor for tiered serving.
 //!
 //! The cluster simulator reasons about time analytically; this module
-//! actually *runs* model code on worker threads, so the examples can
-//! demonstrate the full consumer experience — annotated request in,
-//! result out — with genuine concurrency (crossbeam channels) and
-//! early-ish termination (a cancellation flag the expensive invocation
-//! checks; compute cannot be preempted mid-call, matching how real
-//! serving frameworks cancel between batches).
+//! actually *runs* model code on worker threads, with genuine
+//! concurrency (crossbeam channels) and early-ish termination (a
+//! cancellation flag checked before a queued call starts; compute
+//! cannot be preempted mid-call, matching how real serving frameworks
+//! cancel between batches).
 //!
-//! The executor mirrors the simulator's resilience layer in wall-clock
-//! terms: [`WorkerPool::call_with_retry`] re-submits failed calls with
-//! the same capped exponential backoff schedule
-//! ([`crate::resilience::RetryPolicy`]), and
-//! [`WorkerPool::cascade_with_deadline`] bounds a cascade by a real
-//! deadline, cancelling whatever is still queued when it expires.
+//! The pool runs calls; it knows nothing of policies. What a tier
+//! policy launches, cancels and answers with comes from its
+//! [`tt_core::policy::Walk`], which the caller drives with the pool's
+//! results. [`WorkerPool::call_with_retry`] re-submits failed calls with
+//! the simulator's capped exponential backoff schedule
+//! ([`crate::resilience::RetryPolicy`]).
 
 use crate::resilience::RetryPolicy;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A counting semaphore bounding in-flight model calls.
 ///
@@ -305,62 +304,6 @@ impl<T: Send + 'static> WorkerPool<T> {
         (reply_rx, cancelled)
     }
 
-    /// Execute a two-version concurrent cascade: launch both, answer
-    /// with the cheap result if its confidence clears `threshold`
-    /// (cancelling the accurate call if it is still queued), otherwise
-    /// wait for the accurate result.
-    pub fn cascade(&self, cheap: ModelCall<T>, accurate: ModelCall<T>, threshold: f64) -> (T, f64) {
-        let (acc_rx, acc_cancel) = self.submit_cancellable(accurate);
-        let (result, confidence) = self.run_inline(cheap);
-        if confidence >= threshold {
-            acc_cancel.store(true, Ordering::Relaxed);
-            (result, confidence)
-        } else {
-            acc_rx.recv().expect("accurate call completes")
-        }
-    }
-
-    /// Execute a two-version cascade under a wall-clock deadline.
-    ///
-    /// Both versions launch immediately. A confident cheap answer wins
-    /// and cancels the accurate call; an unconfident one waits for the
-    /// accurate result, but only until the deadline. `Err` carries the
-    /// best available fallback when the deadline fires — the degraded
-    /// unconfident cheap answer if one landed, mirroring how the
-    /// simulated cluster answers from its stashed fallback under
-    /// deadline pressure.
-    pub fn cascade_with_deadline(
-        &self,
-        cheap: ModelCall<T>,
-        accurate: ModelCall<T>,
-        threshold: f64,
-        deadline: Duration,
-    ) -> Result<(T, f64), Option<(T, f64)>> {
-        let started = Instant::now();
-        let (acc_rx, acc_cancel) = self.submit_cancellable(accurate);
-        let cheap_rx = self.submit(cheap);
-        match cheap_rx.recv_timeout(deadline) {
-            Ok((result, confidence)) if confidence >= threshold => {
-                acc_cancel.store(true, Ordering::Relaxed);
-                Ok((result, confidence))
-            }
-            Ok(fallback) => {
-                let remaining = deadline.saturating_sub(started.elapsed());
-                match acc_rx.recv_timeout(remaining) {
-                    Ok(out) => Ok(out),
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                        acc_cancel.store(true, Ordering::Relaxed);
-                        Err(Some(fallback))
-                    }
-                }
-            }
-            Err(_) => {
-                acc_cancel.store(true, Ordering::Relaxed);
-                Err(None)
-            }
-        }
-    }
-
     /// Stop all workers (idempotent; pending jobs may be dropped).
     pub fn shutdown(&self) {
         let mut workers = self.workers.lock();
@@ -413,38 +356,13 @@ impl<T: Send + 'static> Drop for WorkerPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn executes_submitted_work() {
         let pool = WorkerPool::new(2);
         let rx = pool.submit(Box::new(|| ("hello", 0.8)));
         assert_eq!(rx.recv().unwrap(), ("hello", 0.8));
-    }
-
-    #[test]
-    fn cascade_prefers_confident_cheap_answer() {
-        let pool = WorkerPool::new(2);
-        let (result, conf) = pool.cascade(
-            Box::new(|| ("cheap", 0.95)),
-            Box::new(|| {
-                std::thread::sleep(std::time::Duration::from_millis(30));
-                ("accurate", 0.99)
-            }),
-            0.9,
-        );
-        assert_eq!(result, "cheap");
-        assert!(conf >= 0.9);
-    }
-
-    #[test]
-    fn cascade_escalates_on_low_confidence() {
-        let pool = WorkerPool::new(2);
-        let (result, _) = pool.cascade(
-            Box::new(|| ("cheap", 0.1)),
-            Box::new(|| ("accurate", 0.99)),
-            0.9,
-        );
-        assert_eq!(result, "accurate");
     }
 
     #[test]
@@ -662,49 +580,5 @@ mod tests {
         );
         assert_eq!(result, Err("down"));
         assert_eq!(attempts.load(Ordering::SeqCst), 3); // 1 try + 2 retries
-    }
-
-    #[test]
-    fn deadline_cascade_answers_confidently_in_time() {
-        let pool = WorkerPool::new(2);
-        let out = pool.cascade_with_deadline(
-            Box::new(|| ("cheap", 0.95)),
-            Box::new(|| {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                ("accurate", 0.99)
-            }),
-            0.9,
-            Duration::from_secs(5),
-        );
-        assert_eq!(out, Ok(("cheap", 0.95)));
-    }
-
-    #[test]
-    fn deadline_cascade_degrades_to_the_cheap_fallback() {
-        let pool = WorkerPool::new(2);
-        let out = pool.cascade_with_deadline(
-            Box::new(|| ("cheap", 0.1)),
-            Box::new(|| {
-                std::thread::sleep(std::time::Duration::from_millis(400));
-                ("accurate", 0.99)
-            }),
-            0.9,
-            Duration::from_millis(50),
-        );
-        // Deadline fires before the accurate answer: the unconfident
-        // cheap result is handed back as the degraded fallback.
-        assert_eq!(out, Err(Some(("cheap", 0.1))));
-    }
-
-    #[test]
-    fn deadline_cascade_escalates_when_time_allows() {
-        let pool = WorkerPool::new(2);
-        let out = pool.cascade_with_deadline(
-            Box::new(|| ("cheap", 0.1)),
-            Box::new(|| ("accurate", 0.99)),
-            0.9,
-            Duration::from_secs(5),
-        );
-        assert_eq!(out, Ok(("accurate", 0.99)));
     }
 }

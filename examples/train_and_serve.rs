@@ -5,8 +5,11 @@
 //!
 //! Run with `cargo run --release -p tt-examples --bin train_and_serve`.
 
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tt_core::objective::Objective;
+use tt_core::policy::{Action, Walk};
 use tt_core::profile::{Observation, ProfileMatrixBuilder};
 use tt_examples::banner;
 use tt_serve::live::WorkerPool;
@@ -58,31 +61,59 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  tolerance {:>5.1}% -> {policy}", tol * 100.0);
     }
 
-    banner("3. Serve live on a crossbeam worker pool (real concurrency)");
+    banner("3. Serve live: each tier's policy walk drives real model calls on a worker pool");
     let pool: WorkerPool<usize> = WorkerPool::new(4);
-    let cheap_model = Arc::new(models[0].1.clone());
-    let accurate_model = Arc::new(models[2].1.clone());
-    let mut agree = 0usize;
+    let models: Vec<Arc<MlpClassifier>> = models.into_iter().map(|(_, m)| Arc::new(m)).collect();
     let samples = 200;
-    for i in 0..samples {
-        let x = test.features[i].clone();
-        let cheap = Arc::clone(&cheap_model);
-        let x2 = x.clone();
-        let accurate = Arc::clone(&accurate_model);
-        let (pred, _conf) = pool.cascade(
-            Box::new(move || cheap.predict(&x)),
-            Box::new(move || accurate.predict(&x2)),
-            0.85,
-        );
-        if pred == test.labels[i] {
-            agree += 1;
+    for &(tolerance, policy) in rules.tiers() {
+        let (mut correct, mut latency_us, mut invocations) = (0usize, 0u64, 0u64);
+        for (i, x) in test.features[..samples].iter().enumerate() {
+            // The matrix row prices each stage; confidences come from
+            // the models themselves.
+            let mut walk = Walk::new(&policy, matrix.request_row(i));
+            let mut running = VecDeque::new();
+            let mut predictions = [None; 3];
+            let answered = loop {
+                let mut answered = None;
+                while let Some(action) = walk.poll() {
+                    match action {
+                        Action::Invoke(stage) => {
+                            let (model, x) = (Arc::clone(&models[walk.version(stage)]), x.clone());
+                            let call = pool.submit_cancellable(Box::new(move || model.predict(&x)));
+                            running.push_back((stage, call));
+                        }
+                        Action::Cancel(stage) => {
+                            for (_, (_, cancel)) in running.iter().filter(|(s, _)| *s == stage) {
+                                cancel.store(true, Ordering::Relaxed);
+                            }
+                        }
+                        Action::Answer { stage, .. } => answered = Some(stage),
+                        Action::Exhausted => unreachable!("model calls never fail here"),
+                    }
+                }
+                if let Some(stage) = answered {
+                    break stage;
+                }
+                // Feed back the earliest stage still running.
+                let (stage, (reply, _)) = running
+                    .pop_front()
+                    .expect("an unanswered walk runs a stage");
+                let (prediction, confidence) = reply.recv().expect("the pool answers");
+                predictions[stage] = Some(prediction);
+                walk.landed(stage, confidence);
+            };
+            correct += usize::from(predictions[answered] == Some(test.labels[i]));
+            latency_us += walk.latency_us();
+            invocations += walk.invocations();
         }
+        println!(
+            "  tolerance {:>5.1}%: accuracy {:.1}%, accounted latency {:.0} µs, {:.2} model calls per request  ({policy})",
+            tolerance * 100.0,
+            correct as f64 / samples as f64 * 100.0,
+            latency_us as f64 / samples as f64,
+            invocations as f64 / samples as f64,
+        );
     }
-    println!(
-        "  live cascade accuracy over {samples} requests: {:.1}% (accurate model alone: {:.1}%)",
-        agree as f64 / samples as f64 * 100.0,
-        accurate_model.accuracy(&test) * 100.0
-    );
     pool.shutdown();
 
     Ok(())
