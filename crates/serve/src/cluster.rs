@@ -457,22 +457,13 @@ impl<'m, 'r> RunState<'m, 'r> {
         }
     }
 
-    /// An invocation failed, or its retry was refused: retry it while
-    /// the budget and its breaker allow, else give the stage up.
-    fn on_failure(
-        &mut self,
-        flight: usize,
-        stage: StageRef,
-        version: usize,
-        now: SimTime,
-        retry: bool,
-    ) {
+    /// An invocation failed: retry it while the budget and its breaker
+    /// allow (the breaker is asked once, here), else give the stage up.
+    fn on_failure(&mut self, flight: usize, stage: StageRef, version: usize, now: SimTime) {
         if self.flights[flight].responded || self.flights[flight].dropped {
             return;
         }
-        if retry
-            && self.flights[flight].retries_used < self.retry.max_retries
-            && self.allows(version, now)
+        if self.flights[flight].retries_used < self.retry.max_retries && self.allows(version, now)
         {
             let used = self.flights[flight].retries_used;
             self.flights[flight].retries_used += 1;
@@ -512,7 +503,7 @@ impl<'m, 'r> RunState<'m, 'r> {
                     JobCompletion::Failed => {
                         self.stats.failed_invocations += 1;
                         self.breaker_record(version, false, now);
-                        self.on_failure(flight, stage, version, now, true);
+                        self.on_failure(flight, stage, version, now);
                     }
                     JobCompletion::Slow => {
                         self.stats.slow_invocations += 1;
@@ -535,12 +526,8 @@ impl<'m, 'r> RunState<'m, 'r> {
                 if f.responded || f.dropped {
                     return;
                 }
-                if self.allows(version, now) {
-                    self.launch(flight, stage, version, now);
-                } else {
-                    // The pool's breaker opened during the backoff.
-                    self.on_failure(flight, stage, version, now, false);
-                }
+                // The breaker admitted this retry when it was scheduled.
+                self.launch(flight, stage, version, now);
             }
             Event::Hedge { flight } => {
                 self.flights[flight].hedge_token = None;
@@ -1230,6 +1217,57 @@ mod tests {
         let report = sim.run_resilient(&forced_frontend(&m, policy), &forced_arrivals(&m), config);
         assert_eq!(report.served, m.requests());
         assert_eq!(report.resilience.breaker_sheds, 2 * (m.requests() - 1));
+    }
+
+    #[test]
+    fn a_cancelled_probe_does_not_lock_its_breaker() {
+        // Request 0's cheap answer is unconfident and its accurate call
+        // fails, tripping the accurate breaker. Every later request, a
+        // second apart, answers cheap and confident, so its accurate
+        // call (the half-open probe) is cancelled before it reports.
+        // A cooldown later the next request probes again: nothing sheds.
+        let mut b = ProfileMatrixBuilder::new(vec!["fast".into(), "accurate".into()]);
+        for r in 0..40 {
+            b.push_request(vec![
+                Observation {
+                    quality_err: 0.0,
+                    latency_us: 10_000,
+                    cost: 0.0,
+                    confidence: if r == 0 { 0.2 } else { 0.9 },
+                },
+                Observation {
+                    quality_err: 0.0,
+                    latency_us: 40_000,
+                    cost: 0.0,
+                    confidence: 0.9,
+                },
+            ]);
+        }
+        let m = b.build().unwrap();
+        let policy = Policy::Cascade {
+            cheap: 0,
+            accurate: 1,
+            threshold: 0.5,
+            scheduling: Scheduling::Concurrent,
+            termination: Termination::EarlyTerminate,
+        };
+        let failing = FaultRates {
+            transient: 1.0,
+            ..FaultRates::NONE
+        };
+        let config = ResilienceConfig {
+            faults: FaultPlan::new(1, vec![FaultRates::NONE, failing]),
+            breaker: Some(BreakerPolicy {
+                failure_threshold: 1,
+                cooldown: SimDuration::from_millis(10),
+            }),
+            ..ResilienceConfig::disabled(2)
+        };
+        let sim = ClusterSim::new(&m, ClusterConfig::uniform_cpu(2, 8));
+        let report = sim.run_resilient(&forced_frontend(&m, policy), &forced_arrivals(&m), config);
+        assert_eq!(report.resilience.breaker_sheds, 0);
+        assert_eq!(report.early_terminations, m.requests() - 1);
+        assert_eq!(report.served, m.requests());
     }
 
     #[test]

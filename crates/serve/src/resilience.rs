@@ -126,14 +126,15 @@ pub struct BreakerPolicy {
 /// open, [`CircuitBreaker::allows`] rejects work (the cluster sheds it
 /// to sibling pools). After `cooldown` a single probe is admitted: its
 /// success closes the breaker, its failure re-opens it for another
-/// cooldown.
+/// cooldown. A probe that never reports (cancelled, or skipped in a
+/// queue) holds the slot for one cooldown; then the next caller probes.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     policy: BreakerPolicy,
     state: BreakerState,
     consecutive_failures: u32,
-    opened_at: SimTime,
-    probe_in_flight: bool,
+    /// When the breaker last opened or let a probe through.
+    since: SimTime,
     transitions: u64,
 }
 
@@ -148,8 +149,7 @@ impl CircuitBreaker {
             policy,
             state: BreakerState::Closed,
             consecutive_failures: 0,
-            opened_at: SimTime::ZERO,
-            probe_in_flight: false,
+            since: SimTime::ZERO,
             transitions: 0,
         }
     }
@@ -174,28 +174,18 @@ impl CircuitBreaker {
     /// Whether a new invocation may be sent to this pool at `now`.
     /// Moving from `Open` to `HalfOpen` happens here, lazily, when the
     /// cooldown has elapsed; the first caller after that gets the probe
-    /// slot.
+    /// slot, and so does the first caller a cooldown after a probe that
+    /// has not reported.
     pub fn allows(&mut self, now: SimTime) -> bool {
-        match self.state {
-            BreakerState::Closed => true,
-            BreakerState::Open => {
-                if now.saturating_since(self.opened_at) >= self.policy.cooldown {
-                    self.transition(BreakerState::HalfOpen);
-                    self.probe_in_flight = true;
-                    true
-                } else {
-                    false
-                }
-            }
-            BreakerState::HalfOpen => {
-                if self.probe_in_flight {
-                    false
-                } else {
-                    self.probe_in_flight = true;
-                    true
-                }
-            }
+        if self.state == BreakerState::Closed {
+            return true;
         }
+        if now.saturating_since(self.since) < self.policy.cooldown {
+            return false;
+        }
+        self.transition(BreakerState::HalfOpen);
+        self.since = now;
+        true
     }
 
     /// Record an invocation result for this pool.
@@ -208,18 +198,17 @@ impl CircuitBreaker {
                     self.consecutive_failures += 1;
                     if self.consecutive_failures >= self.policy.failure_threshold {
                         self.transition(BreakerState::Open);
-                        self.opened_at = now;
+                        self.since = now;
                     }
                 }
             }
             BreakerState::HalfOpen => {
-                self.probe_in_flight = false;
                 if success {
                     self.consecutive_failures = 0;
                     self.transition(BreakerState::Closed);
                 } else {
                     self.transition(BreakerState::Open);
-                    self.opened_at = now;
+                    self.since = now;
                 }
             }
             BreakerState::Open => {
@@ -436,6 +425,22 @@ mod tests {
         // Fresh cooldown from the failed probe.
         assert!(!b.allows(at(100)));
         assert!(b.allows(at(121)));
+    }
+
+    #[test]
+    fn a_probe_that_never_reports_is_replaced_after_a_cooldown() {
+        let mut b = CircuitBreaker::new(BreakerPolicy {
+            failure_threshold: 1,
+            cooldown: ms(50),
+        });
+        b.record(false, at(0));
+        assert!(b.allows(at(60)));
+        // The probe is cancelled and never records.
+        assert!(!b.allows(at(100)));
+        assert!(b.allows(at(110)));
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        b.record(true, at(120));
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
