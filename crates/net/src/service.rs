@@ -27,19 +27,22 @@ use std::sync::Arc;
 use std::time::Instant;
 use tt_cache::{Lookup, SemanticCache};
 use tt_core::objective::Objective;
-use tt_core::policy::{Action, Policy, Walk};
+use tt_core::policy::{Policy, Walk};
 use tt_core::profile::{Observation, ProfileMatrix};
 use tt_core::request::{ServiceRequest, Tolerance};
 use tt_core::rulegen::{RoutingRuleGenerator, RoutingRules};
 use tt_obs::TraceHandle;
 use tt_serve::billing::{BillingReport, TierEconomics, TierPriceSchedule};
 use tt_serve::frontend::TieredFrontend;
-use tt_serve::live::{ModelCall, WorkerPool};
+use tt_serve::live::WorkerPool;
 use tt_serve::planner::{
     Planner, PlannerAction, PlannerConfig, PlannerInput, PlannerStatus, ServiceTotals, Tuner,
     TunerConfig,
 };
-use tt_serve::resilience::{BreakerPolicy, CircuitBreaker, ResilienceStats, RetryPolicy};
+use tt_serve::resilience::{
+    BreakerPolicy, CircuitBreaker, Recovery, ResilienceStats, ResilientWalk, RetryPolicy, Slot,
+    Step,
+};
 use tt_serve::supervisor::{
     Supervisor, SupervisorAction, SupervisorConfig, VersionWindow, WindowObservation,
 };
@@ -383,8 +386,7 @@ struct Ledgered {
     tiers: BTreeMap<(&'static str, u32), TierEconomics>,
 }
 
-/// What executing one request accounted: its policy walk's answer and
-/// charges, plus whatever retries and a degrade hop added.
+/// What executing one request accounted: its answer and charges.
 #[derive(Default)]
 struct StageOutcome {
     answered_by: usize,
@@ -398,17 +400,17 @@ struct StageOutcome {
 }
 
 impl StageOutcome {
-    /// Add `walk`'s answer, latency and charges to what `self` holds.
-    fn with_walk(mut self, walk: &Walk) -> Self {
-        self.answered_by = walk.answered_by().unwrap_or(self.answered_by);
-        self.sim_latency_us = walk.latency_us();
-        self.busy_us += walk.busy_us();
-        self.invocations += walk.invocations();
-        self
+    /// What an answered request accounted.
+    fn answered(request: &ResilientWalk<'_>) -> Self {
+        StageOutcome {
+            answered_by: request.answered_by().expect("the request answered"),
+            degraded: request.degraded(),
+            sim_latency_us: request.latency_us(),
+            busy_us: request.busy_us(),
+            invocations: request.invocations(),
+        }
     }
 }
-
-type StageCall = ModelCall<Result<usize, ()>>;
 
 /// Continuation receiving a request's outcome on the async execution
 /// path. Runs on the caller's thread when the request executed
@@ -445,7 +447,6 @@ struct Opened {
 /// bit-identical per-tier billing is structural, not coincidental.
 struct Accounts {
     matrix: Arc<ProfileMatrix>,
-    stats: Arc<Mutex<ResilienceStats>>,
     state: Arc<Mutex<Ledgered>>,
     obs: Option<Arc<Observability>>,
     served: AtomicUsize,
@@ -470,7 +471,7 @@ impl Accounts {
         let Opened {
             tier,
             rebilled,
-            declared_tolerance,
+            declared_tolerance: _,
             brownout,
             policy,
             payload,
@@ -482,14 +483,6 @@ impl Accounts {
         let obs = self.matrix.get(payload, stage.answered_by);
         let quality_err = obs.quality_err;
         let confidence = obs.confidence;
-        if stage.degraded {
-            let mut stats = self.stats.lock();
-            stats.degraded_responses += 1;
-            let intended = policy.execute(&self.matrix, payload).quality_err;
-            if quality_err - intended > declared_tolerance + 1e-12 {
-                stats.tolerance_violations_under_fault += 1;
-            }
-        }
 
         let price = billed.price;
         let responded = arrival + SimDuration::from_micros(stage.sim_latency_us);
@@ -572,93 +565,42 @@ impl Accounts {
     }
 }
 
-/// The service state one model invocation reads and updates.
-#[derive(Clone, Copy)]
-struct CallEnv<'a> {
-    health: &'a VersionHealth,
-    faults: Option<&'a Mutex<FaultPlan>>,
-    breakers: &'a Mutex<Vec<CircuitBreaker>>,
-    stats: &'a Mutex<ResilienceStats>,
+/// One model invocation: sleep the share of `obs`'s latency (scaled by
+/// `scale`) the fault it drew at launch lets it run, inside a
+/// `model_call` span under `span`'s `(handle, parent, attempt)`. It
+/// reports the fault and its profiled confidence.
+fn model_call(
     started: Instant,
     scale: f64,
-}
-
-impl CallEnv<'_> {
-    /// One model invocation: an optionally-slept lookup of the
-    /// profiled observation `obs` whose failure behaviour comes from
-    /// the seeded fault plan, with breaker bookkeeping folded in and a
-    /// `model_call` span under `span`'s `(handle, parent, attempt)`.
-    fn invoke(
-        &self,
-        version: usize,
-        obs: Observation,
-        span: Option<(&TraceHandle, u32, u32)>,
-    ) -> (Result<usize, ()>, f64) {
-        let CallEnv {
-            health,
-            faults,
-            breakers,
-            stats,
-            started,
-            scale,
-        } = *self;
-        health.attempts[version].fetch_add(1, Ordering::SeqCst);
-        let call_span = span.map(|(handle, parent, attempt)| {
-            let wall_us = started.elapsed().as_micros() as u64;
-            let id = handle.open("model_call", Some(parent), wall_us);
-            handle.attr_int(id, "version", version as i64);
-            handle.attr_int(id, "attempt", i64::from(attempt));
-            id
-        });
-        let fault = match faults {
-            Some(plan) => plan.lock().draw(version),
-            None => FaultOutcome::None,
-        };
-        let nominal_secs = obs.latency_us as f64 * 1e-6 * scale;
-        let sleep = |factor: f64| {
-            if nominal_secs > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(nominal_secs * factor));
-            }
-        };
-        let now = SimTime::from_micros(started.elapsed().as_micros() as u64);
-        let record = |success: bool| {
-            if let Some(b) = breakers.lock().get_mut(version) {
-                b.record(success, now);
-            }
-        };
-        let (result, outcome) = match fault {
-            FaultOutcome::None => {
-                sleep(1.0);
-                record(true);
-                ((Ok(version), obs.confidence), "ok")
-            }
-            FaultOutcome::Straggler { factor } => {
-                sleep(factor);
-                record(true);
-                stats.lock().slow_invocations += 1;
-                ((Ok(version), obs.confidence), "straggler")
-            }
-            FaultOutcome::Crash { at_fraction } => {
-                sleep(at_fraction);
-                record(false);
-                stats.lock().failed_invocations += 1;
-                health.failures[version].fetch_add(1, Ordering::SeqCst);
-                ((Err(()), 0.0), "crash")
-            }
-            FaultOutcome::Transient => {
-                sleep(1.0);
-                record(false);
-                stats.lock().failed_invocations += 1;
-                health.failures[version].fetch_add(1, Ordering::SeqCst);
-                ((Err(()), 0.0), "transient")
-            }
-        };
-        if let (Some(id), Some((handle, _, _))) = (call_span, span) {
-            handle.attr_str(id, "outcome", outcome);
-            handle.close(id, started.elapsed().as_micros() as u64);
-        }
-        result
+    version: usize,
+    obs: Observation,
+    fault: FaultOutcome,
+    span: Option<(&TraceHandle, u32, u32)>,
+) -> (FaultOutcome, f64) {
+    let wall_us = || started.elapsed().as_micros() as u64;
+    let call_span = span.map(|(handle, parent, attempt)| {
+        let id = handle.open("model_call", Some(parent), wall_us());
+        handle.attr_int(id, "version", version as i64);
+        handle.attr_int(id, "attempt", i64::from(attempt));
+        (handle, id)
+    });
+    let occupancy = fault.occupancy(SimDuration::from_micros(obs.latency_us));
+    if scale > 0.0 && occupancy > SimDuration::ZERO {
+        std::thread::sleep(std::time::Duration::from_secs_f64(
+            occupancy.as_secs_f64() * scale,
+        ));
     }
+    if let Some((handle, id)) = call_span {
+        let outcome = match fault {
+            FaultOutcome::None => "ok",
+            FaultOutcome::Straggler { .. } => "straggler",
+            FaultOutcome::Crash { .. } => "crash",
+            FaultOutcome::Transient => "transient",
+        };
+        handle.attr_str(id, "outcome", outcome);
+        handle.close(id, wall_us());
+    }
+    (fault, obs.confidence)
 }
 
 /// Lock-free per-version health: lifetime counters the supervisor
@@ -736,7 +678,7 @@ pub struct ComputeService {
     /// publishes a new table here and nowhere else.
     tiers: Arc<LiveTiers>,
     config: ServiceConfig,
-    pool: WorkerPool<Result<usize, ()>>,
+    pool: WorkerPool<FaultOutcome>,
     breakers: Arc<Mutex<Vec<CircuitBreaker>>>,
     faults: Option<Arc<Mutex<FaultPlan>>>,
     stats: Arc<Mutex<ResilienceStats>>,
@@ -761,8 +703,8 @@ pub struct ComputeService {
     rules_epoch: AtomicU64,
     accounts: Arc<Accounts>,
     started: Instant,
-    /// Versions by ascending mean profiled latency ("cheaper" first).
-    version_order: Vec<usize>,
+    /// Retries, degradation, and the cheapest-first re-route order.
+    recovery: Recovery,
     /// The request-coalescing queue, when `config.batch.enabled`.
     batcher: Option<Batcher>,
 }
@@ -797,21 +739,6 @@ impl ComputeService {
         }
         config.retry.validate().expect("retry policy must be valid");
         let versions = matrix.versions();
-        let mean_latency: Vec<f64> = (0..versions)
-            .map(|v| {
-                (0..matrix.requests())
-                    .map(|r| matrix.get(r, v).latency_us as f64)
-                    .sum::<f64>()
-                    / matrix.requests().max(1) as f64
-            })
-            .collect();
-        let mut version_order: Vec<usize> = (0..versions).collect();
-        version_order.sort_by(|&a, &b| {
-            mean_latency[a]
-                .partial_cmp(&mean_latency[b])
-                .expect("finite latencies")
-                .then(a.cmp(&b))
-        });
         let breakers = match config.breaker {
             Some(policy) => (0..versions).map(|_| CircuitBreaker::new(policy)).collect(),
             None => Vec::new(),
@@ -876,7 +803,6 @@ impl ComputeService {
             faults: config.faults.clone().map(|p| Arc::new(Mutex::new(p))),
             accounts: Arc::new(Accounts {
                 matrix: Arc::clone(&matrix),
-                stats: Arc::clone(&stats),
                 state: Arc::clone(&state),
                 obs: obs.clone(),
                 served: AtomicUsize::new(0),
@@ -892,7 +818,7 @@ impl ComputeService {
             rules_revision: AtomicU64::new(1),
             rules_epoch: AtomicU64::new(1),
             started,
-            version_order,
+            recovery: Recovery::new(&matrix, config.retry, config.degrade),
             batcher: config
                 .batch
                 .enabled
@@ -1017,209 +943,154 @@ impl ComputeService {
         }
     }
 
-    /// Account one shed: demand a version's breaker (or quarantine)
-    /// turned away — the supervisor's failure-by-proxy signal.
-    fn shed(&self, version: usize, span: Option<(&TraceHandle, u32)>) {
-        self.stats.lock().breaker_sheds += 1;
-        self.health.sheds[version].fetch_add(1, Ordering::SeqCst);
-        if let Some((handle, parent)) = span {
-            handle.attr_str(parent, "breaker", "shed");
-        }
-    }
-
-    /// What a model invocation touches of this service, borrowed: the
-    /// form an inline call (run on the caller's thread) uses.
-    fn call_env(&self) -> CallEnv<'_> {
-        CallEnv {
-            health: &self.health,
-            faults: self.faults.as_deref(),
-            breakers: &self.breakers,
-            stats: &self.stats,
-            started: self.started,
-            scale: self.config.latency_scale,
-        }
-    }
-
-    /// Build one model invocation for a pool worker: it outlives this
-    /// borrow of the service, so it owns its share of the state
-    /// [`CallEnv::invoke`] touches.
-    ///
-    /// `span` carries the request's trace across the pool hand-off:
-    /// the worker thread that executes the call opens a `model_call`
-    /// child span on the HTTP worker's handle.
-    fn make_call(
-        &self,
-        version: usize,
-        payload: usize,
-        span: Option<(TraceHandle, u32, u32)>,
-    ) -> StageCall {
-        let obs = *self.matrix.get(payload, version);
-        let scale = self.config.latency_scale;
-        let faults = self.faults.clone();
-        let breakers = Arc::clone(&self.breakers);
-        let stats = Arc::clone(&self.stats);
-        let health = Arc::clone(&self.health);
-        let started = self.started;
-        Box::new(move || {
-            let env = CallEnv {
-                health: &health,
-                faults: faults.as_deref(),
-                breakers: &breakers,
-                stats: &stats,
-                started,
-                scale,
-            };
-            let span = span
-                .as_ref()
-                .map(|(handle, parent, attempt)| (handle, *parent, *attempt));
-            env.invoke(version, obs, span)
-        })
-    }
-
-    /// Run `version` on this thread under the retry policy, charging
-    /// every attempt past the first `skip` to `out`. Returns the
-    /// confidence, or the failure once the retries are spent.
-    fn run_stage(
-        &self,
-        version: usize,
-        payload: usize,
-        out: &mut StageOutcome,
-        skip: u64,
-        span: Option<(&TraceHandle, u32)>,
-    ) -> Result<f64, ()> {
-        // Attempts run on this thread under a pool permit, so each
-        // borrows the service and the trace: no box, no handle clone.
-        let (env, obs) = (self.call_env(), *self.matrix.get(payload, version));
-        let mut attempts = 0u32;
-        let result = self.pool.call_with_retry(
-            || {
-                attempts += 1;
-                let attempt = attempts;
-                move || {
-                    let span = span.map(|(handle, parent)| (handle, parent, attempt));
-                    env.invoke(version, obs, span)
-                }
-            },
-            &self.config.retry,
-        );
-        let attempts = u64::from(attempts);
-        out.invocations += attempts - skip;
-        out.busy_us += obs.latency_us * (attempts - skip);
-        if attempts > 1 {
-            self.stats.lock().retries += (attempts - 1) as usize;
+    /// Breaker admission for a request's [`ResilientWalk`]: whether
+    /// `version` may run now. A refusal is demand the version's breaker
+    /// (or quarantine) turned away — the supervisor's failure-by-proxy
+    /// signal — and marks the request's span.
+    fn admit_launch(&self, version: usize, span: Option<(&TraceHandle, u32)>) -> bool {
+        let admitted = self.allows(version);
+        if !admitted {
+            self.health.sheds[version].fetch_add(1, Ordering::SeqCst);
             if let Some((handle, parent)) = span {
-                handle.attr_int(parent, "retries", (attempts - 1) as i64);
+                handle.attr_str(parent, "breaker", "shed");
             }
         }
-        result.map(|(_, confidence)| confidence)
+        admitted
     }
 
-    /// The nearest strictly-cheaper version whose breaker accepts work.
-    fn degrade_target(&self, from: usize) -> Option<usize> {
-        let pos = self.version_order.iter().position(|&v| v == from)?;
-        self.version_order[..pos]
-            .iter()
-            .rev()
-            .copied()
-            .find(|&v| self.allows(v))
-    }
-
-    /// Last resort: answer from a cheaper sibling, or give up.
-    fn degrade_or_fail(
-        &self,
-        failed: usize,
-        payload: usize,
-        mut out: StageOutcome,
-        span: Option<(&TraceHandle, u32)>,
-    ) -> Result<StageOutcome, ServiceError> {
-        if self.config.degrade {
-            if let Some(alt) = self.degrade_target(failed) {
-                let degrade_span = span.map(|(handle, parent)| {
-                    let id = handle.open("degrade", Some(parent), self.wall_us());
-                    handle.attr_int(id, "from", failed as i64);
-                    handle.attr_int(id, "to", alt as i64);
-                    (handle, id)
-                });
-                let served = self
-                    .run_stage(alt, payload, &mut out, 0, degrade_span)
-                    .is_ok();
-                if let Some((handle, id)) = degrade_span {
-                    handle.attr_str(id, "outcome", if served { "served" } else { "failed" });
-                    handle.close(id, self.wall_us());
-                }
-                if served {
-                    out.answered_by = alt;
-                    out.degraded = true;
-                    out.sim_latency_us += self.matrix.get(payload, alt).latency_us;
-                    return Ok(out);
-                }
+    /// Record a call that ended with `fault` on its version's breaker
+    /// and in the fault tallies.
+    fn book(&self, version: usize, fault: FaultOutcome) {
+        let usable = fault.completion().is_usable();
+        if let Some(b) = self.breakers.lock().get_mut(version) {
+            b.record(usable, self.now());
+        }
+        match fault {
+            FaultOutcome::None => {}
+            FaultOutcome::Straggler { .. } => self.stats.lock().slow_invocations += 1,
+            FaultOutcome::Crash { .. } | FaultOutcome::Transient => {
+                self.stats.lock().failed_invocations += 1;
+                self.health.failures[version].fetch_add(1, Ordering::SeqCst);
             }
         }
-        Err(ServiceError::Unavailable)
     }
 
-    /// Walk `policy` for `payload` on the worker pool, under breakers,
-    /// retries and the fault plan. A stage the walk asks for runs on
-    /// this thread, with retries; a stage asked for alongside it (a
-    /// concurrent cascade's accurate version) runs once on a pool
-    /// worker, where an early-terminating answer can cancel it.
-    fn run_policy(
+    /// Book a call that ended and report it to its request.
+    fn observe(
         &self,
-        policy: Policy,
-        payload: usize,
-        span: Option<(&TraceHandle, u32)>,
-    ) -> Result<StageOutcome, ServiceError> {
-        let mut walk = Walk::new(&policy, self.matrix.request_row(payload));
-        // The walk charges one attempt per stage; retries land here.
-        let mut out = StageOutcome::default();
+        request: &mut ResilientWalk<'_>,
+        slot: Slot,
+        (fault, confidence): (FaultOutcome, f64),
+    ) {
+        self.book(request.version(slot), fault);
+        if fault.completion().is_usable() {
+            request.landed(slot, confidence);
+        } else {
+            request.failed(slot);
+        }
+    }
+
+    /// Drive `opened`'s [`ResilientWalk`] on the worker pool, under the
+    /// breakers and the fault plan. A launch draws its fault when it
+    /// launches and runs on this thread; a second launch at once (a
+    /// concurrent cascade's accurate stage) runs on a pool worker, where
+    /// an early-terminating answer can cancel it. A retry sleeps its
+    /// backoff. A call is booked when it ends here: a cancelled one
+    /// never, a finish-out still running at the answer as it drew.
+    fn run_policy(&self, opened: &Opened, span: Option<(&TraceHandle, u32)>) -> ResilientWalk<'_> {
+        let row = self.matrix.request_row(opened.payload);
+        let mut request = ResilientWalk::new(
+            opened.policy,
+            row,
+            opened.declared_tolerance,
+            &self.recovery,
+        );
+        let (started, scale) = (self.started, self.config.latency_scale);
         let mut pooled = None;
+        // The current re-route's `degrade` span: (version, id).
+        let mut hop: Option<(usize, u32)> = None;
         loop {
-            let mut inline = None;
-            while let Some(action) = walk.poll() {
-                match action {
-                    Action::Invoke(stage) => {
-                        let version = walk.version(stage);
-                        if !self.allows(version) {
-                            self.shed(version, span);
-                            walk.shed(stage);
-                        } else if inline.is_none() {
-                            inline = Some(stage);
+            let (mut inline, mut backoff) = (None, None);
+            while let Some(step) = request.poll(|version| self.admit_launch(version, span)) {
+                match step {
+                    Step::Launch { slot, version } => {
+                        self.health.attempts[version].fetch_add(1, Ordering::SeqCst);
+                        let fault = self
+                            .faults
+                            .as_ref()
+                            .map_or(FaultOutcome::None, |plan| plan.lock().draw(version));
+                        let parent = span.map(|(handle, root)| {
+                            if slot != Slot::Reroute {
+                                return (handle, root);
+                            }
+                            if hop.map(|(v, _)| v) != Some(version) {
+                                if let Some((_, id)) = hop {
+                                    handle.attr_str(id, "outcome", "failed");
+                                    handle.close(id, self.wall_us());
+                                }
+                                let id = handle.open("degrade", Some(root), self.wall_us());
+                                handle.attr_int(id, "from", request.rerouted_from() as i64);
+                                handle.attr_int(id, "to", version as i64);
+                                hop = Some((version, id));
+                            }
+                            (handle, hop.map_or(root, |(_, id)| id))
+                        });
+                        let call_span =
+                            parent.map(|(handle, id)| (handle, id, request.attempt(slot)));
+                        let obs = row[version];
+                        if inline.is_none() {
+                            inline = Some((slot, version, obs, fault, call_span));
                         } else {
-                            let span = span.map(|(handle, parent)| (handle.clone(), parent, 1));
-                            let call = self.make_call(version, payload, span);
-                            pooled = Some((stage, self.pool.submit_cancellable(call)));
+                            let span = call_span.map(|(h, parent, n)| (h.clone(), parent, n));
+                            let call = Box::new(move || {
+                                let span = span.as_ref().map(|(h, parent, n)| (h, *parent, *n));
+                                model_call(started, scale, version, obs, fault, span)
+                            });
+                            pooled = Some((slot, fault, self.pool.submit_cancellable(call)));
                         }
                     }
-                    Action::Cancel(stage) => {
-                        if let Some((_, (_, cancel))) = pooled.as_ref().filter(|(s, _)| *s == stage)
-                        {
+                    Step::Cancel(slot) => {
+                        if let Some((_, _, (_, cancel))) = pooled.take_if(|(s, ..)| *s == slot) {
                             cancel.store(true, Ordering::Relaxed);
                         }
                     }
-                    Action::Answer { degraded, .. } => out.degraded = degraded,
-                    Action::Exhausted => {
-                        let last = walk.version(walk.stages() - 1);
-                        return self.degrade_or_fail(last, payload, out.with_walk(&walk), span);
-                    }
+                    Step::Retry { slot, delay, .. } => backoff = Some((slot, delay)),
+                    Step::Answer { .. } | Step::Drop => {}
                 }
             }
-            if let Some(stage) = inline {
-                match self.run_stage(walk.version(stage), payload, &mut out, 1, span) {
-                    Ok(confidence) => walk.landed(stage, confidence),
-                    Err(()) => walk.failed(stage),
+            if let Some((slot, version, obs, fault, call_span)) = inline {
+                let ended = self
+                    .pool
+                    .run_inline(|| model_call(started, scale, version, obs, fault, call_span));
+                self.observe(&mut request, slot, ended);
+            } else if let Some((slot, delay)) = backoff {
+                if delay > SimDuration::ZERO {
+                    std::thread::sleep(std::time::Duration::from_secs_f64(delay.as_secs_f64()));
                 }
-            } else if walk.answered_by().is_some() {
-                return Ok(out.with_walk(&walk));
-            } else {
-                let (stage, (reply, _)) = pooled
-                    .take()
-                    .expect("an unanswered walk has a stage running");
+                request.retry_due(slot);
+            } else if let Some((slot, _, (reply, _))) =
+                pooled.take_if(|_| request.answered_by().is_none())
+            {
                 match reply.recv() {
-                    Ok((Ok(_), confidence)) => walk.landed(stage, confidence),
-                    _ => walk.failed(stage),
+                    Ok(ended) => self.observe(&mut request, slot, ended),
+                    Err(_) => request.failed(slot),
                 }
+            } else {
+                break;
             }
         }
+        if let Some((slot, fault, _)) = pooled {
+            self.book(request.version(slot), fault);
+        }
+        if let (Some((handle, _)), Some((_, id))) = (span, hop) {
+            let served = request.answered_by().is_some();
+            handle.attr_str(id, "outcome", if served { "served" } else { "failed" });
+            handle.close(id, self.wall_us());
+        }
+        if request.eventful() {
+            self.stats.lock().record(&request);
+        }
+        request
     }
 
     /// Serve one annotated request end to end: route, execute
@@ -1342,20 +1213,20 @@ impl ComputeService {
         trace: Option<&TraceHandle>,
     ) -> Result<ComputeOutcome, ServiceError> {
         let span = trace.zip(opened.root);
-        match self.run_policy(opened.policy, opened.payload, span) {
-            Ok(stage) => Ok(self.accounts.settle(opened, stage, trace)),
-            Err(e) => {
-                self.stats.lock().dropped_requests += 1;
-                if let Some(obs) = &self.obs {
-                    obs.record_dropped(&opened.tier);
-                }
-                if let Some((handle, id)) = span {
-                    handle.attr_str(id, "outcome", "unavailable");
-                    handle.close(id, self.wall_us());
-                }
-                Err(e)
-            }
+        let request = self.run_policy(&opened, span);
+        if request.answered_by().is_some() {
+            return Ok(self
+                .accounts
+                .settle(opened, StageOutcome::answered(&request), trace));
         }
+        if let Some(obs) = &self.obs {
+            obs.record_dropped(&opened.tier);
+        }
+        if let Some((handle, id)) = span {
+            handle.attr_str(id, "outcome", "unavailable");
+            handle.close(id, self.wall_us());
+        }
+        Err(ServiceError::Unavailable)
     }
 
     /// The semantic result cache, when one is configured.
@@ -1551,7 +1422,15 @@ impl ComputeService {
             .zip(opened.root)
             .map(|(handle, parent)| handle.open("batch", Some(parent), self.wall_us()));
         let key = (request.objective, opened.policy);
-        let stage = StageOutcome::default().with_walk(&walk);
+        let stage = StageOutcome {
+            answered_by: walk
+                .answered_by()
+                .expect("a walk with nothing failing answers"),
+            sim_latency_us: walk.latency_us(),
+            busy_us: walk.busy_us(),
+            invocations: walk.invocations(),
+            ..StageOutcome::default()
+        };
         let sim_latency_us = stage.sim_latency_us;
         let accounts = Arc::clone(&self.accounts);
         let health = Arc::clone(&self.health);

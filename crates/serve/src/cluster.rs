@@ -2,30 +2,33 @@
 //!
 //! A load balancer in front of per-version node pools, executing each
 //! request's tier policy with real queueing. What runs when is the
-//! request's [`Walk`], fed completions in simulated-time order:
-//! sequential cascades admit the accurate version only after a
-//! disappointing cheap answer, concurrent cascades admit both at
-//! arrival, and early termination cancels the in-flight accurate
+//! request's [`Walk`](tt_core::policy::Walk), fed completions in
+//! simulated-time order: sequential cascades admit the accurate version
+//! only after a disappointing cheap answer, concurrent cascades admit
+//! both at arrival, and early termination cancels the in-flight accurate
 //! invocation the moment a confident cheap answer lands — refunding the
 //! unused busy time, which is exactly where the ET policy's IaaS
 //! savings come from (paper §IV-C).
 //!
-//! On top of the fault-free core sits a resilience layer
-//! ([`crate::resilience`]): invocations may crash, error, or straggle
-//! according to a seeded [`tt_sim::FaultPlan`], and the cluster responds
-//! with per-request retries (capped exponential backoff), per-pool
-//! circuit breakers that shed load to sibling pools, deadlines derived
-//! from each tier's guaranteed latency, hedged launches for sequential
-//! cascades, and graceful degradation to cheaper versions — with the
-//! accuracy cost of that degradation reported as tolerance violations.
+//! Invocations may crash, error, or straggle according to a seeded
+//! [`tt_sim::FaultPlan`]. What a request does about it — retries with
+//! capped exponential backoff, breaker sheds to sibling pools, graceful
+//! degradation to cheaper versions, and the tolerance violations that
+//! degradation costs — is its [`ResilientWalk`]'s to decide. The
+//! simulator only drives it: the event queue is its clock and supplies
+//! the retry backoff, the hedge timer of sequential cascades and the
+//! deadline derived from each tier's guaranteed latency; the node pools
+//! run its launches; the per-pool circuit breakers admit them.
 //! [`ClusterSim::run`] uses [`ResilienceConfig::disabled`], which
 //! reproduces the fault-free simulation bit-for-bit.
 
 use crate::frontend::TieredFrontend;
 use crate::pricing::PricingCatalog;
-use crate::resilience::{CircuitBreaker, ResilienceConfig, ResilienceStats, RetryPolicy};
+use crate::resilience::{
+    CircuitBreaker, Recovery, ResilienceConfig, ResilienceStats, ResilientWalk, Slot, Step,
+};
 use crate::trace::{TraceEvent, TraceRecorder};
-use tt_core::policy::{Action, Policy, Walk};
+use tt_core::policy::Policy;
 use tt_core::profile::ProfileMatrix;
 use tt_core::request::ServiceRequest;
 use tt_sim::engine::EventToken;
@@ -97,45 +100,25 @@ pub struct ServingReport {
 }
 
 #[derive(Debug)]
-struct InFlight {
-    policy: Policy,
-    /// The request's walk through its policy's stages.
-    walk: Walk,
+struct InFlight<'r> {
+    /// The request's policy walk under the resilience rules.
+    request: ResilientWalk<'r>,
     arrival: SimTime,
-    responded: bool,
-    dropped: bool,
-    /// Whether an invocation was admitted yet: the first one records
-    /// the request's queueing delay.
-    launched: bool,
-    /// Invocations (and pending retries) currently in flight.
-    outstanding: u32,
-    /// Retry budget consumed (shared across the request's stages).
-    retries_used: u32,
-    /// Per stage, the job a cancellation releases: the walk's own
-    /// launch of that stage, until it completes (retries are not
-    /// cancellable).
-    jobs: [Option<(JobId, EventToken)>; 3],
-    hedge_token: Option<EventToken>,
-    deadline_token: Option<EventToken>,
+    /// Per slot, the running job a cancellation releases.
+    jobs: [Option<(JobId, EventToken)>; 4],
 }
-
-/// An invocation's place in its request: a stage of the walk, or
-/// `None` for a re-route to a sibling the policy does not name.
-type StageRef = Option<usize>;
 
 #[derive(Debug)]
 enum Event {
     Arrival(usize),
     Done {
         flight: usize,
-        stage: StageRef,
-        version: usize,
+        slot: Slot,
         completion: JobCompletion,
     },
     Retry {
         flight: usize,
-        stage: StageRef,
-        version: usize,
+        slot: Slot,
     },
     Hedge {
         flight: usize,
@@ -153,13 +136,14 @@ pub struct ClusterSim<'a> {
 }
 
 /// Mutable state of one simulation run, shared by the event handlers.
-struct RunState<'m, 'r> {
-    matrix: &'m ProfileMatrix,
+struct RunState<'r> {
+    matrix: &'r ProfileMatrix,
     pricing: &'r PricingCatalog,
     arrivals: &'r [(SimTime, ServiceRequest)],
+    recovery: &'r Recovery,
     pools: Vec<ServiceNode>,
     queue: EventQueue<Event>,
-    flights: Vec<InFlight>,
+    flights: Vec<InFlight<'r>>,
     ledger: CostLedger,
     latency: LatencyRecorder,
     queueing: LatencyRecorder,
@@ -168,99 +152,59 @@ struct RunState<'m, 'r> {
     trace: TraceRecorder,
     stats: ResilienceStats,
     faults: FaultPlan,
-    retry: RetryPolicy,
     /// One breaker per pool; empty when breakers are disabled.
     breakers: Vec<CircuitBreaker>,
     deadline_factor: Option<f64>,
     hedge_factor: Option<f64>,
-    degrade: bool,
-    /// Versions ordered by mean profiled latency, ascending; "cheaper"
-    /// for degradation purposes means earlier in this order.
-    version_order: Vec<usize>,
     /// Deadline per distinct routed policy (memoised `evaluate` calls).
     deadline_cache: Vec<(Policy, SimDuration)>,
 }
 
-impl<'m, 'r> RunState<'m, 'r> {
-    fn allows(&mut self, version: usize, now: SimTime) -> bool {
-        match self.breakers.get_mut(version) {
-            Some(b) => b.allows(now),
-            None => true,
-        }
-    }
-
+impl<'r> RunState<'r> {
     fn breaker_record(&mut self, version: usize, success: bool, now: SimTime) {
         if let Some(b) = self.breakers.get_mut(version) {
             b.record(success, now);
         }
     }
 
-    /// Admit one invocation of `version` for `flight`, drawing its
-    /// fault outcome, charging the invocation, and scheduling its
-    /// completion.
-    fn launch(
-        &mut self,
-        flight: usize,
-        stage: StageRef,
-        version: usize,
-        now: SimTime,
-    ) -> (JobId, EventToken) {
+    /// Admit one invocation of `version` for `flight`'s `slot`, drawing
+    /// its fault outcome, charging the invocation, and scheduling its
+    /// completion. A request's first invocation records its queueing
+    /// delay.
+    fn launch(&mut self, flight: usize, slot: Slot, version: usize, now: SimTime) {
         let payload = self.arrivals[flight].1.payload;
         let service = SimDuration::from_micros(self.matrix.get(payload, version).latency_us);
         let fault = self.faults.draw(version);
         let (timing, job, completion) = self.pools[version].admit_faulty(now, service, fault);
         self.ledger.charge_invocation(self.pricing.api_price());
         let f = &mut self.flights[flight];
-        if !std::mem::replace(&mut f.launched, true) {
+        if f.request.invocations() == 1 {
             self.queueing.record(timing.queueing(now));
         }
-        f.outstanding += 1;
-        let token = self.queue.schedule(
-            timing.finish,
-            Event::Done {
-                flight,
-                stage,
-                version,
-                completion,
-            },
-        );
-        (job, token)
+        let done = Event::Done {
+            flight,
+            slot,
+            completion,
+        };
+        f.jobs[slot.index()] = Some((job, self.queue.schedule(timing.finish, done)));
     }
 
     /// Deliver `flight`'s answer: the single place a response is
     /// recorded (latency, error aggregate, trace event).
-    fn respond(&mut self, flight: usize, now: SimTime, version: usize, err: f64) {
+    fn respond(&mut self, flight: usize, now: SimTime, version: usize) {
         let request = &self.arrivals[flight].1;
-        let f = &mut self.flights[flight];
-        f.responded = true;
-        self.latency.record(now.saturating_since(f.arrival));
+        let arrival = self.flights[flight].arrival;
+        let err = self.matrix.get(request.payload, version).quality_err;
+        self.latency.record(now.saturating_since(arrival));
         self.total_err += err;
         self.trace.record(TraceEvent {
-            arrival: f.arrival,
+            arrival,
             responded: now,
             tolerance: request.tolerance.value(),
             objective: request.objective,
             answered_by: version,
             quality_err: err,
         });
-    }
-
-    /// Respond with an answer the tier policy did not intend (the
-    /// walk's fallback or a cheaper re-route), counting it — and, when
-    /// its extra quality error exceeds the request's advertised
-    /// tolerance relative to the fault-free policy outcome, counting a
-    /// tolerance violation.
-    fn respond_degraded(&mut self, flight: usize, now: SimTime, version: usize, err: f64) {
-        self.stats.degraded_responses += 1;
-        let request = &self.arrivals[flight].1;
-        let intended = self.flights[flight]
-            .policy
-            .execute(self.matrix, request.payload)
-            .quality_err;
-        if err - intended > request.tolerance.value() + 1e-12 {
-            self.stats.tolerance_violations_under_fault += 1;
-        }
-        self.respond(flight, now, version, err);
     }
 
     /// The deadline span for a policy: `deadline_factor` times the
@@ -279,132 +223,34 @@ impl<'m, 'r> RunState<'m, 'r> {
         Some(d)
     }
 
-    /// The nearest strictly-cheaper version whose pool accepts work.
-    fn degrade_target(&mut self, from: usize, now: SimTime) -> Option<usize> {
-        let pos = self.version_order.iter().position(|&v| v == from)?;
-        let order = self.version_order.clone();
-        order[..pos]
-            .iter()
-            .rev()
-            .copied()
-            .find(|&v| self.allows(v, now))
-    }
-
-    /// A sibling pool for shedding: nearest cheaper preferred, else
-    /// nearest more expensive — answering beats dropping.
-    fn shed_target(&mut self, from: usize, now: SimTime) -> Option<usize> {
-        let pos = self.version_order.iter().position(|&v| v == from)?;
-        let order = self.version_order.clone();
-        order[..pos]
-            .iter()
-            .rev()
-            .copied()
-            .chain(order[pos + 1..].iter().copied())
-            .find(|&v| self.allows(v, now))
-    }
-
-    fn drop_request(&mut self, flight: usize) {
-        if self.flights[flight].dropped || self.flights[flight].responded {
-            return;
-        }
-        self.flights[flight].dropped = true;
-        self.stats.dropped_requests += 1;
-        if let Some(tok) = self.flights[flight].deadline_token.take() {
-            self.queue.cancel(tok);
-        }
-        if let Some(tok) = self.flights[flight].hedge_token.take() {
-            self.queue.cancel(tok);
-        }
-    }
-
-    /// Resolve a request with nothing in flight and nothing left in its
-    /// walk: re-route to a version cheaper than `failed`, or drop. A
-    /// request whose walk never admitted anything sheds to any sibling
-    /// instead.
-    fn degrade_or_drop(&mut self, flight: usize, failed: usize, now: SimTime) {
-        let f = &self.flights[flight];
-        if f.responded || f.dropped || f.outstanding > 0 {
-            return;
-        }
-        let target = if !f.launched {
-            self.shed_target(failed, now)
-        } else if self.degrade {
-            self.degrade_target(failed, now)
-        } else {
-            None
-        };
-        match target {
-            Some(alt) => {
-                self.launch(flight, None, alt, now);
-            }
-            None => self.drop_request(flight),
-        }
-    }
-
-    /// Carry out what `flight`'s walk asks for. `failed` is the version
-    /// a re-route starts from should the walk run out of stages; a hedge
-    /// counts its launch and sheds nothing when the breaker refuses.
-    fn drive(&mut self, flight: usize, failed: usize, hedge: bool, now: SimTime) {
-        while let Some(action) = self.flights[flight].walk.poll() {
-            match action {
-                Action::Invoke(stage) => {
-                    let version = self.flights[flight].walk.version(stage);
-                    if self.allows(version, now) {
-                        self.stats.hedges += usize::from(hedge);
-                        self.flights[flight].jobs[stage] =
-                            Some(self.launch(flight, Some(stage), version, now));
-                    } else {
-                        self.stats.breaker_sheds += usize::from(!hedge);
-                        self.flights[flight].walk.shed(stage);
-                    }
-                }
-                Action::Cancel(stage) => {
-                    if let Some((job, token)) = self.flights[flight].jobs[stage].take() {
-                        if self.queue.cancel(token) {
-                            self.flights[flight].outstanding -= 1;
-                        }
-                        let version = self.flights[flight].walk.version(stage);
-                        if self.pools[version].release_early(job, now) {
+    /// Carry out what `flight`'s resilient walk asks for, admitting
+    /// launches through the pools' breakers.
+    fn drive(&mut self, flight: usize, now: SimTime) {
+        loop {
+            let breakers = &mut self.breakers;
+            let admit = |version: usize| breakers.get_mut(version).is_none_or(|b| b.allows(now));
+            let Some(step) = self.flights[flight].request.poll(admit) else {
+                return;
+            };
+            match step {
+                Step::Launch { slot, version } => self.launch(flight, slot, version, now),
+                Step::Cancel(slot) => {
+                    let f = &mut self.flights[flight];
+                    if let Some((job, token)) = f.jobs[slot.index()].take() {
+                        self.queue.cancel(token);
+                        if self.pools[f.request.version(slot)].release_early(job, now) {
                             self.early_terminations += 1;
                         }
                     }
                 }
-                Action::Answer { stage, degraded } => {
-                    let version = self.flights[flight].walk.version(stage);
-                    let payload = self.arrivals[flight].1.payload;
-                    let err = self.matrix.get(payload, version).quality_err;
-                    if degraded {
-                        self.respond_degraded(flight, now, version, err);
-                    } else {
-                        self.respond(flight, now, version, err);
-                    }
+                Step::Retry { slot, delay, .. } => {
+                    self.queue
+                        .schedule(now + delay, Event::Retry { flight, slot });
                 }
-                Action::Exhausted => self.degrade_or_drop(flight, failed, now),
+                Step::Answer { version, .. } => self.respond(flight, now, version),
+                Step::Drop => {}
             }
         }
-    }
-
-    /// Feed the walk stage `stage`'s outcome (`Some(confidence)` when
-    /// it landed). The hedge timer only ever races the first stage.
-    fn resolve(
-        &mut self,
-        flight: usize,
-        stage: usize,
-        version: usize,
-        landed: Option<f64>,
-        now: SimTime,
-    ) {
-        let f = &mut self.flights[flight];
-        if stage == 0 {
-            if let Some(tok) = f.hedge_token.take() {
-                self.queue.cancel(tok);
-            }
-        }
-        match landed {
-            Some(confidence) => f.walk.landed(stage, confidence),
-            None => f.walk.failed(stage),
-        }
-        self.drive(flight, version, false, now);
     }
 
     fn on_arrival(&mut self, frontend: &TieredFrontend, index: usize, now: SimTime) {
@@ -413,148 +259,64 @@ impl<'m, 'r> RunState<'m, 'r> {
         policy
             .validate(self.matrix.versions())
             .expect("frontend produced a valid policy");
-        let walk = Walk::new(&policy, self.matrix.request_row(request.payload));
+        let row = self.matrix.request_row(request.payload);
+        let walk = ResilientWalk::new(policy, row, request.tolerance.value(), self.recovery);
         let flight = self.flights.len();
         self.flights.push(InFlight {
-            policy,
-            walk,
+            request: walk,
             arrival: now,
-            responded: false,
-            dropped: false,
-            launched: false,
-            outstanding: 0,
-            retries_used: 0,
-            jobs: [None; 3],
-            hedge_token: None,
-            deadline_token: None,
+            jobs: [None; 4],
         });
-        let entry = walk.version(0);
-        self.drive(flight, entry, false, now);
-        if self.flights[flight].dropped {
-            return;
-        }
+        self.drive(flight, now);
         if let Some(h) = self.hedge_factor.filter(|_| walk.hedgeable()) {
-            let nominal = self.matrix.get(request.payload, entry).latency_us;
+            let nominal = row[walk.version(Slot::Stage(0))].latency_us;
             let fire_at = now + SimDuration::from_micros((nominal as f64 * h).round() as u64);
-            let tok = self.queue.schedule(fire_at, Event::Hedge { flight });
-            self.flights[flight].hedge_token = Some(tok);
+            self.queue.schedule(fire_at, Event::Hedge { flight });
         }
         if let Some(span) = self.deadline_for(policy) {
-            let tok = self.queue.schedule(now + span, Event::Deadline { flight });
-            self.flights[flight].deadline_token = Some(tok);
+            self.queue.schedule(now + span, Event::Deadline { flight });
         }
     }
 
-    fn on_success(&mut self, flight: usize, stage: StageRef, version: usize, now: SimTime) {
-        let f = &self.flights[flight];
-        if f.responded || f.dropped {
-            return;
-        }
-        let obs = *self.matrix.get(self.arrivals[flight].1.payload, version);
-        match stage {
-            Some(stage) => self.resolve(flight, stage, version, Some(obs.confidence), now),
-            None => self.respond_degraded(flight, now, version, obs.quality_err),
-        }
-    }
-
-    /// An invocation failed: retry it while the budget and its breaker
-    /// allow (the breaker is asked once, here), else give the stage up.
-    fn on_failure(&mut self, flight: usize, stage: StageRef, version: usize, now: SimTime) {
-        if self.flights[flight].responded || self.flights[flight].dropped {
-            return;
-        }
-        if self.flights[flight].retries_used < self.retry.max_retries && self.allows(version, now)
-        {
-            let used = self.flights[flight].retries_used;
-            self.flights[flight].retries_used += 1;
-            self.stats.retries += 1;
-            let delay = self.retry.backoff(used);
-            self.flights[flight].outstanding += 1;
-            self.queue.schedule(
-                now + delay,
-                Event::Retry {
-                    flight,
-                    stage,
-                    version,
-                },
-            );
-            return;
-        }
-        match stage {
-            Some(stage) => self.resolve(flight, stage, version, None, now),
-            None => self.degrade_or_drop(flight, version, now),
-        }
-    }
-
+    /// Feed one event to its request's walk, then drive it. Events for
+    /// a request that has answered or dropped change nothing.
     fn handle(&mut self, frontend: &TieredFrontend, now: SimTime, event: Event) {
-        match event {
-            Event::Arrival(index) => self.on_arrival(frontend, index, now),
+        let flight = match event {
+            Event::Arrival(index) => return self.on_arrival(frontend, index, now),
             Event::Done {
                 flight,
-                stage,
-                version,
+                slot,
                 completion,
             } => {
-                self.flights[flight].outstanding -= 1;
-                if let Some(stage) = stage {
-                    self.flights[flight].jobs[stage] = None;
+                self.flights[flight].jobs[slot.index()] = None;
+                let version = self.flights[flight].request.version(slot);
+                let usable = completion.is_usable();
+                self.stats.failed_invocations += usize::from(!usable);
+                self.stats.slow_invocations += usize::from(completion == JobCompletion::Slow);
+                self.breaker_record(version, usable, now);
+                let payload = self.arrivals[flight].1.payload;
+                let request = &mut self.flights[flight].request;
+                if usable {
+                    request.landed(slot, self.matrix.get(payload, version).confidence);
+                } else {
+                    request.failed(slot);
                 }
-                match completion {
-                    JobCompletion::Failed => {
-                        self.stats.failed_invocations += 1;
-                        self.breaker_record(version, false, now);
-                        self.on_failure(flight, stage, version, now);
-                    }
-                    JobCompletion::Slow => {
-                        self.stats.slow_invocations += 1;
-                        self.breaker_record(version, true, now);
-                        self.on_success(flight, stage, version, now);
-                    }
-                    JobCompletion::Success => {
-                        self.breaker_record(version, true, now);
-                        self.on_success(flight, stage, version, now);
-                    }
-                }
+                flight
             }
-            Event::Retry {
-                flight,
-                stage,
-                version,
-            } => {
-                self.flights[flight].outstanding -= 1;
-                let f = &self.flights[flight];
-                if f.responded || f.dropped {
-                    return;
-                }
-                // The breaker admitted this retry when it was scheduled.
-                self.launch(flight, stage, version, now);
+            Event::Retry { flight, slot } => {
+                self.flights[flight].request.retry_due(slot);
+                flight
             }
             Event::Hedge { flight } => {
-                self.flights[flight].hedge_token = None;
-                let f = &mut self.flights[flight];
-                if f.responded || f.dropped {
-                    return;
-                }
-                // Opportunistic: a refused hedge is no shed, and the
-                // walk still asks for the stage when it escalates.
-                f.walk.hedge();
-                let entry = f.walk.version(0);
-                self.drive(flight, entry, true, now);
+                self.flights[flight].request.hedge();
+                flight
             }
             Event::Deadline { flight } => {
-                self.flights[flight].deadline_token = None;
-                let f = &mut self.flights[flight];
-                if f.responded || f.dropped {
-                    return;
-                }
-                self.stats.deadline_misses += 1;
-                // Deadline pressure: answer now with what the walk has
-                // rather than keep waiting on the intended version.
-                f.walk.deadline();
-                let entry = f.walk.version(0);
-                self.drive(flight, entry, false, now);
+                self.flights[flight].request.deadline();
+                flight
             }
-        }
+        };
+        self.drive(flight, now);
     }
 }
 
@@ -630,26 +392,12 @@ impl<'a> ClusterSim<'a> {
             .expect("retry policy must be valid");
 
         let versions = self.matrix.versions();
-        let mean_latency: Vec<f64> = (0..versions)
-            .map(|v| {
-                (0..self.matrix.requests())
-                    .map(|r| self.matrix.get(r, v).latency_us as f64)
-                    .sum::<f64>()
-                    / self.matrix.requests().max(1) as f64
-            })
-            .collect();
-        let mut version_order: Vec<usize> = (0..versions).collect();
-        version_order.sort_by(|&a, &b| {
-            mean_latency[a]
-                .partial_cmp(&mean_latency[b])
-                .expect("finite latencies")
-                .then(a.cmp(&b))
-        });
-
+        let recovery = Recovery::new(self.matrix, resilience.retry, resilience.degrade);
         let mut state = RunState {
             matrix: self.matrix,
             pricing: &self.config.pricing,
             arrivals,
+            recovery: &recovery,
             pools: (0..versions)
                 .map(|_| ServiceNode::new(self.config.slots_per_pool))
                 .collect(),
@@ -669,15 +417,12 @@ impl<'a> ClusterSim<'a> {
                 ..ResilienceStats::default()
             },
             faults: resilience.faults,
-            retry: resilience.retry,
             breakers: match resilience.breaker {
                 Some(policy) => (0..versions).map(|_| CircuitBreaker::new(policy)).collect(),
                 None => Vec::new(),
             },
             deadline_factor: resilience.deadline_factor,
             hedge_factor: resilience.hedge_factor,
-            degrade: resilience.degrade,
-            version_order,
             deadline_cache: Vec::new(),
         };
 
@@ -696,8 +441,15 @@ impl<'a> ClusterSim<'a> {
                 .charge_compute(&self.instance(version), pool.busy_time());
         }
         state.stats.breaker_transitions = state.breakers.iter().map(|b| b.transitions()).sum();
+        for f in &state.flights {
+            state.stats.record(&f.request);
+        }
 
-        let served = state.flights.iter().filter(|f| f.responded).count();
+        let served = state
+            .flights
+            .iter()
+            .filter(|f| f.request.answered_by().is_some())
+            .count();
         ServingReport {
             latency: state.latency,
             queueing: state.queueing,
@@ -715,6 +467,8 @@ impl<'a> ClusterSim<'a> {
     }
 }
 
+#[cfg(test)]
+use crate::resilience::RetryPolicy;
 #[cfg(test)]
 use tt_core::policy::{Scheduling, Termination};
 

@@ -7,20 +7,16 @@
 //! cannot be preempted mid-call, matching how real serving frameworks
 //! cancel between batches).
 //!
-//! The pool runs calls; it knows nothing of policies. What a tier
-//! policy launches, cancels and answers with comes from its
-//! [`tt_core::policy::Walk`], which the caller drives with the pool's
-//! results. [`WorkerPool::call_with_retry`] re-submits failed calls with
-//! the simulator's capped exponential backoff schedule
-//! ([`crate::resilience::RetryPolicy`]).
+//! The pool runs calls; it knows nothing of policies or failures. What
+//! a tier policy launches, cancels, retries and answers with comes from
+//! its [`crate::resilience::ResilientWalk`], which the caller drives
+//! with the pool's results.
 
-use crate::resilience::RetryPolicy;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A counting semaphore bounding in-flight model calls.
 ///
@@ -316,37 +312,6 @@ impl<T: Send + 'static> WorkerPool<T> {
     }
 }
 
-impl<R: Send + 'static, E: Send + 'static> WorkerPool<Result<R, E>> {
-    /// Submit fresh attempts produced by `attempt` until one succeeds
-    /// or the retry budget is exhausted, sleeping the policy's capped
-    /// exponential backoff between attempts — the wall-clock twin of
-    /// the simulated cluster's retry events. Returns the final error
-    /// when every attempt fails. Attempts run inline on the caller's
-    /// thread ([`WorkerPool::run_inline`]), so they may borrow from it.
-    pub fn call_with_retry<F, C>(&self, mut attempt: F, retry: &RetryPolicy) -> Result<(R, f64), E>
-    where
-        F: FnMut() -> C,
-        C: FnOnce() -> (Result<R, E>, f64),
-    {
-        let mut used = 0u32;
-        loop {
-            match self.run_inline(attempt()) {
-                (Ok(result), confidence) => return Ok((result, confidence)),
-                (Err(e), _) => {
-                    if used >= retry.max_retries {
-                        return Err(e);
-                    }
-                    let delay = retry.backoff(used);
-                    used += 1;
-                    if delay > tt_sim::SimDuration::ZERO {
-                        std::thread::sleep(Duration::from_secs_f64(delay.as_secs_f64()));
-                    }
-                }
-            }
-        }
-    }
-}
-
 impl<T: Send + 'static> Drop for WorkerPool<T> {
     fn drop(&mut self) {
         self.shutdown();
@@ -356,7 +321,7 @@ impl<T: Send + 'static> Drop for WorkerPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn executes_submitted_work() {
@@ -529,56 +494,5 @@ mod tests {
         let pool: WorkerPool<u8> = WorkerPool::new(2);
         pool.shutdown();
         pool.shutdown();
-    }
-
-    #[test]
-    fn retry_recovers_from_transient_failures() {
-        let pool: WorkerPool<Result<&'static str, &'static str>> = WorkerPool::new(2);
-        let attempts = Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let retry = RetryPolicy {
-            max_retries: 3,
-            base: tt_sim::SimDuration::from_millis(1),
-            cap: tt_sim::SimDuration::from_millis(2),
-            multiplier: 2.0,
-        };
-        let result = pool.call_with_retry(
-            || {
-                let attempts = Arc::clone(&attempts);
-                Box::new(move || {
-                    if attempts.fetch_add(1, Ordering::SeqCst) < 2 {
-                        (Err("flaky"), 0.0)
-                    } else {
-                        (Ok("answer"), 0.9)
-                    }
-                })
-            },
-            &retry,
-        );
-        assert_eq!(result, Ok(("answer", 0.9)));
-        assert_eq!(attempts.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn retry_budget_exhausts_to_the_final_error() {
-        let pool: WorkerPool<Result<u8, &'static str>> = WorkerPool::new(1);
-        let retry = RetryPolicy {
-            max_retries: 2,
-            base: tt_sim::SimDuration::ZERO,
-            cap: tt_sim::SimDuration::ZERO,
-            multiplier: 1.0,
-        };
-        let attempts = Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let result = pool.call_with_retry(
-            || {
-                let attempts = Arc::clone(&attempts);
-                Box::new(move || {
-                    attempts.fetch_add(1, Ordering::SeqCst);
-                    (Err("down"), 0.0)
-                })
-            },
-            &retry,
-        );
-        assert_eq!(result, Err("down"));
-        assert_eq!(attempts.load(Ordering::SeqCst), 3); // 1 try + 2 retries
     }
 }
