@@ -152,8 +152,9 @@ pub struct ServiceConfig {
     pub retry: RetryPolicy,
     /// Per-version circuit breakers; `None` disables them.
     pub breaker: Option<BreakerPolicy>,
-    /// Answer from a cheaper version when a stage exhausts its options
-    /// (off: such requests get `503`).
+    /// Answer from a cheaper version when the policy's stages fail
+    /// (off: such requests get `503`). A request whose every stage a
+    /// breaker or quarantine refused sheds to a sibling either way.
     pub degrade: bool,
     /// Seeded per-version fault injection; `None` runs fault-free.
     pub faults: Option<FaultPlan>,
@@ -400,15 +401,15 @@ struct StageOutcome {
 }
 
 impl StageOutcome {
-    /// What an answered request accounted.
-    fn answered(request: &ResilientWalk<'_>) -> Self {
-        StageOutcome {
-            answered_by: request.answered_by().expect("the request answered"),
+    /// What `request` accounted, or `None` when it was dropped.
+    fn of(request: &ResilientWalk<'_>) -> Option<Self> {
+        Some(StageOutcome {
+            answered_by: request.answered_by()?,
             degraded: request.degraded(),
             sim_latency_us: request.latency_us(),
             busy_us: request.busy_us(),
             invocations: request.invocations(),
-        }
+        })
     }
 }
 
@@ -997,7 +998,12 @@ impl ComputeService {
     /// an early-terminating answer can cancel it. A retry sleeps its
     /// backoff. A call is booked when it ends here: a cancelled one
     /// never, a finish-out still running at the answer as it drew.
-    fn run_policy(&self, opened: &Opened, span: Option<(&TraceHandle, u32)>) -> ResilientWalk<'_> {
+    /// Returns what the request accounted, or `None` if it dropped.
+    fn run_policy(
+        &self,
+        opened: &Opened,
+        span: Option<(&TraceHandle, u32)>,
+    ) -> Option<StageOutcome> {
         let row = self.matrix.request_row(opened.payload);
         let mut request = ResilientWalk::new(
             opened.policy,
@@ -1090,7 +1096,7 @@ impl ComputeService {
         if request.eventful() {
             self.stats.lock().record(&request);
         }
-        request
+        StageOutcome::of(&request)
     }
 
     /// Serve one annotated request end to end: route, execute
@@ -1213,11 +1219,8 @@ impl ComputeService {
         trace: Option<&TraceHandle>,
     ) -> Result<ComputeOutcome, ServiceError> {
         let span = trace.zip(opened.root);
-        let request = self.run_policy(&opened, span);
-        if request.answered_by().is_some() {
-            return Ok(self
-                .accounts
-                .settle(opened, StageOutcome::answered(&request), trace));
+        if let Some(stage) = self.run_policy(&opened, span) {
+            return Ok(self.accounts.settle(opened, stage, trace));
         }
         if let Some(obs) = &self.obs {
             obs.record_dropped(&opened.tier);

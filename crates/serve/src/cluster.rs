@@ -161,12 +161,6 @@ struct RunState<'r> {
 }
 
 impl<'r> RunState<'r> {
-    fn breaker_record(&mut self, version: usize, success: bool, now: SimTime) {
-        if let Some(b) = self.breakers.get_mut(version) {
-            b.record(success, now);
-        }
-    }
-
     /// Admit one invocation of `version` for `flight`'s `slot`, drawing
     /// its fault outcome, charging the invocation, and scheduling its
     /// completion. A request's first invocation records its queueing
@@ -293,7 +287,9 @@ impl<'r> RunState<'r> {
                 let usable = completion.is_usable();
                 self.stats.failed_invocations += usize::from(!usable);
                 self.stats.slow_invocations += usize::from(completion == JobCompletion::Slow);
-                self.breaker_record(version, usable, now);
+                if let Some(b) = self.breakers.get_mut(version) {
+                    b.record(usable, now);
+                }
                 let payload = self.arrivals[flight].1.payload;
                 let request = &mut self.flights[flight].request;
                 if usable {

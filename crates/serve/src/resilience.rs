@@ -268,9 +268,9 @@ pub struct ResilienceConfig {
     /// accurate version once the cheap stage has been out for this
     /// multiple of its nominal service time; `None` disables hedging.
     pub hedge_factor: Option<f64>,
-    /// Re-route to the next-cheaper version when a request exhausts its
-    /// retries (or its pool's breaker is open); off means such requests
-    /// are dropped.
+    /// Re-route to the next-cheaper version when a request's stages
+    /// fail; off means such requests are dropped. A request whose every
+    /// stage a breaker refused sheds to a sibling either way.
     pub degrade: bool,
 }
 
@@ -413,7 +413,7 @@ pub enum Slot {
 impl Slot {
     /// A dense index for per-slot state: stages `0..3`, the re-route
     /// `3`.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Slot::Stage(k) => k,
             Slot::Reroute => 3,
@@ -616,7 +616,7 @@ impl<'a> ResilientWalk<'a> {
     }
 
     /// Whether a hedge timer applies: a two-stage sequential walk.
-    pub fn hedgeable(&self) -> bool {
+    pub(crate) fn hedgeable(&self) -> bool {
         self.walk.hedgeable()
     }
 
