@@ -1882,21 +1882,32 @@ mod tests {
             );
         }
 
+        // Overfill the ring on a synthetic clock, so the clamp has more
+        // sealed windows than it may return.
+        let store = service.observability().unwrap().windows();
+        let capacity = store.capacity();
+        for k in 1..=capacity as u64 + 3 {
+            store.record_arrival("response-time/0.000");
+            assert_eq!(store.tick(k * store.window_us()), Some(k - 1));
+        }
+        // The window list, without the wall-clock `uptime_ms` and the
+        // cumulative fold around it.
+        let window_list = |n: &str| {
+            let reply = route(
+                &service,
+                &off,
+                &req("GET", &format!("/metrics/windows?n={n}"), &[], b""),
+            );
+            assert_eq!(reply.status, 200, "n={n}");
+            let list = reply.body.split("\"windows\": ").nth(1).unwrap();
+            list.split(", \"cumulative\": ").next().unwrap().to_string()
+        };
         // Numeric n clamps to the ring capacity instead of failing.
-        let capacity = service.observability().unwrap().windows().capacity();
-        let huge = route(
-            &service,
-            &off,
-            &req("GET", "/metrics/windows?n=999999999", &[], b""),
-        );
-        assert_eq!(huge.status, 200);
-        let plain = route(
-            &service,
-            &off,
-            &req("GET", &format!("/metrics/windows?n={capacity}"), &[], b""),
-        );
+        let huge = window_list("999999999");
+        assert_eq!(huge.matches("\"index\": ").count(), capacity);
+        assert!(huge.contains(&format!("\"index\": {}", capacity + 2)));
         // Same ring state, clamped limit: identical window list.
-        assert_eq!(huge.body, plain.body);
+        assert_eq!(huge, window_list(&capacity.to_string()));
         assert_eq!(
             route(
                 &service,
