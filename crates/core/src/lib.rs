@@ -68,9 +68,7 @@ pub use drift::{DriftDetector, DriftVerdict};
 pub use error::CoreError;
 pub use guarantee::{CrossValidator, TierGuarantee, ViolationReport};
 pub use objective::Objective;
-pub use parallel::{
-    available_threads, mix_seed, parallel_map, parallel_map_init, PoolSaturated, TaskPool,
-};
+pub use parallel::{available_threads, mix_seed, parallel_map, parallel_map_init};
 pub use policy::{Policy, PolicyEvaluator, PolicyOutcome, Scheduling, Termination};
 pub use profile::{Observation, ProfileMatrix, ProfileMatrixBuilder, VersionColumns};
 pub use request::{ServiceRequest, Tolerance};

@@ -139,131 +139,6 @@ where
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A task rejected by a saturated [`TaskPool`].
-///
-/// Carries the closure back so the caller can run it inline, queue it
-/// elsewhere, or translate the rejection into backpressure (the network
-/// frontend answers `503 Service Unavailable` with it).
-pub struct PoolSaturated(pub Box<dyn FnOnce() + Send + 'static>);
-
-impl std::fmt::Debug for PoolSaturated {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PoolSaturated(..)")
-    }
-}
-
-impl std::fmt::Display for PoolSaturated {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("task pool saturated (queue full)")
-    }
-}
-
-/// A persistent bounded worker pool for fire-and-forget tasks.
-///
-/// Where [`parallel_map`] fans a *batch* out and joins, a `TaskPool`
-/// stays alive serving a stream of independent tasks — the shape a
-/// network accept loop needs. The queue is **bounded**: when every
-/// worker is busy and the backlog is full, [`TaskPool::try_execute`]
-/// refuses the task instead of queueing without limit, which is the
-/// backpressure signal a server turns into `503`.
-///
-/// Dropping the pool (or calling [`TaskPool::join`]) closes the queue,
-/// lets the workers drain every task already accepted, and joins them —
-/// graceful shutdown, never task loss.
-///
-/// ```
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use std::sync::Arc;
-/// use tt_core::parallel::TaskPool;
-///
-/// let mut pool = TaskPool::new(2, 8);
-/// let done = Arc::new(AtomicUsize::new(0));
-/// for _ in 0..8 {
-///     let done = Arc::clone(&done);
-///     pool.try_execute(move || {
-///         done.fetch_add(1, Ordering::SeqCst);
-///     })
-///     .unwrap();
-/// }
-/// pool.join();
-/// assert_eq!(done.load(Ordering::SeqCst), 8);
-/// ```
-#[derive(Debug)]
-pub struct TaskPool {
-    tx: Option<channel::Sender<Box<dyn FnOnce() + Send + 'static>>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl TaskPool {
-    /// Spawn `workers` threads behind a queue holding at most `backlog`
-    /// waiting tasks (`0` workers means [`available_threads`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backlog == 0` — a zero-depth queue would refuse every
-    /// task that does not land exactly when a worker is blocking on the
-    /// channel.
-    pub fn new(workers: usize, backlog: usize) -> Self {
-        assert!(backlog > 0, "task pool needs a non-empty queue");
-        let workers = if workers == 0 {
-            available_threads()
-        } else {
-            workers
-        };
-        let (tx, rx) = channel::bounded::<Box<dyn FnOnce() + Send + 'static>>(backlog);
-        let handles = (0..workers)
-            .map(|_| {
-                let rx = rx.clone();
-                std::thread::spawn(move || {
-                    while let Ok(task) = rx.recv() {
-                        task();
-                    }
-                })
-            })
-            .collect();
-        TaskPool {
-            tx: Some(tx),
-            workers: handles,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Submit a task, refusing (and returning the closure) when the
-    /// queue is full.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoolSaturated`] carrying the task back when the
-    /// backlog is at capacity.
-    pub fn try_execute(&self, task: impl FnOnce() + Send + 'static) -> Result<(), PoolSaturated> {
-        let tx = self.tx.as_ref().expect("pool not joined");
-        match tx.try_send(Box::new(task)) {
-            Ok(()) => Ok(()),
-            Err(channel::TrySendError::Full(task))
-            | Err(channel::TrySendError::Disconnected(task)) => Err(PoolSaturated(task)),
-        }
-    }
-
-    /// Close the queue, drain every accepted task, and join the
-    /// workers. Idempotent; also runs on drop.
-    pub fn join(&mut self) {
-        drop(self.tx.take());
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for TaskPool {
-    fn drop(&mut self) {
-        self.join();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,79 +222,6 @@ mod tests {
         // wrapping_add-style derivation would alias (s, i+1) with
         // (s+1, i); the hash must not.
         assert_ne!(mix_seed(5, 1), mix_seed(6, 0));
-    }
-
-    #[test]
-    fn task_pool_backpressure_refuses_when_saturated() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::{Arc, Barrier};
-
-        // One worker, one backlog slot: park the worker, fill the slot,
-        // and the third task must bounce.
-        let pool = TaskPool::new(1, 1);
-        let gate = Arc::new(Barrier::new(2));
-        let release = Arc::clone(&gate);
-        pool.try_execute(move || {
-            release.wait();
-        })
-        .unwrap();
-        // The worker may or may not have picked the first task up yet;
-        // keep feeding until a refusal proves the bound bites.
-        let accepted = Arc::new(AtomicUsize::new(0));
-        let mut refused = false;
-        for _ in 0..64 {
-            let accepted = Arc::clone(&accepted);
-            match pool.try_execute(move || {
-                accepted.fetch_add(1, Ordering::SeqCst);
-            }) {
-                Ok(()) => {}
-                Err(PoolSaturated(task)) => {
-                    refused = true;
-                    // The refused closure comes back runnable.
-                    task();
-                    break;
-                }
-            }
-        }
-        assert!(refused, "a 1-deep queue must refuse under load");
-        gate.wait();
-    }
-
-    #[test]
-    fn task_pool_join_drains_accepted_tasks() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        let mut pool = TaskPool::new(2, 64);
-        let done = Arc::new(AtomicUsize::new(0));
-        let mut accepted = 0;
-        for _ in 0..64 {
-            let done = Arc::clone(&done);
-            if pool
-                .try_execute(move || {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    done.fetch_add(1, Ordering::SeqCst);
-                })
-                .is_ok()
-            {
-                accepted += 1;
-            }
-        }
-        pool.join();
-        pool.join(); // idempotent
-        assert_eq!(done.load(Ordering::SeqCst), accepted);
-    }
-
-    #[test]
-    fn task_pool_zero_workers_means_available_parallelism() {
-        let pool = TaskPool::new(0, 4);
-        assert_eq!(pool.workers(), available_threads());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty queue")]
-    fn task_pool_rejects_zero_backlog() {
-        let _ = TaskPool::new(1, 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! link time.
 //!
 //! Only Linux is supported — the crate compiles to an empty shell on
-//! other targets, and `tt-net` falls back to its threaded engine there.
+//! other targets, where `tt-net`'s server refuses to run.
 
 #![warn(missing_docs)]
 

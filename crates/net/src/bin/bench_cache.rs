@@ -1,8 +1,7 @@
 //! Semantic result-cache benchmark: boots the wire-protocol stack with
 //! `tt-cache` ahead of policy evaluation and measures what the cache
-//! buys under key-skewed traffic, on both connection engines, plus the
-//! correctness gates the cache must never trade away. Emits
-//! `BENCH_cache.json`.
+//! buys under key-skewed traffic, plus the correctness gates the cache
+//! must never trade away. Emits `BENCH_cache.json`.
 //!
 //! Usage: `bench_cache [--quick] [--out PATH]`
 //!
@@ -11,11 +10,11 @@
 //! * **Skew curve** — hit ratio, throughput, and p99 as the Zipf
 //!   exponent rises (uniform traffic barely repeats; web-like skew
 //!   repeats constantly). The cache's value is this curve.
-//! * **Engine arms** — cache-on vs cache-off under Zipf(1.2) on the
-//!   threaded engine and on the epoll reactor. With a hit rate ≥ 50%
-//!   the cache-on arm must *strictly dominate*: more throughput and a
-//!   lower p99. In `--quick` mode a violation exits non-zero, so CI
-//!   catches a hit path that got slower than executing.
+//! * **Cache arm** — cache-on vs cache-off under Zipf(1.2). With a hit
+//!   rate ≥ 50% the cache-on arm must *strictly dominate*: more
+//!   throughput and a lower median latency. In `--quick` mode a
+//!   violation exits non-zero, so CI catches a hit path that got
+//!   slower than executing.
 //! * **Billing parity** — a repeat-free (sequential keyspace) run
 //!   bills bit-identically cache-on vs cache-off, and the Zipf runs
 //!   bill identically too: hits settle at the declared tier through
@@ -30,7 +29,7 @@ use std::time::Duration;
 use tt_bench::perfjson::{Json, JsonObject};
 use tt_cache::{CacheConfig, SemanticCache};
 use tt_net::loadgen::{run_load, LoadConfig, LoadReport};
-use tt_net::server::{Engine, RunningServer, Server, ServerConfig};
+use tt_net::server::{RunningServer, Server, ServerConfig};
 use tt_net::service::{ComputeService, ServiceConfig};
 use tt_workloads::Keyspace;
 
@@ -70,11 +69,7 @@ const HEADLINE_SKEW: f64 = 1.2;
 /// Open-loop passes per arm; the lowest-p99 pass is kept.
 const OPEN_PASSES: usize = 3;
 
-fn boot(
-    params: &BenchParams,
-    engine: Engine,
-    cached: bool,
-) -> (Arc<ComputeService>, RunningServer) {
+fn boot(params: &BenchParams, cached: bool) -> (Arc<ComputeService>, RunningServer) {
     let service = Arc::new(tt_net::demo::demo_service(
         params.payloads,
         SEED,
@@ -89,7 +84,6 @@ fn boot(
         "127.0.0.1:0",
         Arc::clone(&service),
         ServerConfig {
-            engine,
             http_workers: params.concurrency,
             backlog: 256,
             keep_alive_timeout: Duration::from_secs(2),
@@ -151,15 +145,15 @@ fn report_json(report: &LoadReport) -> JsonObject {
         .with_num("p99_ms", report.latency_ms(0.99).unwrap_or(0.0))
 }
 
-/// One cache-on vs cache-off comparison on `engine` under the headline
-/// Zipf skew. Throughput is measured closed-loop (each arm at its own
-/// capacity); tail latency is measured open-loop at the *same* offered
-/// rate for both arms — 60% of the cache-off arm's measured capacity —
-/// because a closed loop moves the operating point with the speedup and
-/// makes p99s incomparable. Billing parity covers everything each arm
+/// One cache-on vs cache-off comparison under the headline Zipf skew.
+/// Throughput is measured closed-loop (each arm at its own capacity);
+/// tail latency is measured open-loop at the *same* offered rate for
+/// both arms — 60% of the cache-off arm's measured capacity — because
+/// a closed loop moves the operating point with the speedup and makes
+/// p99s incomparable. Billing parity covers everything each arm
 /// served (warm-up, closed, open): identical seeded multisets must bill
 /// bit-identically whether or not the cache answered.
-struct EngineArm {
+struct CacheArm {
     closed_on: LoadReport,
     closed_off: LoadReport,
     open_on: LoadReport,
@@ -168,10 +162,10 @@ struct EngineArm {
     parity: bool,
 }
 
-fn engine_arm(params: &BenchParams, engine: Engine) -> EngineArm {
+fn cache_arm(params: &BenchParams) -> CacheArm {
     let zipf = Keyspace::Zipf { s: HEADLINE_SKEW };
     let closed = |cached: bool| {
-        let (service, running) = boot(params, engine, cached);
+        let (service, running) = boot(params, cached);
         // Warm (connections, allocator, scheduler — and the cache:
         // steady state is the scenario under test, not a cold start).
         let mut warm = keyed_load(params, zipf.clone(), SEED);
@@ -219,7 +213,7 @@ fn engine_arm(params: &BenchParams, engine: Engine) -> EngineArm {
     let billed_off = billed_tiers(&off_service);
     on_running.stop().expect("graceful stop");
     off_running.stop().expect("graceful stop");
-    EngineArm {
+    CacheArm {
         closed_on,
         closed_off,
         open_on,
@@ -245,10 +239,10 @@ fn main() {
         params.label, params.payloads, params.requests, params.concurrency
     );
 
-    // 1. Hit-rate-vs-skew curve on the threaded engine.
+    // 1. Hit-rate-vs-skew curve.
     let mut curve = Vec::new();
     for s in SKEWS {
-        let (_service, running) = boot(&params, Engine::Threaded, true);
+        let (_service, running) = boot(&params, true);
         let report = run_load(
             running.addr(),
             &keyed_load(&params, Keyspace::Zipf { s }, SEED),
@@ -269,64 +263,55 @@ fn main() {
         .windows(2)
         .all(|w| hit_ratio(&w[1].1) >= hit_ratio(&w[0].1) - 0.02);
 
-    // 2. Cache-on vs cache-off on both engines at the headline skew:
-    // capacity closed-loop, tail latency open-loop at equal offered
-    // rate. Dominance = more throughput AND a lower p99 at equal load.
-    let threaded = engine_arm(&params, Engine::Threaded);
-    let reactor = engine_arm(&params, Engine::Reactor);
-    // The CI gate compares capacity and *median* open-loop latency:
-    // the p50 split (hits answer in microseconds, executions in
-    // milliseconds) is orders of magnitude and cannot flip on a noisy
-    // host, unlike a p99 that is the Nth-slowest request of one pass.
-    // The standard artifact's p99s are stable (60× the sample) and are
-    // recorded per arm as `p99_dominates`.
-    let mut dominance_ok = true;
-    let mut p99_dominates = true;
-    for (engine, arm) in [("threaded", &threaded), ("reactor", &reactor)] {
-        let speedup = if arm.closed_off.throughput_rps() > 0.0 {
-            arm.closed_on.throughput_rps() / arm.closed_off.throughput_rps()
-        } else {
-            0.0
-        };
-        let p = |report: &LoadReport, q: f64| report.latency_ms(q).unwrap_or(0.0);
+    // 2. Cache-on vs cache-off at the headline skew: capacity
+    // closed-loop, latency open-loop at equal offered rate. The CI
+    // gate compares capacity and *median* open-loop latency: the p50
+    // split (hits answer in microseconds, executions in milliseconds)
+    // is orders of magnitude and cannot flip on a noisy host, unlike a
+    // p99 that is the Nth-slowest request of one pass. The standard
+    // artifact's p99s are stable (60× the sample) and are recorded as
+    // `p99_dominates`.
+    let arm = cache_arm(&params);
+    let speedup = if arm.closed_off.throughput_rps() > 0.0 {
+        arm.closed_on.throughput_rps() / arm.closed_off.throughput_rps()
+    } else {
+        0.0
+    };
+    let p = |report: &LoadReport, q: f64| report.latency_ms(q).unwrap_or(0.0);
+    eprintln!(
+        "bench_cache[{}]: capacity {:.0} rps on vs {:.0} rps off ({speedup:.2}x, \
+         hit ratio {:.2}); at {:.0} rps offered: p50 {:.3} ms on vs {:.3} ms off, \
+         p99 {:.2} ms on vs {:.2} ms off",
+        params.label,
+        arm.closed_on.throughput_rps(),
+        arm.closed_off.throughput_rps(),
+        hit_ratio(&arm.closed_on),
+        arm.offered_rate,
+        p(&arm.open_on, 0.50),
+        p(&arm.open_off, 0.50),
+        p(&arm.open_on, 0.99),
+        p(&arm.open_off, 0.99),
+    );
+    assert!(
+        hit_ratio(&arm.closed_on) >= 0.5,
+        "headline skew must reach a 50% hit rate, got {:.2}",
+        hit_ratio(&arm.closed_on)
+    );
+    let dominance_ok = arm.closed_on.throughput_rps() > arm.closed_off.throughput_rps()
+        && p(&arm.open_on, 0.50) < p(&arm.open_off, 0.50);
+    if !dominance_ok {
         eprintln!(
-            "bench_cache[{}]: {engine} capacity {:.0} rps on vs {:.0} rps off ({speedup:.2}x, \
-             hit ratio {:.2}); at {:.0} rps offered: p50 {:.3} ms on vs {:.3} ms off, \
-             p99 {:.2} ms on vs {:.2} ms off",
-            params.label,
-            arm.closed_on.throughput_rps(),
-            arm.closed_off.throughput_rps(),
-            hit_ratio(&arm.closed_on),
-            arm.offered_rate,
-            p(&arm.open_on, 0.50),
-            p(&arm.open_off, 0.50),
-            p(&arm.open_on, 0.99),
-            p(&arm.open_off, 0.99),
+            "bench_cache[{}]: hit path failed to dominate the miss path",
+            params.label
         );
-        assert!(
-            hit_ratio(&arm.closed_on) >= 0.5,
-            "{engine}: headline skew must reach a 50% hit rate, got {:.2}",
-            hit_ratio(&arm.closed_on)
-        );
-        if arm.closed_on.throughput_rps() <= arm.closed_off.throughput_rps()
-            || p(&arm.open_on, 0.50) >= p(&arm.open_off, 0.50)
-        {
-            dominance_ok = false;
-            eprintln!(
-                "bench_cache[{}]: {engine} hit path failed to dominate the miss path",
-                params.label
-            );
-        }
-        if p(&arm.open_on, 0.99) >= p(&arm.open_off, 0.99) {
-            p99_dominates = false;
-        }
     }
+    let p99_dominates = p(&arm.open_on, 0.99) < p(&arm.open_off, 0.99);
 
     // 3. Billing parity on a repeat-free stream: the cache never hits,
     // and the totals are bit-identical anyway.
     let sequential_parity = {
         let run = |cached: bool| {
-            let (service, running) = boot(&params, Engine::Threaded, cached);
+            let (service, running) = boot(&params, cached);
             let report = run_load(
                 running.addr(),
                 &keyed_load(&params, Keyspace::Sequential, SEED + 7),
@@ -342,16 +327,14 @@ fn main() {
         on_billed == off_billed
     };
     assert!(
-        sequential_parity && threaded.parity && reactor.parity,
-        "billing parity broke: sequential {sequential_parity}, threaded zipf {}, \
-         reactor zipf {}",
-        threaded.parity,
-        reactor.parity
+        sequential_parity && arm.parity,
+        "billing parity broke: sequential {sequential_parity}, zipf {}",
+        arm.parity
     );
     eprintln!(
         "bench_cache[{}]: billing parity cache on==off — sequential {sequential_parity}, \
-         zipf threaded {}, zipf reactor {}",
-        params.label, threaded.parity, reactor.parity
+         zipf {}",
+        params.label, arm.parity
     );
 
     // 4. Strict tiers never saw a semantic hit, on any arm.
@@ -359,10 +342,8 @@ fn main() {
         .iter()
         .map(|(_, r)| strict_semantic_hits(r))
         .sum::<usize>()
-        + strict_semantic_hits(&threaded.closed_on)
-        + strict_semantic_hits(&threaded.open_on)
-        + strict_semantic_hits(&reactor.closed_on)
-        + strict_semantic_hits(&reactor.open_on);
+        + strict_semantic_hits(&arm.closed_on)
+        + strict_semantic_hits(&arm.open_on);
     assert_eq!(strict_semantic, 0, "strict tier took a semantic hit");
     eprintln!(
         "bench_cache[{}]: strict tiers took 0 semantic hits across every arm",
@@ -379,25 +360,16 @@ fn main() {
             )
         })
         .collect();
-    let arm = |arm: &EngineArm| {
-        JsonObject::new()
-            .with("closed_cache_on", Json::Object(report_json(&arm.closed_on)))
-            .with(
-                "closed_cache_off",
-                Json::Object(report_json(&arm.closed_off)),
-            )
-            .with("open_cache_on", Json::Object(report_json(&arm.open_on)))
-            .with("open_cache_off", Json::Object(report_json(&arm.open_off)))
-            .with_num("open_offered_rate_rps", arm.offered_rate)
-            .with_num(
-                "throughput_speedup",
-                if arm.closed_off.throughput_rps() > 0.0 {
-                    arm.closed_on.throughput_rps() / arm.closed_off.throughput_rps()
-                } else {
-                    0.0
-                },
-            )
-    };
+    let arm_json = JsonObject::new()
+        .with("closed_cache_on", Json::Object(report_json(&arm.closed_on)))
+        .with(
+            "closed_cache_off",
+            Json::Object(report_json(&arm.closed_off)),
+        )
+        .with("open_cache_on", Json::Object(report_json(&arm.open_on)))
+        .with("open_cache_off", Json::Object(report_json(&arm.open_off)))
+        .with_num("open_offered_rate_rps", arm.offered_rate)
+        .with_num("throughput_speedup", speedup);
     let doc = JsonObject::new()
         .with_str("bench", "cache")
         .with_str("mode", params.label)
@@ -418,15 +390,13 @@ fn main() {
         )
         .with("skew_curve", Json::Array(curve_json))
         .with("hit_ratio_monotone_in_skew", Json::Bool(monotone))
-        .with("threaded", Json::Object(arm(&threaded)))
-        .with("reactor", Json::Object(arm(&reactor)))
+        .with("reactor", Json::Object(arm_json))
         .with(
             "billing_parity",
             Json::Object(
                 JsonObject::new()
                     .with("sequential", Json::Bool(sequential_parity))
-                    .with("zipf_threaded", Json::Bool(threaded.parity))
-                    .with("zipf_reactor", Json::Bool(reactor.parity)),
+                    .with("zipf_reactor", Json::Bool(arm.parity)),
             ),
         )
         .with_int("strict_semantic_hits", strict_semantic as i64)

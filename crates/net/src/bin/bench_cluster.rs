@@ -234,7 +234,7 @@ fn await_state(fleet: &Fleet, id: usize, wanted: NodeState) -> Option<Duration> 
 /// through the front returns the structured ack.
 fn fence_phase(params: &BenchParams) -> FenceOutcome {
     let fleet = fleet_of(4, params, RouteStrategy::RoundRobin);
-    // Background traffic keeps the accept loop mixing idle and busy.
+    // Background traffic keeps the event loop mixing idle and busy.
     let warm = LoadConfig::closed(40, 2, params.payloads, SEED + 7);
     run_load(fleet.front_addr(), &warm).expect("warmup");
 

@@ -245,7 +245,7 @@ fn wire_run(params: &BenchParams) -> WireOutcome {
     };
 
     // Waves of chaotic overload until the supervisor commits its
-    // regenerated rules; between waves the idle accept loop rolls the
+    // regenerated rules; between waves the event loop's heartbeat rolls the
     // sentinel windows that drive the control loops.
     let mut merged = LoadReport::default();
     let mut waves = 0usize;

@@ -7,10 +7,11 @@
 //! request by tolerance tier **and** live node health.
 //!
 //! Three routing strategies ([`RouteStrategy`]): primary-first
-//! failover, round-robin, and smooth weighted round-robin. Strict
-//! tiers (tolerance 0) always route primary-first regardless of
-//! strategy, so the tier with the hardest contract sees the most
-//! predictable path; failover covers every tier when a node dies.
+//! failover, round-robin, and smooth weighted round-robin. Requests
+//! the nodes serve on a strict (0%) tier always route primary-first
+//! regardless of strategy, so the tier with the hardest contract sees
+//! the most predictable path; failover covers every tier when a node
+//! dies.
 //!
 //! The control plane carries a monotonically versioned **rules
 //! epoch**: [`Fleet::broadcast_rules`] installs freshly generated
@@ -38,8 +39,8 @@ use crate::http::{
     RULES_EPOCH_HEADER, TRACE_ID_HEADER,
 };
 use crate::server::{
-    error_body, query_param, trace_tree_body, HttpHandler, Reply, RunningServer, Server,
-    ServerConfig,
+    annotations, error_body, query_param, trace_tree_body, HttpHandler, Reply, RunningServer,
+    Server, ServerConfig,
 };
 use crate::service::{ComputeService, ServiceConfig};
 use parking_lot::{Mutex, RwLock};
@@ -54,7 +55,7 @@ use tt_core::profile::ProfileMatrix;
 use tt_obs::{EventLog, TraceContext, Tracer, WindowAccum};
 
 /// How the front tier spreads tolerant-tier requests over healthy
-/// nodes. Strict (tolerance-0) requests always use `Failover` order.
+/// nodes. Strict-tier requests always use `Failover` order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteStrategy {
     /// Always the lowest-indexed healthy node; the rest are spares.
@@ -333,6 +334,21 @@ impl FrontTier {
         self.slots.iter().map(|s| s.state()).collect()
     }
 
+    /// Whether the nodes serve `request` on a strict (0%) tier. The
+    /// nodes are replicas, so the first one's tier table resolves it by
+    /// the rule every node applies ([`tt_core::serving_tier`]):
+    /// `Tolerance: 0.005` is as strict as `0`. A request with malformed
+    /// annotations counts as strict, so its 400 comes from the primary.
+    fn strict(&self, request: &Request) -> bool {
+        annotations(request).map_or(true, |(tolerance, objective)| {
+            self.slots[0]
+                .service
+                .resolve(objective, tolerance)
+                .tolerance
+                == 0.0
+        })
+    }
+
     /// Candidate order for one request: eligible nodes, arranged by
     /// the strategy — except strict requests, which are pinned to
     /// primary-first failover order for path predictability.
@@ -453,9 +469,7 @@ impl FrontTier {
     /// trace id on its own ring — `GET /trace/{id}` on the front
     /// reassembles the full cross-node tree.
     fn proxy_compute(&self, request: &Request) -> Reply {
-        let strict = request
-            .header("tolerance")
-            .is_none_or(|t| t.trim().parse::<f64>().map_or(true, |v| v == 0.0));
+        let strict = self.strict(request);
         // Originate the fleet trace — or join one the client carried.
         let handle = match request.trace_context() {
             Some(context) => self.tracer.begin_remote(context),
@@ -1310,7 +1324,7 @@ mod tests {
             "node 1 missed it"
         );
         // The front's idle probe fences node 1 (invoke directly — the
-        // live accept loop does the same every ~2ms).
+        // live event loop does the same every ~2ms).
         fleet.front().on_idle();
         assert_eq!(fleet.front().node_states()[1], NodeState::Fenced);
         // A direct proxied request stamped with the fleet epoch is
@@ -1329,6 +1343,50 @@ mod tests {
         fleet.broadcast_rules();
         fleet.front().on_idle();
         assert_eq!(fleet.front().node_states()[1], NodeState::Up);
+        fleet.shutdown().expect("clean shutdown");
+    }
+
+    #[test]
+    fn sub_tier_tolerances_route_primary_first_like_strict_ones() {
+        let fleet = small_fleet(2, RouteStrategy::RoundRobin);
+        // What the front's route span names, and which node answered,
+        // for two requests in a row at `tolerance`.
+        let route = |tolerance: &str| -> Vec<(String, String)> {
+            (0..2)
+                .map(|_| {
+                    let reply = fleet.front().proxy_compute(&Request {
+                        method: "POST".into(),
+                        target: "/compute".into(),
+                        headers: vec![
+                            ("Tolerance".into(), tolerance.into()),
+                            ("Payload".into(), "3".into()),
+                        ],
+                        body: Vec::new(),
+                        keep_alive: false,
+                    });
+                    assert_eq!(reply.status, 200, "{}", reply.body);
+                    let trace = fleet.front().tracer().recent(1).remove(0);
+                    let span = trace.span("route").expect("a route span");
+                    let strategy = trace
+                        .attrs(span.id)
+                        .find_map(|(key, value)| match value {
+                            tt_obs::AttrValue::Str(label) if key == "strategy" => {
+                                Some(label.to_string())
+                            }
+                            _ => None,
+                        })
+                        .expect("the route span names its strategy");
+                    (strategy, reply.header("served-by").unwrap().to_string())
+                })
+                .collect()
+        };
+        let primary_first = vec![("failover".to_string(), "node-0".to_string()); 2];
+        // Every node serves 0.5% on the strict tier (the loosest
+        // advertised tier not above it is 0%), so the front pins it to
+        // the primary exactly as it pins 0.
+        assert_eq!(route("0"), primary_first);
+        assert_eq!(route("0.005"), primary_first);
+        assert_eq!(route("0.01")[0].0, "round-robin");
         fleet.shutdown().expect("clean shutdown");
     }
 

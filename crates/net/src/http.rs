@@ -253,7 +253,9 @@ fn wants_keep_alive(headers: &[(String, String)], version: &str) -> bool {
 /// Read one request off `reader` under `limits`.
 ///
 /// Returns `Ok(None)` when the connection closed cleanly before a new
-/// request started (the keep-alive end-of-stream case).
+/// request started (the keep-alive end-of-stream case). The server
+/// parses with [`RequestAssembler`]; this blocking reader is the
+/// reference `tests/http_fuzz.rs` holds the assembler to.
 ///
 /// # Errors
 ///
@@ -768,25 +770,9 @@ thread_local! {
     static SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// Serialize and send one response. `content_type` is omitted when the
-/// body is empty.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_response(
-    writer: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_with(writer, status, reason, content_type, &[], body, keep_alive)
-}
-
-/// [`write_response`] with extra response headers (`Retry-After`,
-/// `Brownout`, ...). Header names and values must already be
+/// Serialize and send one response with extra response headers
+/// (`Retry-After`, `Brownout`, ...). `content_type` is omitted when
+/// the body is empty. Header names and values must already be
 /// wire-safe; this layer does no escaping.
 ///
 /// Head and body are encoded into this thread's scratch buffer and
@@ -1129,11 +1115,12 @@ mod tests {
     #[test]
     fn response_round_trips_through_the_client_reader() {
         let mut wire = Vec::new();
-        write_response(
+        write_response_with(
             &mut wire,
             200,
             "OK",
             "application/json",
+            &[],
             b"{\"ok\":true}",
             true,
         )
@@ -1244,7 +1231,7 @@ mod tests {
                 calls: 0,
                 chunk,
             };
-            write_response(&mut writer, 200, "OK", "text/plain", &body, true).unwrap();
+            write_response_with(&mut writer, 200, "OK", "text/plain", &[], &body, true).unwrap();
             writer
         };
         let whole = send(usize::MAX);
@@ -1366,7 +1353,7 @@ mod tests {
     #[test]
     fn empty_body_omits_content_type() {
         let mut wire = Vec::new();
-        write_response(&mut wire, 204, "No Content", "text/plain", b"", false).unwrap();
+        write_response_with(&mut wire, 204, "No Content", "text/plain", &[], b"", false).unwrap();
         let text = String::from_utf8(wire).unwrap();
         assert!(!text.contains("Content-Type"));
         assert!(text.contains("Content-Length: 0"));

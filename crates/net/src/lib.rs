@@ -20,13 +20,12 @@
 //! [`server`] module adds the operational surface (`/healthz`,
 //! `/stats`, `/metrics`, `/trace/recent`, `/drain`, load shedding,
 //! graceful drain) and [`loadgen`]
-//! drives it all in closed- or open-loop mode for the
-//! `BENCH_serve.json` artifact ([`crate::demo`] supplies the
-//! deterministic synthetic deployment they share).
+//! drives it all in closed- or open-loop mode ([`crate::demo`]
+//! supplies the deterministic synthetic deployment they share).
 //!
 //! No HTTP framework is involved: the build environment is offline, so
 //! the wire layer sits directly on `std::net` with hard input bounds,
-//! and the dispatch pool is [`tt_core::TaskPool`].
+//! and the server is an epoll reactor (Linux only).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,8 +53,8 @@ pub use admission::{
 };
 pub use batch::BatchConfig;
 pub use http::{
-    read_request, read_response, write_response, write_response_with, HeaderValue, HttpError,
-    Limits, Request, RequestAssembler, Response,
+    read_request, read_response, write_response_with, HeaderValue, HttpError, Limits, Request,
+    RequestAssembler, Response,
 };
 pub use loadgen::{
     post_drain, run_load, ArrivalShape, CacheFact, DrainAck, DrainedBy, LoadConfig, LoadMode,

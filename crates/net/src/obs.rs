@@ -246,7 +246,7 @@ impl Observability {
 
     /// Advance the sentinel and the telemetry window store; evaluates
     /// a sentinel window (and seals a telemetry window) when one has
-    /// elapsed. Called from the server's accept loop between accepts.
+    /// elapsed. Called from the server's event loop every ~2ms.
     pub fn tick(&self) -> bool {
         let now = self.now_us();
         self.windows.tick(now);

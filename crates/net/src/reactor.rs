@@ -1,9 +1,9 @@
 //! The epoll reactor engine: readiness-driven connection handling.
 //!
-//! Where the threaded engine pins one worker thread per connection for
-//! its whole lifetime, the reactor multiplexes every connection on a
-//! single event-loop thread and hands workers nothing but complete,
-//! already-parsed requests. The pieces:
+//! The reactor multiplexes every connection on a single event-loop
+//! thread and hands workers nothing but complete, already-parsed
+//! requests, so no thread is ever pinned to an idle or slow peer. The
+//! pieces:
 //!
 //! * **Slab of connection state machines.** Each connection lives in a
 //!   slot of a pre-indexed slab and walks `ReadHead → ReadBody →
@@ -21,13 +21,13 @@
 //! * **Asynchronous completion.** Workers receive `(token, request)`
 //!   jobs off a bounded channel and answer through
 //!   [`HttpHandler::handle_async`]; the serialized response comes back
-//!   on a completion list and a wake byte. Response bytes come from the
-//!   same `Reply::write_to` as the threaded engine's, so the two
-//!   engines are byte-identical on the wire.
+//!   on a completion list and a wake byte. Response bytes come from
+//!   the same encoder as `write_response_with`'s, so a reply reads the
+//!   same on the wire as in process.
 //!
-//! The event loop doubles as the idle heartbeat: `on_idle` ticks on
-//! the same ~2ms cadence the threaded accept loop provides, so the SLO
-//! sentinel and control loops behave identically under either engine.
+//! The event loop doubles as the idle heartbeat: `on_idle` ticks on a
+//! ~2ms cadence, which is what advances the SLO sentinel and the
+//! control loops.
 
 use crate::http::{HttpError, Request, RequestAssembler};
 use crate::server::{
@@ -163,8 +163,8 @@ fn token_for(index: usize, generation: u32) -> u64 {
     (u64::from(generation) << 32) | index as u64
 }
 
-/// Serialize one reply exactly as the threaded engine would put it on
-/// the wire, straight into the `Vec` a completion carries to the loop.
+/// Serialize one reply as it goes on the wire, straight into the `Vec`
+/// a completion carries to the loop.
 pub fn serialize_reply(reply: &Reply, is_head: bool, keep_alive: bool) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(256 + reply.body.len());
     reply.encode_into(&mut bytes, is_head, keep_alive);
@@ -317,8 +317,7 @@ impl<H: HttpHandler> Reactor<H> {
                 .set_nonblocking(true)
                 .and_then(|()| stream.set_nodelay(true));
             if configured.is_err() {
-                // Same policy as the threaded engine's dispatch: a
-                // socket that refuses configuration is dropped and
+                // A socket that refuses configuration is dropped and
                 // counted, never served.
                 record_socket_config_failure();
                 continue;
@@ -438,7 +437,7 @@ impl<H: HttpHandler> Reactor<H> {
             // Mid-flight: remember the hang-up; the pending response is
             // still attempted (the peer may only have shut down its
             // write side), then the connection closes. Billing already
-            // happened at dispatch, exactly as on the threaded engine.
+            // happened at dispatch.
             Some(ConnState::Dispatched | ConnState::WriteResponse) => {
                 if let Some(conn) = self.slab[index].as_mut() {
                     conn.peer_gone = true;
@@ -463,8 +462,8 @@ impl<H: HttpHandler> Reactor<H> {
             match conn.stream.read(&mut buf) {
                 Ok(0) => {
                     // EOF: clean between requests, truncation within —
-                    // either way nothing more will arrive, and the
-                    // threaded engine answers neither case.
+                    // either way nothing more will arrive, and neither
+                    // case is answered.
                     self.close(index);
                     return;
                 }
@@ -515,8 +514,8 @@ impl<H: HttpHandler> Reactor<H> {
         }
     }
 
-    /// Same contract as the threaded engine: a parse error is answered
-    /// with its status when one exists, then the connection closes.
+    /// A parse error is answered with its status when one exists, then
+    /// the connection closes.
     fn answer_parse_error(&mut self, index: usize, err: &HttpError) {
         match err.status() {
             Some((status, reason)) => {
@@ -565,8 +564,8 @@ impl<H: HttpHandler> Reactor<H> {
             }
         };
         if !accepted {
-            // Queue full: shed inline, mirroring the threaded engine's
-            // pool-refusal 503 (connection closes after the reply).
+            // Queue full: shed inline with the handler's 503 (the
+            // connection closes after the reply).
             let reply = self.service.shed();
             let bytes = serialize_reply(&reply, false, false);
             self.start_write(index, bytes, true);
@@ -668,7 +667,7 @@ impl<H: HttpHandler> Reactor<H> {
     }
 
     /// Close idle keep-alive connections, slow-loris half-requests, and
-    /// stalled writers, on the same clocks the threaded engine uses.
+    /// stalled writers, on the clocks [`ServerConfig`] sets.
     fn sweep_timeouts(&mut self) {
         let keep_alive = self.config.keep_alive_timeout;
         let deadline = self.config.request_deadline;

@@ -1,54 +1,43 @@
-//! The HTTP server: bounded accept/dispatch, routing, and graceful
-//! shutdown.
+//! The HTTP server: binding, routing, and graceful shutdown.
 //!
-//! Architecture:
-//!
-//! * The accept loop runs on one thread with a non-blocking listener,
-//!   polling a shutdown flag between accepts.
-//! * Each accepted connection is dispatched to a bounded
-//!   [`tt_core::TaskPool`]; when the pool's queue is full the server
-//!   answers `503` inline instead of queueing unboundedly — load
-//!   shedding at the front door, mirroring what the circuit breakers
-//!   do per model pool behind it.
-//! * Connections are persistent (HTTP/1.1 keep-alive) with an idle
-//!   timeout; one task owns one connection for its lifetime.
-//! * Graceful shutdown ([`ShutdownHandle::initiate`], or `POST
-//!   /drain`): the accept loop stops taking new connections, every
-//!   response switches to `Connection: close`, idle connections are
-//!   reaped by the keep-alive timeout, and [`Server::run`] returns
-//!   only after the task pool has drained — in-flight requests always
-//!   get their answer.
+//! [`Server::run`] drives the epoll reactor (`crate::reactor`), so the
+//! server is Linux-only; elsewhere it returns an `Unsupported` error.
+//! The reactor multiplexes every connection on one event-loop thread,
+//! hands complete requests to a bounded job queue, and answers `503`
+//! inline when that queue is full — load shedding at the front door,
+//! mirroring what the circuit breakers do per model pool behind it.
+//! Graceful shutdown ([`ShutdownHandle::initiate`], or `POST /drain`)
+//! stops accepting, switches every response to `Connection: close`,
+//! and returns only once every in-flight request has its answer.
 //!
 //! Routes: `POST /compute` (the paper's API), `GET /healthz` (which
 //! degrades to `503` naming the tiers the SLO sentinel rules out of
 //! contract), `GET /stats`, `GET /metrics`, `GET /trace/recent`,
-//! `POST /drain`. The accept loop doubles as the sentinel's heartbeat:
-//! idle polls tick the sliding SLO window.
+//! `POST /drain`. The event loop doubles as the sentinel's heartbeat:
+//! every ~2ms it ticks the sliding SLO window.
 
 use crate::admission::{AdmissionDecision, BrownoutLevel, InFlight};
 use crate::doc::{capacity_object, events_document, windows_document};
 use crate::http::{
-    encode_response, read_request, write_response, write_response_with, HeaderValue, Limits,
-    Request, RULES_EPOCH_HEADER, TRACE_ID_HEADER,
+    encode_response, HeaderValue, Limits, Request, RULES_EPOCH_HEADER, TRACE_ID_HEADER,
 };
 use crate::metrics::{admission_object, metrics_document, supervisor_object};
 use crate::obs::{CacheEvent, Observability};
 use crate::service::{CacheAdmitTicket, CacheServed, ComputeOutcome, ComputeService, ServiceError};
 use crate::stats::stats_document;
 use crate::tiers::Tier;
-use parking_lot::Mutex;
-use std::io::{self, BufReader, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tt_bench::perfjson::{Json, JsonObject, JsonWriter};
+use tt_core::objective::Objective;
 use tt_core::policy::Policy;
 use tt_core::profile::ProfileMatrix;
-use tt_core::request::ServiceRequest;
-use tt_core::TaskPool;
+use tt_core::request::{ServiceRequest, Tolerance};
 use tt_obs::{AdmissionOutcome, TraceHandle};
-use tt_serve::frontend::Annotations;
+use tt_serve::frontend::{AnnotationError, Annotations};
 
 /// How long any component of the stack waits on a peer's response
 /// before giving up on the connection: the proxy tier reading from a
@@ -56,18 +45,15 @@ use tt_serve::frontend::Annotations;
 /// a hung peer is detected on the same clock everywhere.
 pub const PEER_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Which connection-handling engine [`Server::run`] drives.
+/// The connection-handling engine [`Server::run`] drives. There is
+/// one; the type and [`ServerConfig::engine`] stay so that configs
+/// naming the engine keep building.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Thread-per-connection over a bounded task pool: one worker owns
-    /// one connection for its lifetime. The default, and the only
-    /// engine on non-Linux targets.
-    #[default]
-    Threaded,
     /// Readiness-driven epoll reactor (`crate::reactor`): one thread
     /// multiplexes every connection, workers only ever see complete
-    /// requests. Linux only — elsewhere this silently falls back to
-    /// `Threaded` so configs stay portable.
+    /// requests. Linux only.
+    #[default]
     Reactor,
 }
 
@@ -76,10 +62,11 @@ pub enum Engine {
 pub struct ServerConfig {
     /// Wire-parsing limits (header/body bounds).
     pub limits: Limits,
-    /// Connection-handling worker threads.
+    /// Dispatch worker threads: they run the requests the handler
+    /// does not promise to answer promptly.
     pub http_workers: usize,
-    /// Accepted connections that may wait for a worker before the
-    /// server starts shedding with `503`.
+    /// Complete requests that may wait for a dispatch worker before
+    /// the server starts shedding with `503`.
     pub backlog: usize,
     /// Idle keep-alive connections are closed after this long.
     pub keep_alive_timeout: Duration,
@@ -88,12 +75,11 @@ pub struct ServerConfig {
     /// bytes of a request start arriving the whole head+body must
     /// complete within this window — the slow-loris defense.
     pub request_deadline: Duration,
-    /// Connection-handling engine (threaded vs epoll reactor).
+    /// Connection-handling engine; [`Engine`] has one variant.
     pub engine: Engine,
-    /// Reactor only: open connections the reactor holds before it
-    /// stops accepting (the listener's read interest is deregistered —
-    /// backpressure — until a slot frees up). The threaded engine's
-    /// equivalent bound is `http_workers + backlog`.
+    /// Open connections the reactor holds before it stops accepting
+    /// (the listener's read interest is deregistered — backpressure —
+    /// until a slot frees up).
     pub max_connections: usize,
     /// How long outbound client-side reads (proxy tier → node) wait
     /// before declaring the peer hung. Defaults to
@@ -109,7 +95,7 @@ impl Default for ServerConfig {
             backlog: 64,
             keep_alive_timeout: Duration::from_secs(2),
             request_deadline: Duration::from_secs(10),
-            engine: Engine::Threaded,
+            engine: Engine::Reactor,
             max_connections: 1024,
             peer_read_timeout: PEER_READ_TIMEOUT,
         }
@@ -129,8 +115,7 @@ pub fn socket_config_failures() -> u64 {
     SOCKET_CONFIG_FAILURES.load(Ordering::Relaxed)
 }
 
-/// Count one dropped-at-the-door connection (reactor and threaded
-/// engines both report here).
+/// Count one dropped-at-the-door connection.
 pub(crate) fn record_socket_config_failure() {
     SOCKET_CONFIG_FAILURES.fetch_add(1, Ordering::Relaxed);
 }
@@ -157,9 +142,9 @@ impl ShutdownHandle {
 /// thread after `handle_async` itself has returned.
 pub type ReplySink = Box<dyn FnOnce(Reply) + Send + 'static>;
 
-/// What a [`Server`] serves. The accept/dispatch/keep-alive machinery
-/// is identical for a compute node and for a fleet's front-tier
-/// router; only the three hooks below differ.
+/// What a [`Server`] serves. The connection machinery is identical for
+/// a compute node and for a fleet's front-tier router; only the hooks
+/// below differ.
 pub trait HttpHandler: Send + Sync + 'static {
     /// Answer one parsed request. `shutdown` is the server's drain
     /// flag; a handler may raise it (`POST /drain`).
@@ -169,8 +154,8 @@ pub trait HttpHandler: Send + Sync + 'static {
     /// return value, freeing the calling worker while the reply is
     /// deferred (the batching compute path parks requests here until a
     /// batch forms). The default implementation completes synchronously
-    /// via [`HttpHandler::handle`]; the reactor engine drives this
-    /// entry point for every request.
+    /// via [`HttpHandler::handle`]; the server drives this entry point
+    /// for every request.
     fn handle_async(&self, request: &Request, shutdown: &AtomicBool, done: ReplySink) {
         done(self.handle(request, shutdown));
     }
@@ -185,12 +170,12 @@ pub trait HttpHandler: Send + Sync + 'static {
         false
     }
 
-    /// Heartbeat from the idle accept loop (~every 2ms while no
-    /// connection is pending). Control loops live here.
+    /// Heartbeat from the event loop (~every 2ms). Control loops live
+    /// here.
     fn on_idle(&self) {}
 
-    /// The reply written inline when the connection pool refuses a
-    /// new connection — front-door load shedding.
+    /// The reply written inline when the job queue refuses a request —
+    /// front-door load shedding.
     fn shed(&self) -> Reply {
         Reply::json(
             503,
@@ -249,40 +234,10 @@ impl<H: HttpHandler> Server<H> {
     ///
     /// # Errors
     ///
-    /// Propagates fatal listener errors (per-connection errors are
-    /// contained).
+    /// Propagates fatal listener and poller errors (per-connection
+    /// errors are contained); off Linux, always `Unsupported`.
     pub fn run(self) -> io::Result<()> {
-        #[cfg(target_os = "linux")]
-        if self.config.engine == Engine::Reactor {
-            return crate::reactor::run_reactor(
-                self.listener,
-                self.service,
-                self.config,
-                self.shutdown,
-            );
-        }
-        self.listener.set_nonblocking(true)?;
-        let mut pool = TaskPool::new(self.config.http_workers, self.config.backlog);
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => self.dispatch(&pool, stream),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // Idle: the handler's heartbeat. For a compute
-                    // node this advances the SLO sentinel's sliding
-                    // window and runs the control loops; for a front
-                    // tier it probes node health and epochs.
-                    self.service.on_idle();
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        // Drain: joining the pool first waits out queued and running
-        // connection tasks; their responses already advertise
-        // `Connection: close` because the flag is up.
-        pool.join();
-        Ok(())
+        run_engine(self.listener, self.service, self.config, self.shutdown)
     }
 
     /// Run on a background thread; the returned handle stops and joins
@@ -297,50 +252,23 @@ impl<H: HttpHandler> Server<H> {
             thread: Some(thread),
         }
     }
+}
 
-    /// Hand one accepted connection to the task pool, or shed it.
-    fn dispatch(&self, pool: &TaskPool, stream: TcpStream) {
-        // Accepted sockets go back to blocking mode with a read
-        // timeout: the handler thread blocks per connection, and idle
-        // keep-alive peers are reaped by the timeout. A socket that
-        // refuses its configuration is closed on the spot — serving it
-        // anyway would mean unbounded blocking reads on a worker.
-        let configured = stream
-            .set_nonblocking(false)
-            .and_then(|()| stream.set_nodelay(true))
-            .and_then(|()| stream.set_read_timeout(Some(self.config.keep_alive_timeout)))
-            // Writes are bounded too: a peer that stops draining its
-            // receive window cannot pin a worker forever.
-            .and_then(|()| stream.set_write_timeout(Some(self.config.keep_alive_timeout)));
-        if configured.is_err() {
-            record_socket_config_failure();
-            return;
-        }
+#[cfg(target_os = "linux")]
+use crate::reactor::run_reactor as run_engine;
 
-        // The connection rides to the worker inside a shared slot so
-        // that, if the pool refuses the task, the accept loop can take
-        // the stream back and answer 503 itself.
-        let slot = Arc::new(Mutex::new(Some(stream)));
-        let task = {
-            let slot = Arc::clone(&slot);
-            let service = Arc::clone(&self.service);
-            let shutdown = Arc::clone(&self.shutdown);
-            let limits = self.config.limits;
-            let keep_alive = self.config.keep_alive_timeout;
-            let deadline = self.config.request_deadline;
-            move || {
-                if let Some(stream) = slot.lock().take() {
-                    handle_connection(&*service, &limits, &shutdown, stream, keep_alive, deadline);
-                }
-            }
-        };
-        if let Err(refused) = pool.try_execute(task) {
-            drop(refused);
-            if let Some(mut stream) = slot.lock().take() {
-                let _ = self.service.shed().write_to(&mut stream, false, false);
-            }
-        }
-    }
+/// The reactor is built on epoll, so off Linux there is no engine.
+#[cfg(not(target_os = "linux"))]
+fn run_engine<H: HttpHandler>(
+    _listener: TcpListener,
+    _service: Arc<H>,
+    _config: ServerConfig,
+    _shutdown: Arc<AtomicBool>,
+) -> io::Result<()> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "the server runs on an epoll reactor, and epoll is Linux-only",
+    ))
 }
 
 /// A server running on a background thread.
@@ -438,31 +366,8 @@ impl Reply {
         }
     }
 
-    /// Put this reply on the wire in one write — the serializer call
-    /// the threaded engine and both engines' shed paths share.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
-    pub fn write_to(
-        &self,
-        writer: &mut impl io::Write,
-        is_head: bool,
-        keep_alive: bool,
-    ) -> io::Result<()> {
-        write_response_with(
-            writer,
-            self.status,
-            self.reason,
-            self.content_type,
-            &self.headers,
-            self.wire_body(is_head),
-            keep_alive,
-        )
-    }
-
-    /// The same bytes as [`Reply::write_to`], appended to `out`: how
-    /// the reactor fills a completion.
+    /// This reply's wire bytes, appended to `out`: how the reactor
+    /// fills a completion.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>, is_head: bool, keep_alive: bool) {
         encode_response(
             out,
@@ -546,35 +451,6 @@ impl HttpHandler for ComputeService {
     }
 }
 
-/// A [`Read`] adapter enforcing a wall-clock deadline on top of a
-/// [`TcpStream`]: before each read the socket timeout is clamped to
-/// whatever remains of the deadline, so a peer trickling one byte at a
-/// time (slow loris) cannot hold a worker past
-/// [`ServerConfig::request_deadline`]. The deadline is re-armed after
-/// every completed request, so long-lived keep-alive connections are
-/// bounded per request, not per connection.
-struct DeadlineStream {
-    inner: TcpStream,
-    deadline: Instant,
-    keep_alive: Duration,
-}
-
-impl Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let remaining = self.deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "request deadline exceeded",
-            ));
-        }
-        let _ = self
-            .inner
-            .set_read_timeout(Some(remaining.min(self.keep_alive)));
-        self.inner.read(buf)
-    }
-}
-
 /// `{"error": message}`, plus the request's id when it is traced: the
 /// body of every refusal.
 fn refusal_body(message: &str, request_id: Option<u64>) -> String {
@@ -618,59 +494,6 @@ fn epoch_gate(service: &ComputeService, request: &Request) -> (u64, Option<Reply
         Ok(_) => None,
     };
     (epoch, refusal)
-}
-
-/// Serve requests off one connection until it closes, errors, times
-/// out idle, or the server begins draining.
-fn handle_connection<H: HttpHandler>(
-    service: &H,
-    limits: &Limits,
-    shutdown: &AtomicBool,
-    stream: TcpStream,
-    keep_alive_timeout: Duration,
-    request_deadline: Duration,
-) {
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(DeadlineStream {
-            inner: clone,
-            deadline: Instant::now() + request_deadline,
-            keep_alive: keep_alive_timeout,
-        }),
-        Err(_) => return,
-    };
-    let mut writer = stream;
-    loop {
-        match read_request(&mut reader, limits) {
-            Ok(None) => return,
-            Ok(Some(request)) => {
-                let reply = service.handle(&request, shutdown);
-                let keep_alive = request.keep_alive && !shutdown.load(Ordering::SeqCst);
-                let written = reply.write_to(&mut writer, request.method == "HEAD", keep_alive);
-                if written.is_err() || !keep_alive {
-                    return;
-                }
-                // The next request gets a fresh deadline.
-                reader.get_mut().deadline = Instant::now() + request_deadline;
-            }
-            Err(err) => {
-                // Parse errors map to their status when the peer is
-                // still there to hear it; truncation (including the
-                // idle keep-alive timeout) just closes.
-                if let Some((status, reason)) = err.status() {
-                    let body = error_body(&err.to_string());
-                    let _ = write_response(
-                        &mut writer,
-                        status,
-                        reason,
-                        "application/json",
-                        body.as_bytes(),
-                        false,
-                    );
-                }
-                return;
-            }
-        }
-    }
 }
 
 /// Route one parsed request to a handler.
@@ -1004,9 +827,10 @@ type BrownoutPlan = (Policy, f64, BrownoutLevel);
 /// the cache consult, and owning everything the back half needs — so
 /// the reply is built the same way whoever calls the continuation
 /// (the handler thread, or a batch executor after the group flushes).
-/// Only the tracer is lent by that caller: the threaded engine borrows
-/// the service's, so its hot path never touches the shared refcount,
-/// and the reactor's continuation carries a clone.
+/// Only the tracer is lent by that caller: the synchronous
+/// [`HttpHandler::handle`] borrows the service's, so its hot path never
+/// touches the shared refcount, and the async continuation carries a
+/// clone.
 struct ComputeCall {
     service_request: ServiceRequest,
     brownout: Option<BrownoutPlan>,
@@ -1032,7 +856,7 @@ struct ComputeCall {
 const COMPUTE_BODY_BYTES: usize = 384;
 
 impl ComputeCall {
-    /// The front half of `POST /compute`, the same on both engines:
+    /// The front half of `POST /compute`, the same on both paths:
     /// begin (or join) the trace, parse and admit, raise the in-flight
     /// guard, consult the cache. `Ok` carries the request's tier,
     /// resolved once in [`parse_and_admit`], for execution to take.
@@ -1187,8 +1011,8 @@ fn seal(obs: Option<&Arc<Observability>>, handle: Option<&TraceHandle>, reply: R
     }
 }
 
-/// `POST /compute`, the paper's API over a real wire, answered on the
-/// calling thread (the threaded engine).
+/// `POST /compute` answered on the calling thread: the synchronous
+/// [`HttpHandler::handle`], which in-process callers use.
 fn compute(service: &ComputeService, request: &Request) -> Reply {
     match ComputeCall::prepare(service, request) {
         Ok((call, tier)) => {
@@ -1204,7 +1028,7 @@ fn compute(service: &ComputeService, request: &Request) -> Reply {
     }
 }
 
-/// `POST /compute` in continuation-passing style (the reactor engine):
+/// `POST /compute` in continuation-passing style (the server's path):
 /// the same two halves as [`compute`], differing only in who calls the
 /// continuation — execution goes through
 /// [`ComputeService::execute_shaped_async`], so a batched request
@@ -1228,6 +1052,24 @@ fn compute_async(service: &ComputeService, request: &Request, done: ReplySink) {
     }
 }
 
+/// The request's `Tolerance` and `Objective` annotations. Only the
+/// API's own annotation headers reach the annotation parser; transport
+/// headers (Host, Content-Length, ...) belong to HTTP, not to the
+/// Tolerance Tiers API. Duplicates reach it too, so its
+/// `DuplicateHeader` error still fires.
+#[inline]
+pub(crate) fn annotations(request: &Request) -> Result<(Tolerance, Objective), AnnotationError> {
+    let mut annotations = Annotations::new();
+    request
+        .headers
+        .iter()
+        .filter(|(name, _)| {
+            name.eq_ignore_ascii_case("tolerance") || name.eq_ignore_ascii_case("objective")
+        })
+        .try_for_each(|(name, value)| annotations.header(name, value))?;
+    Ok(annotations.finish())
+}
+
 /// Parse annotations and payload, stamp the parse span, resolve the
 /// tier and run admission: the request to execute, its tier and its
 /// brownout plan, or the reply (400, 429) that ends it here.
@@ -1237,19 +1079,7 @@ fn parse_and_admit(
     handle: Option<&TraceHandle>,
 ) -> Result<(ServiceRequest, Tier, Option<BrownoutPlan>), Reply> {
     let parse_span = handle.map(|h| h.open("parse", None, service.wall_us()));
-
-    // Only the API's own annotation headers reach the annotation
-    // parser; transport headers (Host, Content-Length, ...) belong to
-    // HTTP, not to the Tolerance Tiers API. Duplicates reach it too,
-    // so its DuplicateHeader error still fires.
-    let mut annotations = Annotations::new();
-    let parsed = request
-        .headers
-        .iter()
-        .filter(|(name, _)| {
-            name.eq_ignore_ascii_case("tolerance") || name.eq_ignore_ascii_case("objective")
-        })
-        .try_for_each(|(name, value)| annotations.header(name, value));
+    let parsed = annotations(request);
     let close_parse = |error: Option<&str>| {
         if let (Some(h), Some(id)) = (handle, parse_span) {
             if let Some(why) = error {
@@ -1259,7 +1089,7 @@ fn parse_and_admit(
         }
     };
     let (tolerance, objective) = match parsed {
-        Ok(()) => annotations.finish(),
+        Ok(pair) => pair,
         Err(err) => {
             let why = err.to_string();
             close_parse(Some(&why));
@@ -1336,7 +1166,8 @@ mod tests {
     use crate::demo::demo_service;
     use crate::http::{read_response, Limits};
     use crate::service::ServiceConfig;
-    use std::io::Write;
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
 
     fn svc() -> Arc<ComputeService> {
         Arc::new(demo_service(60, 9, ServiceConfig::defaults()))

@@ -1489,7 +1489,7 @@ impl ComputeService {
     /// Close one sentinel window for every control loop: the AIMD
     /// limit update, one supervisor judgement, the capacity tuner,
     /// and — every `windows_per_round` windows — one planning round.
-    /// The server's accept loop calls this when the sentinel window
+    /// The server's event loop calls this when the sentinel window
     /// rolls; deterministic tests drive it directly.
     pub fn on_window(&self) {
         let before = self.admission.limit();

@@ -2,7 +2,7 @@
 //!
 //! The document reuses [`tt_bench::perfjson`] (the workspace's
 //! hand-rolled emitter — `serde_json` is not vendored) so `/stats`
-//! and the `BENCH_serve.json` artifact share one JSON dialect:
+//! and the `BENCH_*.json` artifacts share one JSON dialect:
 //! insertion-ordered keys, finite numbers only, stable diffs.
 
 use crate::doc::document_root;

@@ -4,10 +4,10 @@
 //! built replies as a `JsonObject` and formatted the response head
 //! line by line.
 //!
-//! Both serving paths must reproduce the file: the threaded engine's
-//! `HttpHandler::handle` + `Reply::write_to`, and the reactor's
-//! `handle_async` + `serialize_reply` (on a twin service that batches,
-//! as the reactor deployment does). Everything a reply carries is a
+//! Both handler entry points must reproduce the file through the
+//! reactor's `serialize_reply`: the synchronous `HttpHandler::handle`,
+//! and `handle_async` (on a twin service that batches, as the reactor
+//! deployment does). Everything a reply carries is a
 //! function of the request sequence — request ids count up, latencies
 //! are the profiled ones — so the scenarios run in a fixed order on
 //! fresh services.
@@ -35,8 +35,8 @@ const SEED: u64 = 9;
 /// How a scenario's reply goes from the handler to bytes.
 #[derive(Clone, Copy)]
 enum Path {
-    /// `handle` + `Reply::write_to`.
-    Threaded,
+    /// `handle` + the reactor's `serialize_reply`.
+    Sync,
     /// `handle_async` + the reactor's `serialize_reply`.
     Reactor,
 }
@@ -57,15 +57,8 @@ fn request(method: &str, target: &str, headers: &[(&str, &str)], body: &[u8]) ->
 fn serve(path: Path, service: &ComputeService, request: &Request, keep_alive: bool) -> Vec<u8> {
     let off = AtomicBool::new(false);
     let is_head = request.method == "HEAD";
-    match path {
-        Path::Threaded => {
-            let reply = service.handle(request, &off);
-            let mut wire = Vec::new();
-            reply
-                .write_to(&mut wire, is_head, keep_alive)
-                .expect("writing to a Vec cannot fail");
-            wire
-        }
+    let reply = match path {
+        Path::Sync => service.handle(request, &off),
         Path::Reactor => {
             let (tx, rx) = std::sync::mpsc::channel::<Reply>();
             service.handle_async(
@@ -73,10 +66,10 @@ fn serve(path: Path, service: &ComputeService, request: &Request, keep_alive: bo
                 &off,
                 Box::new(move |reply| tx.send(reply).expect("the test is listening")),
             );
-            let reply = rx.recv().expect("handle_async completes exactly once");
-            tt_net::reactor::serialize_reply(&reply, is_head, keep_alive)
+            rx.recv().expect("handle_async completes exactly once")
         }
-    }
+    };
+    tt_net::reactor::serialize_reply(&reply, is_head, keep_alive)
 }
 
 fn config(path: Path, obs: bool) -> ServiceConfig {
@@ -306,9 +299,9 @@ fn replies(path: Path) -> String {
 const GOLDEN: &str = include_str!("golden/compute_replies.txt");
 
 #[test]
-fn handle_and_write_to_reproduce_the_recorded_bytes() {
-    let actual = replies(Path::Threaded);
-    assert!(actual == GOLDEN, "threaded path diverged:\n{actual}");
+fn handle_and_serialize_reply_reproduce_the_recorded_bytes() {
+    let actual = replies(Path::Sync);
+    assert!(actual == GOLDEN, "sync path diverged:\n{actual}");
 }
 
 #[test]

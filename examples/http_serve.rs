@@ -94,48 +94,33 @@ fn one_line(response: &Response) -> String {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner("1. Boot the wire-protocol serving stack on loopback");
-    // `TT_ENGINE=reactor` boots the epoll reactor with request
-    // batching instead of the default thread-per-connection engine —
-    // same deployment, same bits billed (DESIGN.md §14); CI runs this
-    // example once per engine.
-    let reactor = std::env::var("TT_ENGINE").is_ok_and(|v| v.eq_ignore_ascii_case("reactor"));
     // `TT_CACHE=1` puts the tier-aware semantic result cache ahead of
     // policy evaluation (DESIGN.md §15): hits skip the worker pools
     // entirely, bill at the declared tier, and tolerance-0 requests
     // only ever take exact (bit-equal input) hits.
     let cached = std::env::var("TT_CACHE")
         .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true"));
-    let mut service_config = ServiceConfig::defaults();
-    if reactor {
-        service_config.batch = tt_net::BatchConfig {
+    // The epoll reactor serves with tolerance-aware request batching
+    // on (DESIGN.md §14): batching moves work in time, never a billed
+    // bit.
+    let mut service_config = ServiceConfig {
+        batch: tt_net::BatchConfig {
             enabled: true,
             ..tt_net::BatchConfig::defaults()
-        };
-    }
+        },
+        ..ServiceConfig::defaults()
+    };
     if cached {
         service_config.cache = Some(Arc::new(tt_cache::SemanticCache::new(
             tt_cache::CacheConfig::defaults(),
         )));
     }
     let service = Arc::new(tt_net::demo::demo_service(PAYLOADS, SEED, service_config));
-    let server_config = ServerConfig {
-        engine: if reactor {
-            tt_net::server::Engine::Reactor
-        } else {
-            tt_net::server::Engine::Threaded
-        },
-        ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&service), server_config)?;
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())?;
     let addr = server.local_addr();
     let running = server.spawn();
-    let engine = if reactor {
-        "reactor+batching"
-    } else {
-        "threaded"
-    };
     let cache_mode = if cached { "on" } else { "off" };
-    println!("  serving on http://{addr} (engine: {engine}, cache: {cache_mode})");
+    println!("  serving on http://{addr} (engine: reactor+batching, cache: {cache_mode})");
     println!("  try: curl -X POST http://{addr}/compute \\");
     println!("            -H \"Tolerance: 0.01\" -H \"Objective: response-time\" -d \"payload-7\"");
 

@@ -179,7 +179,7 @@ fn crash_mid_run_fails_over_clean_and_bills_identically_at_any_shape() {
 #[test]
 fn stale_epoch_node_is_fenced_within_one_sentinel_window_and_recovers() {
     let fleet = fleet(3);
-    // Warm the fleet so the front's accept loop is alive and idling.
+    // Warm the fleet so the front's event loop is alive and idling.
     run_load(fleet.front_addr(), &load(2, SEED + 3)).expect("warmup");
 
     fleet.partition_control(2, true);

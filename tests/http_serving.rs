@@ -170,8 +170,10 @@ fn wire_errors_map_to_their_statuses() {
 
 #[test]
 fn saturated_server_sheds_with_503_and_recovers() {
-    // One handler thread, queue of one: a slow in-flight request plus
-    // one queued connection saturate the front door.
+    // One dispatch worker, a job queue of one: a slow in-flight request
+    // plus one queued request saturate the front door. An idle
+    // connection holds no queue slot, so each connection sends a
+    // strict-tier /compute — never answered inline on the event loop.
     let service = Arc::new(tt_net::demo::demo_service(
         PAYLOADS,
         SEED,
@@ -193,30 +195,34 @@ fn saturated_server_sheds_with_503_and_recovers() {
     .expect("bind");
     let addr = server.local_addr();
     let running = server.spawn();
+    let strict =
+        b"POST /compute HTTP/1.1\r\nTolerance: 0\r\nPayload: 0\r\nConnection: close\r\n\r\n";
+    let send = |what: &str| {
+        let mut stream = TcpStream::connect(addr).expect(what);
+        stream.write_all(strict).expect(what);
+        stream
+    };
+    let answer = |stream: &TcpStream, what: &str| {
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        read_response(&mut reader, &Limits::default()).expect(what)
+    };
 
-    // Occupy the only worker with a slow strict-tier request.
-    let mut busy = TcpStream::connect(addr).expect("connect busy");
-    busy.write_all(
-        b"POST /compute HTTP/1.1\r\nTolerance: 0\r\nPayload: 0\r\nConnection: close\r\n\r\n",
-    )
-    .expect("send busy");
+    // Occupy the only worker, fill the queue slot, then overflow it.
+    let busy = send("busy");
     std::thread::sleep(Duration::from_millis(150));
-
-    // Fill the queue slot, then overflow it.
-    let _queued = TcpStream::connect(addr).expect("connect queued");
+    let queued = send("queued");
     std::thread::sleep(Duration::from_millis(100));
-    let mut shed = TcpStream::connect(addr).expect("connect shed");
-    shed.write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
-        .expect("send shed");
-    let mut reader = BufReader::new(shed.try_clone().expect("clone"));
-    let response = read_response(&mut reader, &Limits::default()).expect("shed response");
+    let response = answer(&send("shed"), "shed response");
     assert_eq!(response.status, 503, "overflow must shed, not queue");
     assert!(response.text().contains("saturated"));
+    assert!(response.header("retry-after").is_some());
 
-    // The slow request still completes: shedding is not dropping.
-    let mut reader = BufReader::new(busy.try_clone().expect("clone"));
-    let response = read_response(&mut reader, &Limits::default()).expect("busy response");
-    assert_eq!(response.status, 200);
+    // The slow request and the queued one still complete: shedding is
+    // not dropping.
+    assert_eq!(answer(&busy, "busy response").status, 200);
+    assert_eq!(answer(&queued, "queued response").status, 200);
+    // With the queue drained, the front door serves again.
+    assert_eq!(answer(&send("after"), "recovered response").status, 200);
     running.stop().expect("stop");
 }
 

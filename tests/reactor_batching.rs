@@ -1,27 +1,25 @@
 //! End-to-end determinism contract for the epoll reactor and the
-//! request batcher: serving the same seeded mixed-tier load through the
-//! reactor engine (with batching enabled) and through the legacy
-//! threaded engine must produce bit-identical per-tier billing and a
-//! byte-identical `/metrics` `"totals"` object — batch membership may
-//! change wall-clock timing, never an accounted or billed value. Strict
+//! request batcher: serving a seeded mixed-tier load through the
+//! reactor (with batching enabled) must bill bit-identically per tier,
+//! and render a byte-identical `/metrics` `"totals"` object, to the
+//! same requests answered one by one in process through
+//! `HttpHandler::handle` — batch membership and dispatch may change
+//! wall-clock timing, never an accounted or billed value. Strict
 //! tolerance-0 requests must never hop through the batcher at all,
 //! which the trace spans prove.
-//!
-//! On non-Linux targets `Engine::Reactor` falls back to the threaded
-//! loop, so the parity assertions hold trivially; the batching
-//! assertions are gated to Linux where the reactor actually runs.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 use tt_net::http::{read_response, Limits};
 use tt_net::loadgen::{run_load, LoadConfig};
 use tt_net::obs::ObsConfig;
-use tt_net::server::{Engine, Server, ServerConfig};
-use tt_net::service::ServiceConfig;
-use tt_net::BatchConfig;
+use tt_net::server::{HttpHandler, Server, ServerConfig};
+use tt_net::service::{ComputeService, ServiceConfig};
+use tt_net::{BatchConfig, Request};
 use tt_obs::{AttrValue, RequestTrace};
 
 const PAYLOADS: usize = 120;
@@ -29,8 +27,7 @@ const SEED: u64 = 2024;
 const REQUESTS: usize = 300;
 const LOAD_SEED: u64 = 7;
 
-/// One full serve-and-drain cycle; returns everything the parity
-/// assertions need.
+/// Everything the parity assertions need from one served load.
 struct EngineRun {
     /// Per-(objective, tolerance-milli) tier: `(requests, revenue bits)`.
     tiers: BTreeMap<(String, u32), (usize, u64)>,
@@ -42,8 +39,8 @@ struct EngineRun {
     traces: Vec<RequestTrace>,
 }
 
-fn run_engine(engine: Engine, batching: bool, http_workers: usize) -> EngineRun {
-    let service = Arc::new(tt_net::demo::demo_service(
+fn service(batching: bool) -> Arc<ComputeService> {
+    Arc::new(tt_net::demo::demo_service(
         PAYLOADS,
         SEED,
         ServiceConfig {
@@ -57,12 +54,16 @@ fn run_engine(engine: Engine, batching: bool, http_workers: usize) -> EngineRun 
             },
             ..ServiceConfig::defaults()
         },
-    ));
+    ))
+}
+
+/// One full serve-and-drain cycle on the reactor with batching on.
+fn run_reactor(http_workers: usize) -> EngineRun {
+    let service = service(true);
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&service),
         ServerConfig {
-            engine,
             http_workers,
             keep_alive_timeout: Duration::from_millis(500),
             ..ServerConfig::default()
@@ -71,15 +72,11 @@ fn run_engine(engine: Engine, batching: bool, http_workers: usize) -> EngineRun 
     .expect("bind loopback");
     let running = server.spawn();
 
-    let report = run_load(
-        running.addr(),
-        &LoadConfig::closed(REQUESTS, 6, PAYLOADS, LOAD_SEED),
-    )
-    .expect("load run");
-    assert_eq!(report.sent, REQUESTS, "engine {engine:?} dropped requests");
+    let report = run_load(running.addr(), &load()).expect("load run");
+    assert_eq!(report.sent, REQUESTS, "the reactor dropped requests");
     assert_eq!(
         report.ok, REQUESTS,
-        "engine {engine:?} must answer every request 200"
+        "the reactor must answer every request 200"
     );
 
     // Snapshot /metrics before stopping — the totals object is part of
@@ -91,26 +88,78 @@ fn run_engine(engine: Engine, batching: bool, http_workers: usize) -> EngineRun 
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let metrics = read_response(&mut reader, &Limits::default()).expect("metrics response");
     assert_eq!(metrics.status, 200);
-    let totals = extract_totals(&metrics.text());
-
-    let snapshot = service.snapshot();
-    let tiers = snapshot
-        .billing
-        .tiers
-        .iter()
-        .map(|(k, v)| (k.clone(), (v.requests, v.revenue.as_dollars().to_bits())))
-        .collect();
-    let traces = service
-        .observability()
-        .expect("observability enabled by default")
-        .tracer()
-        .recent(REQUESTS + 16);
+    let run = billed(&service, &metrics.text());
     running.stop().expect("graceful stop");
+    run
+}
+
+/// The reference: the load's requests, in plan order, answered one at
+/// a time in process by an unbatched twin.
+fn run_in_process() -> EngineRun {
+    let service = service(false);
+    let off = AtomicBool::new(false);
+    let plan = load();
+    let requests = plan
+        .mix
+        .sample_keyed(REQUESTS, PAYLOADS, LOAD_SEED, &plan.keyspace);
+    for request in &requests {
+        let body = format!("payload-{}", request.payload);
+        let reply = service.handle(
+            &http_request(
+                "POST",
+                "/compute",
+                &[
+                    ("Tolerance", request.tolerance.value().to_string()),
+                    ("Objective", request.objective.to_string()),
+                    ("Payload", request.payload.to_string()),
+                ],
+                body.into_bytes(),
+            ),
+            &off,
+        );
+        assert_eq!(reply.status, 200, "{}", reply.body);
+    }
+    let metrics = service.handle(&http_request("GET", "/metrics", &[], Vec::new()), &off);
+    assert_eq!(metrics.status, 200);
+    billed(&service, &metrics.body)
+}
+
+/// The seeded mixed-tier load both sides serve.
+fn load() -> LoadConfig {
+    LoadConfig::closed(REQUESTS, 6, PAYLOADS, LOAD_SEED)
+}
+
+fn http_request(method: &str, target: &str, headers: &[(&str, String)], body: Vec<u8>) -> Request {
+    Request {
+        method: method.to_string(),
+        target: target.to_string(),
+        headers: headers
+            .iter()
+            .map(|(name, value)| (name.to_string(), value.clone()))
+            .collect(),
+        body,
+        keep_alive: true,
+    }
+}
+
+/// What `service` billed, its `/metrics` totals out of `metrics_body`,
+/// and its retained traces.
+fn billed(service: &ComputeService, metrics_body: &str) -> EngineRun {
+    let snapshot = service.snapshot();
     EngineRun {
-        tiers,
+        tiers: snapshot
+            .billing
+            .tiers
+            .iter()
+            .map(|(k, v)| (k.clone(), (v.requests, v.revenue.as_dollars().to_bits())))
+            .collect(),
         revenue_bits: snapshot.billing.revenue.as_dollars().to_bits(),
-        totals,
-        traces,
+        totals: extract_totals(metrics_body),
+        traces: service
+            .observability()
+            .expect("observability enabled by default")
+            .tracer()
+            .recent(REQUESTS + 16),
     }
 }
 
@@ -147,34 +196,33 @@ fn tolerance_milli(trace: &RequestTrace) -> Option<i64> {
 /// identical `/metrics` totals whether or not requests were coalesced,
 /// at one HTTP worker and at four.
 #[test]
-fn reactor_with_batching_bills_bit_identically_to_threaded() {
+fn reactor_with_batching_bills_bit_identically_to_in_process_handle() {
+    let reference = run_in_process();
     for http_workers in [1usize, 4] {
-        let threaded = run_engine(Engine::Threaded, false, http_workers);
-        let reactor = run_engine(Engine::Reactor, true, http_workers);
+        let reactor = run_reactor(http_workers);
 
         assert_eq!(
-            threaded.tiers, reactor.tiers,
+            reference.tiers, reactor.tiers,
             "per-tier billed totals diverged at {http_workers} workers"
         );
         assert_eq!(
-            threaded.revenue_bits, reactor.revenue_bits,
+            reference.revenue_bits, reactor.revenue_bits,
             "total revenue diverged bitwise at {http_workers} workers"
         );
         assert_eq!(
-            threaded.totals, reactor.totals,
+            reference.totals, reactor.totals,
             "/metrics totals diverged at {http_workers} workers"
         );
     }
 }
 
 /// Strict tolerance-0 requests bypass the batch queue entirely: their
-/// traces carry no `batch` span. Tolerant requests do hop through it
-/// (on Linux, where the reactor drives the async path), proving the
-/// parity above was exercised against real coalescing, not a disabled
-/// batcher.
+/// traces carry no `batch` span. Tolerant requests do hop through it,
+/// proving the parity above was exercised against real coalescing, not
+/// a disabled batcher.
 #[test]
 fn strict_tier_requests_never_hop_through_the_batcher() {
-    let reactor = run_engine(Engine::Reactor, true, 4);
+    let reactor = run_reactor(4);
 
     let mut strict_seen = 0usize;
     let mut batched_seen = 0usize;
@@ -198,10 +246,8 @@ fn strict_tier_requests_never_hop_through_the_batcher() {
         strict_seen > 0,
         "the mixed load must include strict-tier requests"
     );
-    if cfg!(target_os = "linux") {
-        assert!(
-            batched_seen > 0,
-            "no tolerant request was batched — the reactor async path did not engage"
-        );
-    }
+    assert!(
+        batched_seen > 0,
+        "no tolerant request was batched — the reactor async path did not engage"
+    );
 }
