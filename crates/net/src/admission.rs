@@ -7,9 +7,11 @@
 //! pressure the service can serve it from a cheaper routing plan — a
 //! **brownout** — and still honor the annotation. Only when even that
 //! is not enough do requests get rejected, with a `Retry-After` hint.
-//! Strict tiers (tolerance below [`AdmissionConfig::protect_below`])
-//! are never browned out or rejected here: their latency SLO is the
-//! product being sold.
+//! A request resolved to a strict tier
+//! ([`crate::tiers::TierEntry::strict`]: the 0% baseline every ladder
+//! starts with) is never browned out or rejected here, whatever
+//! tolerance it declared: it is served and billed as strict, and its
+//! latency SLO is the product being sold.
 //!
 //! Pressure is measured as in-flight requests against an adaptive
 //! limit: additive increase each calm sentinel window, multiplicative
@@ -60,9 +62,6 @@ pub struct AdmissionConfig {
     /// outright; between `limit` and that point it is browned out.
     /// Must be > 1.
     pub reject_factor: f64,
-    /// Requests declaring a tolerance strictly below this are *strict*:
-    /// always admitted on their intended plan.
-    pub protect_below: f64,
     /// The `Retry-After` hint attached to rejections, seconds.
     pub retry_after_secs: u64,
 }
@@ -77,7 +76,6 @@ impl AdmissionConfig {
             additive_increase: 2,
             decrease_factor: 0.5,
             reject_factor: 2.0,
-            protect_below: 0.005,
             retry_after_secs: 1,
         }
     }
@@ -105,12 +103,6 @@ impl AdmissionConfig {
         }
         if self.reject_factor <= 1.0 {
             return Err(format!("reject_factor {} must be > 1", self.reject_factor));
-        }
-        if !(0.0..=1.0).contains(&self.protect_below) {
-            return Err(format!(
-                "protect_below {} outside [0, 1]",
-                self.protect_below
-            ));
         }
         Ok(())
     }
@@ -314,10 +306,11 @@ impl AdmissionController {
     }
 
     /// Decide the fate of a request declaring `tolerance`, already
-    /// resolved to `tier`, at `pressure`.
+    /// resolved to `tier`, at `pressure`. A strict tier is admitted
+    /// at any pressure.
     pub fn decide_tier(&self, tier: &Tier, tolerance: f64, pressure: usize) -> AdmissionDecision {
         let limit = self.limit();
-        let decision = if tolerance < self.config.protect_below || pressure < limit {
+        let decision = if pressure < limit || tier.strict() {
             AdmissionDecision::Admit
         } else if (pressure as f64) < limit as f64 * self.config.reject_factor {
             self.congested.store(true, Ordering::SeqCst);
@@ -489,12 +482,25 @@ mod tests {
 
     #[test]
     fn strict_tiers_are_always_admitted() {
-        let ctl = controller();
-        for pressure in [0, 8, 16, 1000] {
+        // Everything declared below the demo's 1% tier resolves to the
+        // strict baseline, is billed as it, and so is admitted as it.
+        let ctl = controller(); // limit 8, reject at 16
+        for objective in [Objective::ResponseTime, Objective::Cost] {
+            for declared in [0.0, 0.004, 0.005, 0.007, 0.0099] {
+                for pressure in [0, 8, 16, 1000] {
+                    assert_eq!(
+                        ctl.decide_at(objective, declared, pressure),
+                        AdmissionDecision::Admit,
+                        "{objective} declared {declared} at pressure {pressure}"
+                    );
+                }
+            }
             assert_eq!(
-                ctl.decide_at(Objective::ResponseTime, 0.0, pressure),
-                AdmissionDecision::Admit,
-                "pressure {pressure}"
+                ctl.decide_at(objective, 0.01, 16),
+                AdmissionDecision::Reject {
+                    retry_after_secs: 1
+                },
+                "{objective} declared 0.01"
             );
         }
     }
@@ -650,7 +656,7 @@ mod tests {
                 ..AdmissionConfig::defaults()
             },
             AdmissionConfig {
-                protect_below: -0.1,
+                initial_limit: 8192,
                 ..AdmissionConfig::defaults()
             },
         ] {

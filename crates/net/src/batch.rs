@@ -7,10 +7,10 @@
 //! completion timeline) instead of occupying a model-pool slot each.
 //! The batcher
 //! holds such requests for a *formation deadline* proportional to the
-//! loosest thing the customer asked for — a tolerance-0 request never
-//! waits here at all (the service bypasses the batcher entirely below
-//! [`BatchConfig::tolerance_floor`]), and no request waits longer than
-//! [`BatchConfig::max_deadline`].
+//! loosest thing the customer asked for — a request resolved to a
+//! strict tier never waits here at all (the service bypasses the
+//! batcher for it, see [`crate::tiers::TierEntry::strict`]), and no
+//! request waits longer than [`BatchConfig::max_deadline`].
 //!
 //! Determinism: batching only changes *when* work happens on the wall
 //! clock, never *what* is accounted. Each member's settlement runs the
@@ -32,10 +32,6 @@ pub struct BatchConfig {
     /// Master switch: when `false` the service never constructs a
     /// batcher and every request takes the synchronous path.
     pub enabled: bool,
-    /// Requests declaring a tolerance below this never enter the
-    /// batcher: strict tiers bought latency, so they bypass the
-    /// formation queue entirely.
-    pub tolerance_floor: f64,
     /// A group is flushed immediately once it holds this many members.
     pub max_batch: usize,
     /// Formation-deadline slope: a request may wait up to
@@ -49,13 +45,11 @@ pub struct BatchConfig {
 
 impl BatchConfig {
     /// Disabled, with the tuning the bench and e2e suites use once
-    /// they flip `enabled`: floor 0.005, batches of 32, 10 ms of
-    /// formation slack per unit tolerance capped at 2 ms, two
-    /// executors.
+    /// they flip `enabled`: batches of 32, 10 ms of formation slack
+    /// per unit tolerance capped at 2 ms, two executors.
     pub fn defaults() -> Self {
         BatchConfig {
             enabled: false,
-            tolerance_floor: 0.005,
             max_batch: 32,
             slack_us_per_unit_tolerance: 10_000,
             max_deadline: Duration::from_millis(2),
@@ -63,32 +57,23 @@ impl BatchConfig {
         }
     }
 
-    /// How long a request at `tolerance` may wait for batchmates:
-    /// `None` below the floor (strict tiers bypass the queue), else
-    /// `min(max_deadline, tolerance × slack)`.
-    pub fn formation_deadline(&self, tolerance: f64) -> Option<Duration> {
-        if tolerance < self.tolerance_floor {
-            return None;
-        }
+    /// How long a batched request declaring `tolerance` may wait for
+    /// batchmates: `min(max_deadline, tolerance × slack)`. Whether it
+    /// is batched at all is its tier's call, not this one's.
+    pub fn formation_deadline(&self, tolerance: f64) -> Duration {
         let slack_us = (tolerance * self.slack_us_per_unit_tolerance as f64).round() as u64;
-        Some(Duration::from_micros(slack_us).min(self.max_deadline))
+        Duration::from_micros(slack_us).min(self.max_deadline)
     }
 
     /// [`BatchConfig::formation_deadline`] scaled by
     /// `slack_permille / 1000` — the capacity tuner's surge knob:
     /// tightening formation deadlines trades batching efficiency for
-    /// queueing headroom without rebuilding the batcher. The
-    /// tolerance-floor bypass is unaffected, and a scaled deadline of
-    /// zero still batches (the group just flushes immediately).
-    pub fn formation_deadline_scaled(
-        &self,
-        tolerance: f64,
-        slack_permille: u32,
-    ) -> Option<Duration> {
-        self.formation_deadline(tolerance).map(|d| {
-            let us = d.as_micros() as u64 * u64::from(slack_permille) / 1000;
-            Duration::from_micros(us)
-        })
+    /// queueing headroom without rebuilding the batcher. A scaled
+    /// deadline of zero still batches (the group just flushes
+    /// immediately).
+    pub fn formation_deadline_scaled(&self, tolerance: f64, slack_permille: u32) -> Duration {
+        let us = self.formation_deadline(tolerance).as_micros() as u64;
+        Duration::from_micros(us * u64::from(slack_permille) / 1000)
     }
 }
 
@@ -308,20 +293,18 @@ mod tests {
     #[test]
     fn formation_deadline_scales_with_tolerance_and_caps() {
         let config = BatchConfig::defaults();
-        assert_eq!(config.formation_deadline(0.0), None, "strict tier bypasses");
-        assert_eq!(config.formation_deadline(0.004), None, "below the floor");
-        assert_eq!(
-            config.formation_deadline(0.01),
-            Some(Duration::from_micros(100))
-        );
-        assert_eq!(
-            config.formation_deadline(0.1),
-            Some(Duration::from_micros(1000))
-        );
+        assert_eq!(config.formation_deadline(0.0), Duration::ZERO);
+        assert_eq!(config.formation_deadline(0.007), Duration::from_micros(70));
+        assert_eq!(config.formation_deadline(0.01), Duration::from_micros(100));
+        assert_eq!(config.formation_deadline(0.1), Duration::from_micros(1000));
         assert_eq!(
             config.formation_deadline(0.5),
-            Some(config.max_deadline),
+            config.max_deadline,
             "slack is capped"
+        );
+        assert_eq!(
+            config.formation_deadline_scaled(0.1, 250),
+            Duration::from_micros(250)
         );
     }
 

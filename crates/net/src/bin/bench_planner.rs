@@ -101,10 +101,9 @@ fn boot(
     std::net::SocketAddr,
 ) {
     let mut config = ServiceConfig::defaults();
-    config.obs.telemetry_window = Duration::from_millis(100);
+    config.obs.window = Duration::from_millis(100);
     if planner {
         let mut setup = PlannerSetup::defaults();
-        setup.planner.window_us = 100_000;
         setup.planner.windows_per_round = 2;
         setup.planner.max_workers = STATIC_WORKERS;
         config.model_workers = setup.planner.min_workers.max(1);
@@ -348,6 +347,7 @@ fn determinism_phase(params: &BenchParams) -> DeterminismOutcome {
             config.payloads = params.payloads;
             config.seed = SEED;
             config.strategy = RouteStrategy::RoundRobin;
+            let window_us = config.service.obs.window.as_micros() as u64;
             let fleet = Fleet::launch(config).expect("fleet boots");
             let load = LoadConfig::closed(
                 params.determinism_requests,
@@ -364,8 +364,11 @@ fn determinism_phase(params: &BenchParams) -> DeterminismOutcome {
                     fold.merge(&obs.windows().cumulative());
                 }
             }
-            let mut planner =
-                Planner::new(tt_serve::planner::PlannerConfig::defaults(), STATIC_WORKERS);
+            let mut planner = Planner::new(
+                tt_serve::planner::PlannerConfig::defaults(),
+                window_us,
+                STATIC_WORKERS,
+            );
             let decisions = format!("{:?}", planner.observe(&planner_input(&fold)));
             let totals = fleet.billing_totals();
             fleet.shutdown().expect("clean shutdown");

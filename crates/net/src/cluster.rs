@@ -341,11 +341,7 @@ impl FrontTier {
     /// annotations counts as strict, so its 400 comes from the primary.
     fn strict(&self, request: &Request) -> bool {
         annotations(request).map_or(true, |(tolerance, objective)| {
-            self.slots[0]
-                .service
-                .resolve(objective, tolerance)
-                .tolerance
-                == 0.0
+            self.slots[0].service.resolve(objective, tolerance).strict()
         })
     }
 

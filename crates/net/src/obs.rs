@@ -40,8 +40,12 @@ pub struct ObsConfig {
     pub trace_capacity: usize,
     /// Optional JSONL file sink mirroring every finished trace.
     pub trace_file: Option<PathBuf>,
-    /// Sliding-window length for SLO verdicts.
-    pub slo_window: Duration,
+    /// The control-loop window: the SLO sentinel judges one, the
+    /// telemetry store ([`WindowStore`]) seals one, and every roll
+    /// closes one window for admission, the supervisor and the
+    /// capacity automatons, whose planner converts demand over
+    /// `windows_per_round` of them.
+    pub window: Duration,
     /// Minimum window requests per tier before a verdict is rendered.
     pub slo_min_requests: u64,
     /// Quantile at which tier latency is predicted and checked.
@@ -50,13 +54,6 @@ pub struct ObsConfig {
     /// the tier is ruled out of contract (live serving pays queueing
     /// and scheduling costs the profile does not model).
     pub latency_headroom: f64,
-    /// `Some(n)`: the service's event trace keeps only the newest `n`
-    /// events (per-tier aggregates still cover the whole stream).
-    /// `None`: retain everything, as the simulation recorders do.
-    pub trace_retention: Option<usize>,
-    /// Duration of one telemetry window ([`WindowStore`]), sealed by
-    /// the idle-tick heartbeat.
-    pub telemetry_window: Duration,
     /// Sealed telemetry windows retained in the bounded ring.
     pub window_capacity: usize,
     /// Control-plane events retained in the bounded event log.
@@ -70,22 +67,19 @@ impl ObsConfig {
             enabled: true,
             trace_capacity: 256,
             trace_file: None,
-            slo_window: Duration::from_millis(250),
+            window: Duration::from_millis(250),
             slo_min_requests: 20,
             latency_quantile: 0.99,
             latency_headroom: 2.0,
-            trace_retention: Some(4096),
-            telemetry_window: Duration::from_millis(250),
             window_capacity: 64,
             event_capacity: 1024,
         }
     }
 
-    /// Instrumentation fully off (unbounded trace, no registry).
+    /// Instrumentation fully off: no registry, tracer or sentinel.
     pub fn disabled() -> Self {
         ObsConfig {
             enabled: false,
-            trace_retention: None,
             ..ObsConfig::defaults()
         }
     }
@@ -181,7 +175,7 @@ impl Observability {
             registry,
             tracer,
             windows: WindowStore::new(
-                config.telemetry_window.as_micros().max(1) as u64,
+                config.window.as_micros().max(1) as u64,
                 config.window_capacity.max(1),
             ),
             events: EventLog::new(config.event_capacity.max(1)),

@@ -691,17 +691,19 @@ impl<H: HttpHandler> Reactor<H> {
         }
     }
 
-    /// Stop accepting and cut idle connections loose; in-flight
-    /// requests finish with `Connection: close` because every sink
-    /// consults the shutdown flag.
+    /// Stop accepting and cut loose every connection no reply is owed
+    /// on: idle keep-alives and half-sent heads (no request has
+    /// arrived on either). In-flight requests finish with
+    /// `Connection: close` because every sink consults the shutdown
+    /// flag; a body still arriving keeps its request deadline.
     fn begin_drain(&mut self) {
         self.set_listener_interest(false);
         self.draining = true;
         for index in 0..self.slab.len() {
-            let idle = self.slab[index].as_ref().is_some_and(|conn| {
-                conn.state == ConnState::KeepAlive && conn.assembler.is_empty()
+            let owed_nothing = self.slab[index].as_ref().is_some_and(|conn| {
+                matches!(conn.state, ConnState::KeepAlive | ConnState::ReadHead)
             });
-            if idle {
+            if owed_nothing {
                 self.close(index);
             }
         }
@@ -773,6 +775,26 @@ mod tests {
 
         drop(stream);
         running.stop().unwrap();
+    }
+
+    #[test]
+    fn a_drain_does_not_wait_on_a_half_sent_head() {
+        let running = reactor_server(Arc::new(demo_service(60, 9, ServiceConfig::defaults())));
+        let mut stream = TcpStream::connect(running.addr()).unwrap();
+        stream
+            .write_all(b"POST /compute HTTP/1.1\r\nTolerance: 0.1\r\n")
+            .unwrap();
+        // Let the loop read the partial head, so the connection sits
+        // in `ReadHead` rather than waiting for its first byte.
+        std::thread::sleep(Duration::from_millis(200));
+        let begin = std::time::Instant::now();
+        running.stop().unwrap();
+        let took = begin.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "stop waited {took:?} on a connection that owes no reply"
+        );
+        drop(stream);
     }
 
     #[test]

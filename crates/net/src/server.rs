@@ -410,20 +410,17 @@ impl HttpHandler for ComputeService {
     }
 
     /// A `POST /compute` that will park in the batcher never blocks
-    /// `handle_async`: its only wait happens on a batch executor. The
-    /// cheap header peek here over-approximates nothing — malformed
-    /// annotations and epoch-protocol violations answer synchronously
-    /// without sleeping, so they are prompt too.
+    /// `handle_async`: its only wait happens on a batch executor. On a
+    /// service that does not batch nothing is prompt, and no header is
+    /// read; on one that does, the request's tier is resolved on the
+    /// live table, and every tier but a strict one parks. Malformed
+    /// annotations are left to a worker.
     fn completes_promptly(&self, request: &Request) -> bool {
-        if request.method != "POST" || request.path() != "/compute" {
+        if !self.batching_prompt() || request.method != "POST" || request.path() != "/compute" {
             return false;
         }
-        request
-            .headers
-            .iter()
-            .find(|(name, _)| name.eq_ignore_ascii_case("tolerance"))
-            .and_then(|(_, value)| value.trim().parse::<f64>().ok())
-            .is_some_and(|tolerance| self.batching_prompt(tolerance))
+        annotations(request)
+            .is_ok_and(|(tolerance, objective)| !self.resolve(objective, tolerance).strict())
     }
 
     /// Advance the SLO sentinel's sliding window; a window roll is the
@@ -1682,6 +1679,55 @@ mod tests {
         assert_eq!(sync_reply.status, 429, "{}", sync_reply.body);
         assert!(sync_reply.header("Retry-After").is_some());
         assert_eq!(sync_reply, async_reply);
+    }
+
+    #[test]
+    fn requests_billed_as_strict_never_park_in_the_batcher() {
+        let service = Arc::new(demo_service(
+            60,
+            9,
+            ServiceConfig {
+                batch: crate::batch::BatchConfig {
+                    enabled: true,
+                    ..crate::batch::BatchConfig::defaults()
+                },
+                ..ServiceConfig::defaults()
+            },
+        ));
+        let off = AtomicBool::new(false);
+        // 0.007 sits below the demo's 1% tier: it resolves to, and is
+        // billed as, the strict baseline, so it must not wait for
+        // batchmates either.
+        for (tolerance, batched) in [("0", false), ("0.007", false), ("0.01", true)] {
+            let request = req(
+                "POST",
+                "/compute",
+                &[
+                    ("Tolerance", tolerance),
+                    ("Objective", "response-time"),
+                    ("Payload", "3"),
+                ],
+                b"",
+            );
+            assert_eq!(
+                service.completes_promptly(&request),
+                batched,
+                "tolerance {tolerance}"
+            );
+            let (tx, rx) = std::sync::mpsc::channel();
+            service.handle_async(
+                &request,
+                &off,
+                Box::new(move |reply| tx.send(reply).unwrap()),
+            );
+            assert_eq!(rx.recv().unwrap().status, 200);
+            let trace = &service.observability().unwrap().tracer().recent(1)[0];
+            assert_eq!(
+                trace.span("batch").is_some(),
+                batched,
+                "tolerance {tolerance}: parked in the batcher"
+            );
+        }
     }
 
     #[test]

@@ -60,6 +60,10 @@ pub type ResultCache = SemanticCache<CachedAnswer>;
 /// worker pool.
 pub const CACHE_HIT_SIM_LATENCY_US: u64 = 25;
 
+/// How many of the newest events the service's trace keeps; its
+/// per-tier aggregates still cover the whole stream.
+const TRACE_RETENTION: usize = 4096;
+
 /// What the result cache stores per semantic key: the identity of the
 /// answering version. Everything else a response needs (quality error,
 /// confidence, names, prices) is re-derived from the profile matrix
@@ -256,8 +260,8 @@ impl SupervisorSetup {
 #[derive(Debug, Clone)]
 pub struct PlannerSetup {
     /// The low-frequency planner's forecast model and resize policy.
-    /// Its `window_us` must match the observability telemetry window
-    /// for the demand arithmetic to be calibrated.
+    /// Its rounds are `windows_per_round` windows of
+    /// [`ObsConfig::window`].
     pub planner: PlannerConfig,
     /// The high-frequency tuner's surge thresholds and nudges.
     pub tuner: TunerConfig,
@@ -753,10 +757,7 @@ impl ComputeService {
             .obs
             .enabled
             .then(|| Arc::new(Observability::new(&config.obs, started, Arc::clone(&tiers))));
-        let trace = match config.obs.trace_retention {
-            Some(retain) => TraceRecorder::bounded(retain),
-            None => TraceRecorder::new(),
-        };
+        let trace = TraceRecorder::bounded(TRACE_RETENTION);
         let admission = Arc::new(AdmissionController::new(
             config.admission,
             Arc::clone(&tiers),
@@ -783,7 +784,11 @@ impl ComputeService {
             .filter(|_| obs.is_some())
             .map(|setup| {
                 Mutex::new(PlannerRuntime {
-                    planner: Planner::new(setup.planner.clone(), config.model_workers.max(1)),
+                    planner: Planner::new(
+                        setup.planner.clone(),
+                        config.obs.window.as_micros().max(1) as u64,
+                        config.model_workers.max(1),
+                    ),
                     tuner: Tuner::new(setup.tuner.clone()),
                     setup,
                     windows: 0,
@@ -1365,10 +1370,10 @@ impl ComputeService {
     /// synchronous path bills it — is parked in the batcher to share
     /// one vectorized evaluator pass with compatible in-flight
     /// requests, and `done` runs on a batch executor after the group
-    /// flushes. Everything else — strict tiers below the tolerance
-    /// floor, configured faults, tripped breakers, or batching
-    /// disabled — executes synchronously and `done` runs before this
-    /// returns.
+    /// flushes. Everything else — a request resolved to a strict
+    /// tier ([`crate::tiers::TierEntry::strict`]), configured faults,
+    /// tripped breakers, or batching disabled — executes synchronously
+    /// and `done` runs before this returns.
     ///
     /// Batch membership is invisible in the result: both arms share
     /// the prologue ([`ComputeService::open_request`]), the policy
@@ -1398,6 +1403,19 @@ impl ComputeService {
         done: OutcomeSink,
     ) {
         let opened = self.open_request(request, tier, brownout, trace, true);
+        // The matrix walk stands for the live one only while every
+        // version it invoked would have been let through.
+        let parked = match (&self.batcher, &self.faults) {
+            (Some(batcher), None) if !opened.tier.strict() => {
+                let walk = Walk::profiled(&opened.policy, self.matrix.request_row(opened.payload));
+                let allowed = walk.invoked().all(|v| self.allows(v));
+                allowed.then_some((batcher, walk))
+            }
+            _ => None,
+        };
+        let Some((batcher, walk)) = parked else {
+            return done(self.run_opened(opened, trace));
+        };
         // The tuner's surge knob scales formation deadlines down so
         // tolerant requests stop waiting for batchmates while the
         // system is under pressure.
@@ -1405,19 +1423,6 @@ impl ComputeService {
             request.tolerance.value(),
             self.batch_slack_permille.load(Ordering::SeqCst),
         );
-        // The matrix walk stands for the live one only while every
-        // version it invoked would have been let through.
-        let parked = match (&self.batcher, deadline_in, &self.faults) {
-            (Some(batcher), Some(deadline_in), None) => {
-                let walk = Walk::profiled(&opened.policy, self.matrix.request_row(opened.payload));
-                let allowed = walk.invoked().all(|v| self.allows(v));
-                allowed.then_some((batcher, deadline_in, walk))
-            }
-            _ => None,
-        };
-        let Some((batcher, deadline_in, walk)) = parked else {
-            return done(self.run_opened(opened, trace));
-        };
 
         // The batch span stays open across the hand-off; the executor
         // stamps the group facts and closes it before settling.
@@ -1464,18 +1469,15 @@ impl ComputeService {
         });
     }
 
-    /// Whether a compute request at `tolerance` is guaranteed the
-    /// deferred (batched) path end to end — meaning
+    /// Whether compute requests on tiers that are not strict are
+    /// guaranteed the deferred (batched) path end to end — meaning
     /// [`ComputeService::execute_shaped_async`] returns without ever
     /// sleeping a simulated model call on the calling thread. True
     /// only on a fault-free service (so breakers never trip and the
-    /// synchronous fallback is unreachable) with an active batcher and
-    /// a formation deadline for `tolerance`. The reactor uses this to
-    /// run such requests inline on its event loop.
-    pub(crate) fn batching_prompt(&self, tolerance: f64) -> bool {
-        self.batcher.is_some()
-            && self.faults.is_none()
-            && self.config.batch.formation_deadline(tolerance).is_some()
+    /// synchronous fallback is unreachable) with an active batcher.
+    /// The reactor runs such requests inline on its event loop.
+    pub(crate) fn batching_prompt(&self) -> bool {
+        self.batcher.is_some() && self.faults.is_none()
     }
 
     /// Decide a request's fate at the current pressure reading. The
@@ -1668,35 +1670,24 @@ impl ComputeService {
             .as_ref()
             .map(|rt| rt.lock().automaton.quarantined().collect())
             .unwrap_or_default();
-        let current = self.deployed_rules();
-        let Ok((sub, map)) = self.matrix.without_versions(&excluded) else {
-            return false;
+        // An objective with no forecast traffic keeps its rules as
+        // deployed.
+        let in_forecast = |objective: Objective| {
+            let prefix = format!("{objective}/");
+            mix.keys().any(|tier| tier.starts_with(&prefix))
         };
-        let Ok(generator) = RoutingRuleGenerator::with_defaults_threaded(
-            &sub,
+        let regenerated = self.regenerate(
+            &self.deployed_rules(),
+            &excluded,
             setup.rulegen_confidence,
             seed,
             setup.rulegen_threads,
-        ) else {
+            in_forecast,
+        );
+        let Some(rules) = regenerated else {
             return false;
         };
-        let mut out = Vec::with_capacity(current.len());
-        for rules in current {
-            let objective_prefix = format!("{}/", rules.objective());
-            let in_forecast = mix.keys().any(|tier| tier.starts_with(&objective_prefix));
-            if !in_forecast {
-                // No forecast traffic for this objective: keep its
-                // rules as deployed.
-                out.push(rules);
-                continue;
-            }
-            let tolerances: Vec<f64> = rules.tiers().iter().map(|&(t, _)| t).collect();
-            match generator.generate(&tolerances, rules.objective()) {
-                Ok(fresh) => out.push(fresh.map_versions(&map)),
-                Err(_) => return false,
-            }
-        }
-        self.install(TieredFrontend::new(out));
+        self.install(TieredFrontend::new(rules));
         true
     }
 
@@ -1715,7 +1706,16 @@ impl ComputeService {
     fn execute_quarantine(&self, rt: &mut SupervisorRuntime, version: usize) {
         let excluded: Vec<usize> = rt.automaton.quarantined().collect();
         let current = self.deployed_rules();
-        match self.regenerate(rt, &excluded, &current) {
+        let setup = &rt.setup;
+        let regenerated = self.regenerate(
+            &current,
+            &excluded,
+            setup.rulegen_confidence,
+            setup.rulegen_seed,
+            setup.rulegen_threads,
+            |_| true,
+        );
+        match regenerated {
             Some(rules) => {
                 self.health.quarantined[version].store(true, Ordering::SeqCst);
                 rt.saved_rules = Some(current);
@@ -1734,25 +1734,30 @@ impl ComputeService {
         }
     }
 
-    /// Regenerate rules over the non-excluded versions, preserving
-    /// each objective's tier tolerances, remapped back to
-    /// full-deployment version indices.
+    /// The one rule regeneration the control plane runs: the threaded
+    /// generator over the versions not `excluded`, at `confidence`
+    /// and `seed`, re-derives the rules of every objective `regen`
+    /// selects over its deployed tier tolerances, remapped back to
+    /// full-deployment version indices; the other objectives keep
+    /// their `current` rules. `None` when any generation fails.
     fn regenerate(
         &self,
-        rt: &SupervisorRuntime,
-        excluded: &[usize],
         current: &[RoutingRules],
+        excluded: &[usize],
+        confidence: f64,
+        seed: u64,
+        threads: usize,
+        regen: impl Fn(Objective) -> bool,
     ) -> Option<Vec<RoutingRules>> {
         let (sub, map) = self.matrix.without_versions(excluded).ok()?;
-        let generator = RoutingRuleGenerator::with_defaults_threaded(
-            &sub,
-            rt.setup.rulegen_confidence,
-            rt.setup.rulegen_seed,
-            rt.setup.rulegen_threads,
-        )
-        .ok()?;
+        let generator =
+            RoutingRuleGenerator::with_defaults_threaded(&sub, confidence, seed, threads).ok()?;
         let mut out = Vec::with_capacity(current.len());
         for rules in current {
+            if !regen(rules.objective()) {
+                out.push(rules.clone());
+                continue;
+            }
             let tolerances: Vec<f64> = rules.tiers().iter().map(|&(t, _)| t).collect();
             let fresh = generator.generate(&tolerances, rules.objective()).ok()?;
             out.push(fresh.map_versions(&map));
@@ -2529,22 +2534,23 @@ mod tests {
         assert_eq!(svc.snapshot().resilience.dropped_requests, 1);
     }
 
-    fn planner_setup() -> PlannerSetup {
+    /// A planning service whose rounds are one tight window, so the
+    /// tests can drive rounds directly.
+    fn planned() -> ServiceConfig {
         let mut setup = PlannerSetup::defaults();
-        // One planning round per window with a tight window, so the
-        // tests can drive rounds directly.
-        setup.planner.window_us = 10_000;
         setup.planner.windows_per_round = 1;
         setup.planner.shrink_patience = 2;
-        setup
+        let mut config = ServiceConfig {
+            planner: Some(setup),
+            ..ServiceConfig::defaults()
+        };
+        config.obs.window = std::time::Duration::from_millis(10);
+        config
     }
 
     #[test]
     fn planner_grows_the_pool_under_demand_and_logs_typed_events() {
-        let svc = service(ServiceConfig {
-            planner: Some(planner_setup()),
-            ..ServiceConfig::defaults()
-        });
+        let svc = service(planned());
         assert_eq!(svc.pool_workers(), 4);
         let obs = Arc::clone(svc.observability().unwrap());
         // One heavy round: 40 arrivals at ~8ms mean service in a 10ms
@@ -2571,11 +2577,49 @@ mod tests {
     }
 
     #[test]
+    fn the_planner_converts_demand_over_rounds_of_the_obs_window() {
+        let mut config = planned();
+        config.obs.window = std::time::Duration::from_millis(100);
+        config.planner.as_mut().unwrap().planner.windows_per_round = 2;
+        let svc = service(config);
+        let obs = Arc::clone(svc.observability().unwrap());
+        for i in 0..40 {
+            obs.record_arrival(&svc.resolve(Objective::Cost, Tolerance::new(0.05).unwrap()));
+            let req = ServiceRequest::new(i, Tolerance::new(0.05).unwrap(), Objective::Cost);
+            svc.execute(&req).unwrap();
+        }
+        svc.on_window();
+        svc.on_window();
+        let events = obs.events().since(0);
+        let forecast = events
+            .iter()
+            .find(|e| e.kind == "planner_forecast")
+            .expect("the second window closes a round");
+        // "busy {busy}us/round at mean {mean}us -> demand {workers} workers"
+        let numbers: Vec<u64> = forecast
+            .detail
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|n| n.parse().ok())
+            .collect();
+        let [busy_us, _mean_us, demand] = numbers[..] else {
+            panic!("unexpected forecast line {:?}", forecast.detail);
+        };
+        // A 200 ms round at 70 % target utilization: 140 ms of busy
+        // time per worker.
+        let planner = PlannerConfig::defaults();
+        let expected = busy_us
+            .div_ceil(140_000)
+            .clamp(planner.min_workers as u64, planner.max_workers as u64);
+        assert!(
+            busy_us > 140_000,
+            "the round must need more than one worker"
+        );
+        assert_eq!(demand, expected, "{}", forecast.detail);
+    }
+
+    #[test]
     fn planner_shrinks_after_the_trough_persists() {
-        let svc = service(ServiceConfig {
-            planner: Some(planner_setup()),
-            ..ServiceConfig::defaults()
-        });
+        let svc = service(planned());
         let obs = Arc::clone(svc.observability().unwrap());
         for i in 0..40 {
             obs.record_arrival(&svc.resolve(Objective::Cost, Tolerance::new(0.05).unwrap()));
@@ -2599,13 +2643,10 @@ mod tests {
 
     #[test]
     fn tuner_boosts_admission_on_a_surge_window() {
-        let mut setup = planner_setup();
+        let mut config = planned();
         // Keep the planner quiet so only the tuner acts.
-        setup.planner.windows_per_round = 1000;
-        let svc = service(ServiceConfig {
-            planner: Some(setup),
-            ..ServiceConfig::defaults()
-        });
+        config.planner.as_mut().unwrap().planner.windows_per_round = 1000;
+        let svc = service(config);
         let obs = Arc::clone(svc.observability().unwrap());
         // Steady warmup windows.
         let mut tol = 0.05;
@@ -2649,10 +2690,7 @@ mod tests {
 
     #[test]
     fn forecast_regen_preserves_tier_sets_and_bumps_the_epoch() {
-        let svc = service(ServiceConfig {
-            planner: Some(planner_setup()),
-            ..ServiceConfig::defaults()
-        });
+        let svc = service(planned());
         let obs = Arc::clone(svc.observability().unwrap());
         let tiers_before: Vec<Vec<u32>> = {
             let fe = svc.frontend();

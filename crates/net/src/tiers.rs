@@ -81,6 +81,17 @@ pub struct TierEntry {
     pub sinks: Arc<TierSinks>,
 }
 
+impl TierEntry {
+    /// Whether the tier is strict: the baseline entry every ladder
+    /// starts with, serving tolerance 0. A request resolved to it is
+    /// never browned out, rejected or held for batchmates, whatever
+    /// tolerance it declared. Every layer asks this; none compares a
+    /// declared tolerance to a cutoff of its own.
+    pub fn strict(&self) -> bool {
+        self.tolerance == 0.0
+    }
+}
+
 /// One deployment's tiers, the frontend they were built from, and the
 /// sentinel watching them.
 #[derive(Debug)]
@@ -192,7 +203,7 @@ impl TierTable {
             }
             ladders.push((objective, entries));
         }
-        let window_us = config.slo_window.as_micros().max(1) as u64;
+        let window_us = config.window.as_micros().max(1) as u64;
         TierTable {
             frontend,
             schedule: schedule.clone(),

@@ -73,8 +73,6 @@ pub struct PlannerConfig {
     pub season_alpha_num: u64,
     /// Seasonal-deviation EWMA factor denominator.
     pub season_alpha_den: u64,
-    /// Nominal telemetry window duration, microseconds.
-    pub window_us: u64,
     /// Windows per planning round (the planner's cadence).
     pub windows_per_round: u64,
     /// Target worker busy fraction, percent, `1..=100`.
@@ -108,7 +106,6 @@ impl PlannerConfig {
             season_len: 8,
             season_alpha_num: 2,
             season_alpha_den: 10,
-            window_us: 250_000,
             windows_per_round: 4,
             target_utilization_pct: 70,
             min_workers: 1,
@@ -141,9 +138,6 @@ impl PlannerConfig {
                 "seasonal EWMA alpha must be in (0, 1]: {}/{}",
                 self.season_alpha_num, self.season_alpha_den
             ));
-        }
-        if self.window_us == 0 {
-            return Err("window_us must be positive".into());
         }
         if self.windows_per_round == 0 {
             return Err("windows_per_round must be >= 1".into());
@@ -226,6 +220,9 @@ pub struct PlannerStatus {
 #[derive(Debug, Clone)]
 pub struct Planner {
     config: PlannerConfig,
+    /// The host's control-loop window, microseconds: a round is
+    /// nominally `window_us × windows_per_round` long.
+    window_us: u64,
     /// Previous cumulative observation, diffed against the current one.
     prev: PlannerInput,
     /// Demand EWMA in fixed point: µs of busy time per round × 1000.
@@ -247,18 +244,22 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// A planner believing `initial_workers` are provisioned.
+    /// A planner believing `initial_workers` are provisioned, whose
+    /// host closes one window every `window_us` microseconds.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`PlannerConfig::validate`].
-    pub fn new(config: PlannerConfig, initial_workers: usize) -> Self {
+    /// Panics if the configuration fails [`PlannerConfig::validate`]
+    /// or `window_us` is zero.
+    pub fn new(config: PlannerConfig, window_us: u64, initial_workers: usize) -> Self {
         if let Err(e) = config.validate() {
             panic!("planner config: {e}");
         }
+        assert!(window_us > 0, "planner window must be positive");
         let season = vec![0i64; config.season_len];
         Planner {
             config,
+            window_us,
             prev: PlannerInput::default(),
             busy_ewma_fp: 0,
             tier_ewma_fp: BTreeMap::new(),
@@ -366,7 +367,7 @@ impl Planner {
 
         // Capacity one worker contributes per round at target
         // utilization, µs.
-        let round_us = self.config.window_us * self.config.windows_per_round;
+        let round_us = self.window_us * self.config.windows_per_round;
         let per_worker_us = round_us * self.config.target_utilization_pct / 100;
         let forecast_busy_us = forecast_fp / PERMILLE;
         let demand_workers = usize::try_from(forecast_busy_us.div_ceil(per_worker_us.max(1)))
@@ -687,9 +688,11 @@ impl Tuner {
 mod tests {
     use super::*;
 
+    /// The host window the unit tests plan over: 1 ms.
+    const WINDOW_US: u64 = 1_000;
+
     fn config() -> PlannerConfig {
         PlannerConfig {
-            window_us: 1_000,
             windows_per_round: 1,
             season_len: 4,
             ..PlannerConfig::defaults()
@@ -735,7 +738,7 @@ mod tests {
 
     #[test]
     fn forecast_precedes_other_actions_every_round() {
-        let mut p = Planner::new(config(), 1);
+        let mut p = Planner::new(config(), WINDOW_US, 1);
         for round in 1..=5u64 {
             let actions = p.observe(&input(
                 &[("cost/0.050", round * 10)],
@@ -750,7 +753,7 @@ mod tests {
 
     #[test]
     fn sustained_demand_growth_resizes_up_immediately() {
-        let mut p = Planner::new(config(), 1);
+        let mut p = Planner::new(config(), WINDOW_US, 1);
         // 10 arrivals/round at 1ms mean service in a 1ms round at 70%
         // target utilization demands ~15 workers.
         let actions = p.observe(&input(&[("cost/0.050", 10)], &[(0, 10, 10_000)]));
@@ -768,7 +771,7 @@ mod tests {
         let mut cfg = config();
         cfg.shrink_patience = 2;
         cfg.season_len = 0;
-        let mut p = Planner::new(cfg, 1);
+        let mut p = Planner::new(cfg, WINDOW_US, 1);
         // Load up.
         p.observe(&input(&[("cost/0.050", 20)], &[(0, 20, 20_000)]));
         let high = p.status().workers;
@@ -799,7 +802,7 @@ mod tests {
 
     #[test]
     fn mix_shift_triggers_regen_with_forecast_mix() {
-        let mut p = Planner::new(config(), 1);
+        let mut p = Planner::new(config(), WINDOW_US, 1);
         let first = p.observe(&input(&[("cost/0.050", 100)], &[(0, 100, 100_000)]));
         assert!(
             first
@@ -850,7 +853,7 @@ mod tests {
             })
             .collect();
         let run = || {
-            let mut p = Planner::new(config(), 2);
+            let mut p = Planner::new(config(), WINDOW_US, 2);
             folds.iter().flat_map(|f| p.observe(f)).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -861,7 +864,7 @@ mod tests {
         let mut cfg = config();
         cfg.season_len = 4;
         cfg.shrink_patience = 1;
-        let mut p = Planner::new(cfg, 1);
+        let mut p = Planner::new(cfg, WINDOW_US, 1);
         // A 4-round cycle: one heavy slot, three light. After a few
         // cycles the forecast entering the heavy slot must exceed the
         // forecast entering a light slot.

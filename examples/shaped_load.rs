@@ -68,10 +68,9 @@ fn parse_args() -> Result<(String, f64, usize, usize), String> {
 /// shaped load show several rounds.
 fn planned_config() -> ServiceConfig {
     let mut setup = PlannerSetup::defaults();
-    setup.planner.window_us = 100_000;
     setup.planner.windows_per_round = 2;
     let mut config = ServiceConfig::defaults();
-    config.obs.telemetry_window = Duration::from_millis(100);
+    config.obs.window = Duration::from_millis(100);
     config.planner = Some(setup);
     config
 }

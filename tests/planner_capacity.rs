@@ -26,6 +26,9 @@ const REQUESTS: usize = 160;
 /// `(objective, tolerance-milli)`.
 type BillingTotals = BTreeMap<(String, u32), (usize, f64)>;
 
+/// The fleet's control-loop window.
+const WINDOW: Duration = Duration::from_millis(50);
+
 /// A fleet whose every node runs the capacity planner at a fast test
 /// cadence (the planning round itself is forced via `on_window`, so
 /// the cadence only has to be non-absurd, not tuned).
@@ -34,10 +37,8 @@ fn planned_fleet(nodes: usize) -> Fleet {
     config.payloads = PAYLOADS;
     config.seed = SEED;
     config.strategy = RouteStrategy::RoundRobin;
-    let mut setup = PlannerSetup::defaults();
-    setup.planner.window_us = 50_000;
-    config.service.obs.telemetry_window = Duration::from_millis(50);
-    config.service.planner = Some(setup);
+    config.service.obs.window = WINDOW;
+    config.service.planner = Some(PlannerSetup::defaults());
     Fleet::launch(config).expect("fleet boots")
 }
 
@@ -214,7 +215,8 @@ fn planner_decisions_and_billing_are_bit_identical_across_shapes() {
             // Replay the fleet-merged fold through a fresh planner:
             // decisions are a pure function of the fold, so every
             // shape must produce the same action sequence.
-            let mut planner = Planner::new(PlannerConfig::defaults(), 8);
+            let window_us = WINDOW.as_micros() as u64;
+            let mut planner = Planner::new(PlannerConfig::defaults(), window_us, 8);
             let decisions = format!("{:?}", planner.observe(&planner_input(&fleet_fold(&fleet))));
             let totals = fleet.billing_totals();
             fleet.shutdown().expect("clean shutdown");

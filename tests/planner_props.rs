@@ -58,6 +58,9 @@ fn input_of(fold: &WindowAccum) -> PlannerInput {
     }
 }
 
+/// The planner's window: the service's default 250 ms.
+const WINDOW_US: u64 = 250_000;
+
 /// Record `events` into `shards` window stores (round-robin — a stand
 /// in for which node or thread observed each request), ticking each
 /// store after every `tick_every` records (heartbeat racing), and
@@ -91,7 +94,7 @@ fn decisions_for(
     shards: usize,
     tick_every: usize,
 ) -> Vec<PlannerAction> {
-    let mut planner = Planner::new(config.clone(), 4);
+    let mut planner = Planner::new(config.clone(), WINDOW_US, 4);
     let mut actions = Vec::new();
     for &cut in cuts {
         let fold = fold_via(&events[..cut], shards, tick_every);

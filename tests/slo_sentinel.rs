@@ -24,7 +24,7 @@ const SEED: u64 = 2024;
 /// evaluates the entire run as one deterministic window.
 fn test_obs() -> ObsConfig {
     ObsConfig {
-        slo_window: Duration::from_secs(3600),
+        window: Duration::from_secs(3600),
         slo_min_requests: 5,
         ..ObsConfig::defaults()
     }
