@@ -263,7 +263,8 @@ impl Observability {
     /// Record one request served as `tier` into the registry, the
     /// tier's telemetry, and the open telemetry window's per-version
     /// service-time histogram. All hot-path registry operations are
-    /// atomics; the window record is one short uncontended lock.
+    /// atomics; the window record locks only the calling thread's
+    /// shard of the open window, which no other recorder takes.
     pub fn record_served(&self, tier: &TierEntry, sample: &ServedSample) {
         self.requests_total.inc();
         if sample.degraded {

@@ -31,7 +31,7 @@ use tt_core::policy::{Policy, Walk};
 use tt_core::profile::{Observation, ProfileMatrix};
 use tt_core::request::{ServiceRequest, Tolerance};
 use tt_core::rulegen::{RoutingRuleGenerator, RoutingRules};
-use tt_obs::TraceHandle;
+use tt_obs::{Shards, TraceHandle};
 use tt_serve::billing::{BillingReport, TierEconomics, TierPriceSchedule};
 use tt_serve::frontend::TieredFrontend;
 use tt_serve::live::WorkerPool;
@@ -40,14 +40,14 @@ use tt_serve::planner::{
     TunerConfig,
 };
 use tt_serve::resilience::{
-    BreakerPolicy, CircuitBreaker, Recovery, ResilienceStats, ResilientWalk, RetryPolicy, Slot,
-    Step,
+    BreakerPolicy, BreakerState, CircuitBreaker, Recovery, ResilienceStats, ResilientWalk,
+    RetryPolicy, Slot, Step,
 };
 use tt_serve::supervisor::{
     Supervisor, SupervisorAction, SupervisorConfig, VersionWindow, WindowObservation,
 };
 use tt_serve::trace::{TraceEvent, TraceRecorder};
-use tt_sim::{CostLedger, FaultOutcome, FaultPlan, InstanceType, Money, SimDuration, SimTime};
+use tt_sim::{FaultOutcome, FaultPlan, InstanceType, Money, SimDuration, SimTime};
 
 /// The semantic result cache the serving layer shares: stored answers
 /// are [`CachedAnswer`]s, keys are [`semantic_key`] values, and exact
@@ -60,8 +60,9 @@ pub type ResultCache = SemanticCache<CachedAnswer>;
 /// worker pool.
 pub const CACHE_HIT_SIM_LATENCY_US: u64 = 25;
 
-/// How many of the newest events the service's trace keeps; its
-/// per-tier aggregates still cover the whole stream.
+/// How many of the newest events the service's trace keeps (each
+/// settle shard, and the snapshot merged from them); its per-tier
+/// aggregates still cover the whole stream.
 const TRACE_RETENTION: usize = 4096;
 
 /// What the result cache stores per semantic key: the identity of the
@@ -379,16 +380,36 @@ pub struct ServiceSnapshot {
     pub cache: Option<tt_cache::CacheStats>,
 }
 
-/// Mutable run state behind one lock: the trace and the money.
-#[derive(Debug, Default)]
+/// One thread's share of the settle path's bookkeeping: the trace, the
+/// bill and the resilience counts. Everything in it is a count, an
+/// integer sum or a ring ordered by settle number, so
+/// [`ComputeService::snapshot`] folds the shards to the same figures
+/// however the requests were spread over threads.
+#[derive(Debug)]
 struct Ledgered {
+    /// The newest settled requests, numbered by settle order, and
+    /// per-tier aggregates of all of them.
     trace: TraceRecorder,
-    ledger: CostLedger,
-    /// Tier economics accumulated per request, so billing stays exact
-    /// even when the event trace is bounded and evicting.
-    /// Keyed by `(objective name, tolerance in tenths of a percent)`:
-    /// a static name, so settling allocates nothing under the lock.
-    tiers: BTreeMap<(&'static str, u32), TierEconomics>,
+    /// Accounted busy time of every launched invocation, µs, priced at
+    /// read.
+    busy_us: u64,
+    /// Requests billed, by `(objective name, tolerance in tenths of a
+    /// percent, price bits)`: a static name, so settling allocates
+    /// nothing once a tier was seen. Revenue is priced at read.
+    billed: BTreeMap<(&'static str, u32, u64), u64>,
+    /// Resilience counts.
+    stats: ResilienceStats,
+}
+
+impl Ledgered {
+    fn new() -> Self {
+        Ledgered {
+            trace: TraceRecorder::bounded(TRACE_RETENTION),
+            busy_us: 0,
+            billed: BTreeMap::new(),
+            stats: ResilienceStats::default(),
+        }
+    }
 }
 
 /// What executing one request accounted: its answer and charges.
@@ -452,7 +473,9 @@ struct Opened {
 /// bit-identical per-tier billing is structural, not coincidental.
 struct Accounts {
     matrix: Arc<ProfileMatrix>,
-    state: Arc<Mutex<Ledgered>>,
+    /// The settling thread's share of the books; no lock is shared
+    /// between settlers.
+    shards: Shards<Ledgered>,
     obs: Option<Arc<Observability>>,
     served: AtomicUsize,
     instance: InstanceType,
@@ -502,29 +525,25 @@ impl Accounts {
             (handle, id)
         });
         {
-            let mut state = self.state.lock();
-            for _ in 0..stage.invocations {
-                state.ledger.charge_invocation(price);
-            }
-            state
-                .ledger
-                .charge_compute(&self.instance, SimDuration::from_micros(stage.busy_us));
-            state.trace.record(TraceEvent {
-                arrival,
-                responded,
-                tolerance: billed.tolerance,
-                objective: billed.objective,
-                answered_by: stage.answered_by,
-                quality_err,
-            });
+            let mut shard = self.shards.local();
+            // Numbered under the shard's lock, so each shard's ring
+            // ascends and the snapshot merges the rings in settle order.
+            let number = self.served.fetch_add(1, Ordering::SeqCst) as u64;
+            shard.busy_us += stage.busy_us;
+            shard.trace.record_numbered(
+                number,
+                TraceEvent {
+                    arrival,
+                    responded,
+                    tolerance: billed.tolerance,
+                    objective: billed.objective,
+                    answered_by: stage.answered_by,
+                    quality_err,
+                },
+            );
             let milli = (billed.tolerance * 1000.0).round() as u32;
-            let key = (billed.objective.name(), milli);
-            let slot = state.tiers.entry(key).or_insert(TierEconomics {
-                requests: 0,
-                revenue: Money::ZERO,
-            });
-            slot.requests += 1;
-            slot.revenue += price;
+            let key = (billed.objective.name(), milli, price.as_dollars().to_bits());
+            *shard.billed.entry(key).or_insert(0) += 1;
         }
         if let Some((handle, id)) = bill_span {
             handle.close(id, self.wall_us());
@@ -543,7 +562,6 @@ impl Accounts {
                 },
             );
         }
-        self.served.fetch_add(1, Ordering::SeqCst);
         if let Some((handle, id)) = span {
             handle.attr_int(id, "answered_by", stage.answered_by as i64);
             handle.attr_int(id, "sim_latency_us", stage.sim_latency_us as i64);
@@ -606,6 +624,48 @@ fn model_call(
         handle.close(id, wall_us());
     }
     (fault, obs.confidence)
+}
+
+/// One version's circuit breaker, with a path that takes no lock: a
+/// breaker that is closed and has counted no failure since its last
+/// success lets every launch through, and a success changes nothing in
+/// it. `clean` says the breaker is in that state. It is written under
+/// the breaker's lock after every record, so it follows the breaker's
+/// own order of changes; a caller that reads a stale `true` while
+/// another records a failure has its call ordered before the failure,
+/// as the lock would have allowed. The flag publishes no other data.
+#[derive(Debug)]
+struct Breaker {
+    clean: AtomicBool,
+    breaker: Mutex<CircuitBreaker>,
+}
+
+impl Breaker {
+    fn new(policy: BreakerPolicy) -> Self {
+        Breaker {
+            clean: AtomicBool::new(true),
+            breaker: Mutex::new(CircuitBreaker::new(policy)),
+        }
+    }
+
+    /// Whether a launch may go ahead. `now` is read only when the
+    /// breaker is not clean.
+    fn allows(&self, now: impl FnOnce() -> SimTime) -> bool {
+        self.clean.load(Ordering::Relaxed) || self.breaker.lock().allows(now())
+    }
+
+    /// Record how a call ended. `now` is read only when the record can
+    /// change the breaker.
+    fn record(&self, success: bool, now: impl FnOnce() -> SimTime) {
+        if success && self.clean.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut breaker = self.breaker.lock();
+        breaker.record(success, now());
+        // A success leaves a closed breaker with no failures counted.
+        let clean = success && breaker.state() == BreakerState::Closed;
+        self.clean.store(clean, Ordering::Relaxed);
+    }
 }
 
 /// Lock-free per-version health: lifetime counters the supervisor
@@ -684,10 +744,9 @@ pub struct ComputeService {
     tiers: Arc<LiveTiers>,
     config: ServiceConfig,
     pool: WorkerPool<FaultOutcome>,
-    breakers: Arc<Mutex<Vec<CircuitBreaker>>>,
+    /// Per version; empty when breakers are off.
+    breakers: Arc<[Breaker]>,
     faults: Option<Arc<Mutex<FaultPlan>>>,
-    stats: Arc<Mutex<ResilienceStats>>,
-    state: Arc<Mutex<Ledgered>>,
     obs: Option<Arc<Observability>>,
     admission: Arc<AdmissionController>,
     health: Arc<VersionHealth>,
@@ -744,8 +803,8 @@ impl ComputeService {
         }
         config.retry.validate().expect("retry policy must be valid");
         let versions = matrix.versions();
-        let breakers = match config.breaker {
-            Some(policy) => (0..versions).map(|_| CircuitBreaker::new(policy)).collect(),
+        let breakers: Vec<Breaker> = match config.breaker {
+            Some(policy) => (0..versions).map(|_| Breaker::new(policy)).collect(),
             None => Vec::new(),
         };
         // One monotonic anchor rules the breakers, the spans, and the
@@ -757,7 +816,6 @@ impl ComputeService {
             .obs
             .enabled
             .then(|| Arc::new(Observability::new(&config.obs, started, Arc::clone(&tiers))));
-        let trace = TraceRecorder::bounded(TRACE_RETENTION);
         let admission = Arc::new(AdmissionController::new(
             config.admission,
             Arc::clone(&tiers),
@@ -795,28 +853,21 @@ impl ComputeService {
                     log: Vec::new(),
                 })
             });
-        let stats = Arc::new(Mutex::new(ResilienceStats::default()));
-        let state = Arc::new(Mutex::new(Ledgered {
-            trace,
-            ..Ledgered::default()
-        }));
         ComputeService {
             pool: WorkerPool::new(config.model_workers.max(1)),
             capacity,
             batch_slack_permille: AtomicU32::new(1000),
             mix_regens: AtomicU64::new(0),
-            breakers: Arc::new(Mutex::new(breakers)),
+            breakers: breakers.into(),
             faults: config.faults.clone().map(|p| Arc::new(Mutex::new(p))),
             accounts: Arc::new(Accounts {
                 matrix: Arc::clone(&matrix),
-                state: Arc::clone(&state),
+                shards: Shards::new(Ledgered::new),
                 obs: obs.clone(),
                 served: AtomicUsize::new(0),
                 instance: InstanceType::cpu_node(),
                 started,
             }),
-            stats,
-            state,
             obs,
             admission,
             health: Arc::new(VersionHealth::new(versions)),
@@ -939,14 +990,11 @@ impl ComputeService {
     }
 
     fn allows(&self, version: usize) -> bool {
-        if self.health.quarantined[version].load(Ordering::SeqCst) {
-            return false;
-        }
-        let mut breakers = self.breakers.lock();
-        match breakers.get_mut(version) {
-            Some(b) => b.allows(self.now()),
-            None => true,
-        }
+        !self.health.quarantined[version].load(Ordering::SeqCst)
+            && self
+                .breakers
+                .get(version)
+                .is_none_or(|b| b.allows(|| self.now()))
     }
 
     /// Breaker admission for a request's [`ResilientWalk`]: whether
@@ -967,15 +1015,16 @@ impl ComputeService {
     /// Record a call that ended with `fault` on its version's breaker
     /// and in the fault tallies.
     fn book(&self, version: usize, fault: FaultOutcome) {
-        let usable = fault.completion().is_usable();
-        if let Some(b) = self.breakers.lock().get_mut(version) {
-            b.record(usable, self.now());
+        if let Some(b) = self.breakers.get(version) {
+            b.record(fault.completion().is_usable(), || self.now());
         }
         match fault {
             FaultOutcome::None => {}
-            FaultOutcome::Straggler { .. } => self.stats.lock().slow_invocations += 1,
+            FaultOutcome::Straggler { .. } => {
+                self.accounts.shards.local().stats.slow_invocations += 1
+            }
             FaultOutcome::Crash { .. } | FaultOutcome::Transient => {
-                self.stats.lock().failed_invocations += 1;
+                self.accounts.shards.local().stats.failed_invocations += 1;
                 self.health.failures[version].fetch_add(1, Ordering::SeqCst);
             }
         }
@@ -1099,7 +1148,7 @@ impl ComputeService {
             handle.close(id, self.wall_us());
         }
         if request.eventful() {
-            self.stats.lock().record(&request);
+            self.accounts.shards.local().stats.record(&request);
         }
         StageOutcome::of(&request)
     }
@@ -1171,7 +1220,7 @@ impl ComputeService {
         routed: bool,
     ) -> Opened {
         let arrival = self.now();
-        self.stats.lock().total_requests += 1;
+        self.accounts.shards.local().stats.total_requests += 1;
         let payload = request.payload % self.matrix.requests().max(1);
         let root = trace.map(|handle| {
             let id = handle.open("execute", None, self.wall_us());
@@ -1198,7 +1247,14 @@ impl ComputeService {
             .validate(self.matrix.versions())
             .expect("frontend produced a valid policy");
         if let Some((handle, id)) = route_span {
-            handle.attr_text(id, "policy", format_args!("{policy:?}"));
+            // The billed entry's policy was rendered when its table was
+            // built; only a rewritten brownout plan is rendered here.
+            let billed = rebilled.as_ref().unwrap_or(&tier);
+            if policy == billed.policy {
+                handle.attr_text(id, "policy", billed.policy_text.as_str());
+            } else {
+                handle.attr_text(id, "policy", format_args!("{policy:?}"));
+            }
             if let Some((_, _, level)) = brownout {
                 handle.attr_str(id, "brownout", level.label());
             }
@@ -1447,10 +1503,10 @@ impl ComputeService {
         let finish = Box::new(move |batch_size: u64, waited_us: u64| {
             // The health/breaker bookkeeping the live path does per
             // model call; fault-free, so every invocation succeeds.
-            let now = SimTime::from_micros(accounts.started.elapsed().as_micros() as u64);
+            let now = || SimTime::from_micros(accounts.started.elapsed().as_micros() as u64);
             for version in walk.invoked() {
                 health.attempts[version].fetch_add(1, Ordering::SeqCst);
-                if let Some(b) = breakers.lock().get_mut(version) {
+                if let Some(b) = breakers.get(version) {
                     b.record(true, now);
                 }
             }
@@ -1900,25 +1956,47 @@ impl ComputeService {
     }
 
     /// A consistent snapshot of the trace, resilience counters, and
-    /// billing.
+    /// billing, folded from every settle shard in slot order.
     pub fn snapshot(&self) -> ServiceSnapshot {
-        let state = self.state.lock();
-        // Fold from the incrementally-accumulated tier economics, not
-        // the event trace: a bounded trace evicts events, the
-        // accumulator never loses a billed request.
-        let tiers = state
-            .tiers
-            .iter()
-            .map(|(&(objective, tolerance), econ)| {
-                ((objective.to_string(), tolerance), econ.clone())
-            })
-            .collect();
-        let billing = BillingReport::from_parts(tiers, state.ledger.compute_cost());
+        // Every shard at once: one cut through the books.
+        let shards: Vec<_> = self.accounts.shards.each().collect();
+        let mut busy_us = 0;
+        let mut billed: BTreeMap<(&'static str, u32, u64), u64> = BTreeMap::new();
+        let mut resilience = ResilienceStats::default();
+        for shard in &shards {
+            busy_us += shard.busy_us;
+            for (&key, &requests) in &shard.billed {
+                *billed.entry(key).or_insert(0) += requests;
+            }
+            resilience.merge(&shard.stats);
+        }
+        let trace = TraceRecorder::merged(shards.iter().map(|shard| &shard.trace));
+        drop(shards);
+        // Bill from the request counts, not the event trace: a bounded
+        // trace evicts events, the counts never lose a billed request.
+        // Each price's charges total as a running sum would, so a tier
+        // bills `requests` charges of its price to the bit.
+        let mut tiers: BTreeMap<(String, u32), TierEconomics> = BTreeMap::new();
+        for ((objective, milli, price), requests) in billed {
+            let econ = tiers
+                .entry((objective.to_string(), milli))
+                .or_insert(TierEconomics {
+                    requests: 0,
+                    revenue: Money::ZERO,
+                });
+            econ.requests += requests as usize;
+            econ.revenue += Money::from_dollars(f64::from_bits(price)).repeated(requests);
+        }
+        // Busy time is summed in whole µs and priced once.
+        let compute_cost = self
+            .accounts
+            .instance
+            .cost_of(SimDuration::from_micros(busy_us));
         ServiceSnapshot {
             served: self.served(),
-            trace: state.trace.clone(),
-            resilience: self.stats.lock().clone(),
-            billing,
+            trace,
+            resilience,
+            billing: BillingReport::from_parts(tiers, compute_cost),
             cache: self.config.cache.as_ref().map(|c| c.stats()),
         }
     }
@@ -2480,7 +2558,7 @@ mod tests {
             termination: Termination::EarlyTerminate,
         };
         let tolerance = Tolerance::new(0.10).unwrap();
-        let mut expected = CostLedger::new();
+        let mut busy_us = 0;
         let mut confident = 0;
         for payload in 0..m.requests() {
             let (c, a) = (m.get(payload, 0), m.get(payload, 2));
@@ -2492,13 +2570,14 @@ mod tests {
             let plan = Some((policy, 0.05, BrownoutLevel::LooserTier));
             assert_eq!(svc.execute_shaped(&req, plan, None).unwrap().answered_by, 0);
             // The accurate call ran until the cheap answer landed.
-            let busy = c.latency_us + c.latency_us.min(a.latency_us);
-            expected.charge_compute(&InstanceType::cpu_node(), SimDuration::from_micros(busy));
+            busy_us += c.latency_us + c.latency_us.min(a.latency_us);
         }
         assert!(confident > 0);
+        // Busy time is summed in whole µs and priced once.
+        let expected = InstanceType::cpu_node().cost_of(SimDuration::from_micros(busy_us));
         assert_eq!(
             svc.snapshot().billing.compute_cost.as_dollars().to_bits(),
-            expected.compute_cost().as_dollars().to_bits()
+            expected.as_dollars().to_bits()
         );
     }
 

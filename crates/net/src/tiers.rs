@@ -61,6 +61,9 @@ pub struct TierEntry {
     pub tolerance: f64,
     /// The policy deployed for the tier.
     pub policy: Policy,
+    /// `policy` rendered with `Debug`, once per table build, for the
+    /// `route` span of every traced request the tier serves.
+    pub(crate) policy_text: String,
     /// The tier's price when every request it serves pays the same;
     /// `None` when the price schedule has a breakpoint inside the
     /// tier's span, and the price follows the tolerance sent.
@@ -145,6 +148,7 @@ impl TierTable {
                     objective,
                     tolerance,
                     policy,
+                    policy_text: format!("{policy:?}"),
                     flat_price: flat.then(|| schedule.price_for(tolerance)),
                     predicted_degradation: 0.0,
                     baseline_version: baseline,

@@ -164,6 +164,15 @@ impl Histogram {
         self.count == 0
     }
 
+    /// Forget every recorded value, keeping the bucket storage.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
     /// Exact sum of recorded (saturated) values.
     pub fn sum(&self) -> u64 {
         self.sum

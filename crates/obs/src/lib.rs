@@ -19,6 +19,8 @@
 //!   (per-tier arrival/admission/cache counts, per-version
 //!   service-time histograms) whose cumulative fold is bit-identical
 //!   at any thread or node count — the capacity planner's input;
+//! * [`shard`] — per-thread shards for state the request path writes
+//!   on every request, folded only when read;
 //! * [`events`] — a bounded, seq-stamped control-plane event log
 //!   (epoch publishes, fences, supervisor transitions) so tests can
 //!   assert *why* the system acted, not just that it did.
@@ -34,6 +36,7 @@
 pub mod events;
 pub mod hist;
 pub mod registry;
+pub mod shard;
 pub mod slo;
 pub mod span;
 pub mod window;
@@ -41,6 +44,7 @@ pub mod window;
 pub use events::{Event, EventLog};
 pub use hist::{AtomicHistogram, BucketScheme, Histogram};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot};
+pub use shard::Shards;
 pub use slo::{SloSentinel, SloTarget, SloVerdict, TierTelemetry};
 pub use span::{AttrValue, RequestTrace, SpanEvent, TraceContext, TraceHandle, Tracer};
 pub use window::{AdmissionOutcome, SealedWindow, TierWindow, WindowAccum, WindowStore};

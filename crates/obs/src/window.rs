@@ -16,6 +16,8 @@
 //!
 //! * no clock reads — `tick` receives its timestamp from the caller;
 //! * integer accumulation only (counts and histogram bucket sums);
+//! * the open window is split per recording thread ([`Shards`]) and
+//!   folded in slot order only when sealed or read;
 //! * tier keys live in a [`BTreeMap`], so iteration (and therefore
 //!   any rendering or merge) walks keys in one canonical order;
 //! * [`WindowAccum::merge`] is commutative and associative, so a
@@ -23,6 +25,7 @@
 //!   node order.
 
 use crate::hist::{BucketScheme, Histogram};
+use crate::shard::Shards;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
@@ -104,6 +107,36 @@ impl WindowAccum {
         }
     }
 
+    /// Fold the entries of `part` that recorded something into `self`:
+    /// a store's open part keeps zeroed entries across seals, which
+    /// must not show as keys in a sealed window or the cumulative fold.
+    fn absorb_recorded(&mut self, part: &WindowAccum) {
+        for (key, tier) in part.tiers.iter().filter(|(_, t)| !t.is_empty()) {
+            match self.tiers.get_mut(key) {
+                Some(mine) => mine.absorb(tier),
+                None => {
+                    self.tiers.insert(key.clone(), tier.clone());
+                }
+            }
+        }
+        for (version, hist) in part.versions.iter().filter(|(_, h)| !h.is_empty()) {
+            match self.versions.get_mut(version) {
+                Some(mine) => mine.merge(hist),
+                None => {
+                    self.versions.insert(*version, hist.clone());
+                }
+            }
+        }
+    }
+
+    /// Zero every count, keeping the keys and histogram storage.
+    fn zero(&mut self) {
+        self.tiers
+            .values_mut()
+            .for_each(|t| *t = TierWindow::default());
+        self.versions.values_mut().for_each(Histogram::clear);
+    }
+
     /// Total arrivals across every tier in this accumulator.
     pub fn total_arrivals(&self) -> u64 {
         self.tiers.values().map(|t| t.arrivals).sum()
@@ -132,29 +165,39 @@ pub struct SealedWindow {
     pub accum: WindowAccum,
 }
 
+/// The sealed side of the store: what the heartbeat and readers touch
+/// and the request path never does.
 #[derive(Debug)]
-struct StoreInner {
-    open: WindowAccum,
+struct Ring {
     open_start_us: u64,
     next_index: u64,
     sealed: VecDeque<SealedWindow>,
-    cumulative: WindowAccum,
+    /// The fold of every window sealed since boot, evicted ones
+    /// included.
+    sealed_total: WindowAccum,
     dropped_windows: u64,
 }
 
 /// Bounded ring of fixed-duration telemetry windows plus the
 /// cumulative fold of everything recorded since boot.
 ///
-/// Thread-safe via one short-critical-section mutex: every record is
-/// a handful of integer additions under the lock. The store never
-/// reads a clock; sealing happens only inside [`WindowStore::tick`],
-/// driven by the serving engines' idle heartbeat.
+/// The open window is split into per-thread [`Shards`]: a record is a
+/// handful of integer additions under the recording thread's own
+/// part's lock, which no other recorder takes. A part keeps its keys
+/// and histogram storage across seals (zeroed, not dropped), so a
+/// steady request path allocates nothing here. Sealing and the
+/// cumulative read fold the parts in slot order under the ring's lock;
+/// the fold is integer addition, so it does not depend on which thread
+/// recorded what. The store never reads a clock; sealing happens only
+/// inside [`WindowStore::tick`], driven by the serving engines' idle
+/// heartbeat.
 #[derive(Debug)]
 pub struct WindowStore {
     window_us: u64,
     capacity: usize,
     scheme: BucketScheme,
-    inner: Mutex<StoreInner>,
+    open: Shards<WindowAccum>,
+    ring: Mutex<Ring>,
 }
 
 impl WindowStore {
@@ -174,12 +217,12 @@ impl WindowStore {
             window_us,
             capacity,
             scheme,
-            inner: Mutex::new(StoreInner {
-                open: WindowAccum::default(),
+            open: Shards::new(WindowAccum::default),
+            ring: Mutex::new(Ring {
                 open_start_us: 0,
                 next_index: 0,
                 sealed: VecDeque::new(),
-                cumulative: WindowAccum::default(),
+                sealed_total: WindowAccum::default(),
                 dropped_windows: 0,
             }),
         }
@@ -225,41 +268,21 @@ impl WindowStore {
     /// against the answering model version.
     pub fn record_service(&self, version: usize, sim_latency_us: u64) {
         let scheme = self.scheme;
-        let mut inner = self.inner.lock().expect("window store poisoned");
-        inner
-            .open
-            .versions
-            .entry(version)
-            .or_insert_with(|| Histogram::new(scheme))
-            .record(sim_latency_us);
-        inner
-            .cumulative
+        self.open
+            .local()
             .versions
             .entry(version)
             .or_insert_with(|| Histogram::new(scheme))
             .record(sim_latency_us);
     }
 
-    fn record_tier(&self, tier: &str, mutate: impl Fn(&mut TierWindow)) {
-        {
-            let mut guard = self.inner.lock().expect("window store poisoned");
-            let inner = &mut *guard;
-            if let (Some(open), Some(cumulative)) = (
-                inner.open.tiers.get_mut(tier),
-                inner.cumulative.tiers.get_mut(tier),
-            ) {
-                mutate(open);
-                mutate(cumulative);
-                return;
-            }
+    fn record_tier(&self, tier: &str, mutate: impl FnOnce(&mut TierWindow)) {
+        let mut open = self.open.local();
+        match open.tiers.get_mut(tier) {
+            Some(counts) => mutate(counts),
+            // First sight of the tier on this thread's part.
+            None => mutate(open.tiers.entry(tier.to_string()).or_default()),
         }
-        // First sight of the tier in the open window: its keys are
-        // built with the lock released, so the request path never
-        // allocates a `String` while holding it.
-        let (open_key, cumulative_key) = (tier.to_string(), tier.to_string());
-        let mut inner = self.inner.lock().expect("window store poisoned");
-        mutate(inner.open.tiers.entry(open_key).or_default());
-        mutate(inner.cumulative.tiers.entry(cumulative_key).or_default());
     }
 
     /// Heartbeat: seal the open window if it has run for at least the
@@ -271,50 +294,55 @@ impl WindowStore {
     /// `now_us` is microseconds since service start, injected by the
     /// caller — the store itself never reads a clock.
     pub fn tick(&self, now_us: u64) -> Option<u64> {
-        let mut inner = self.inner.lock().expect("window store poisoned");
-        if now_us.saturating_sub(inner.open_start_us) < self.window_us {
+        let mut ring = self.ring.lock().expect("window store poisoned");
+        if now_us.saturating_sub(ring.open_start_us) < self.window_us {
             return None;
         }
-        if inner.open.is_empty() && inner.sealed.is_empty() {
+        let mut accum = WindowAccum::default();
+        for mut part in self.open.each() {
+            accum.absorb_recorded(&part);
+            part.zero();
+        }
+        if accum.is_empty() && ring.sealed.is_empty() {
             // Nothing has ever happened: slide the open window forward
             // instead of minting empty leading windows.
-            inner.open_start_us = now_us;
+            ring.open_start_us = now_us;
             return None;
         }
-        let index = inner.next_index;
-        inner.next_index += 1;
-        let accum = std::mem::take(&mut inner.open);
-        let start_us = inner.open_start_us;
-        inner.open_start_us = now_us;
-        inner.sealed.push_back(SealedWindow {
+        ring.sealed_total.merge(&accum);
+        let index = ring.next_index;
+        ring.next_index += 1;
+        let start_us = ring.open_start_us;
+        ring.open_start_us = now_us;
+        ring.sealed.push_back(SealedWindow {
             index,
             start_us,
             end_us: now_us,
             accum,
         });
-        while inner.sealed.len() > self.capacity {
-            inner.sealed.pop_front();
-            inner.dropped_windows += 1;
+        while ring.sealed.len() > self.capacity {
+            ring.sealed.pop_front();
+            ring.dropped_windows += 1;
         }
         Some(index)
     }
 
     /// The most recent `limit` sealed windows, oldest first.
     pub fn sealed(&self, limit: usize) -> Vec<SealedWindow> {
-        let inner = self.inner.lock().expect("window store poisoned");
-        let skip = inner.sealed.len().saturating_sub(limit);
-        inner.sealed.iter().skip(skip).cloned().collect()
+        let ring = self.ring.lock().expect("window store poisoned");
+        let skip = ring.sealed.len().saturating_sub(limit);
+        ring.sealed.iter().skip(skip).cloned().collect()
     }
 
     /// How many windows have been sealed since boot (including any
     /// since evicted from the ring).
     pub fn sealed_count(&self) -> u64 {
-        self.inner.lock().expect("window store poisoned").next_index
+        self.ring.lock().expect("window store poisoned").next_index
     }
 
     /// Sealed windows evicted from the bounded ring.
     pub fn dropped_windows(&self) -> u64 {
-        self.inner
+        self.ring
             .lock()
             .expect("window store poisoned")
             .dropped_windows
@@ -325,11 +353,15 @@ impl WindowStore {
     /// contract: independent of heartbeat timing, thread interleaving,
     /// and window boundaries.
     pub fn cumulative(&self) -> WindowAccum {
-        self.inner
-            .lock()
-            .expect("window store poisoned")
-            .cumulative
-            .clone()
+        // The ring's lock keeps a concurrent seal from moving counts
+        // out of a part after it was read and before `sealed_total`
+        // was.
+        let ring = self.ring.lock().expect("window store poisoned");
+        let mut total = ring.sealed_total.clone();
+        for part in self.open.each() {
+            total.absorb_recorded(&part);
+        }
+        total
     }
 }
 
@@ -456,6 +488,46 @@ mod tests {
         }
         assert_ne!(folded, complete, "open window held the remainder");
         assert_eq!(complete, s.cumulative());
+    }
+
+    #[test]
+    fn records_from_many_threads_fold_like_one() {
+        let tiers = ["cost/0.050", "cost/0.100", "response-time/0.000"];
+        let record = |s: &WindowStore, i: u64| {
+            s.record_arrival(tiers[i as usize % 3]);
+            s.record_cache(tiers[i as usize % 3], i.is_multiple_of(5));
+            s.record_service(i as usize % 2, 500 + i * 13);
+        };
+        let one = store();
+        for i in 0..600 {
+            record(&one, i);
+        }
+        let many = store();
+        let threads = 4;
+        let barrier = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (many, barrier) = (&many, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for i in (t as u64..600).step_by(threads) {
+                        record(many, i);
+                    }
+                });
+            }
+        });
+        assert_eq!(one.cumulative(), many.cumulative());
+        assert_eq!(one.tick(10_000), Some(0));
+        assert_eq!(many.tick(10_000), Some(0));
+        assert_eq!(one.sealed(1)[0].accum, many.sealed(1)[0].accum);
+        assert_eq!(one.cumulative(), many.cumulative());
+        // A part keeps its zeroed keys across the seal; they show
+        // neither in the next window nor in the cumulative fold.
+        many.record_arrival("cost/0.050");
+        assert_eq!(many.tick(20_000), Some(1));
+        let next = &many.sealed(1)[0].accum;
+        assert_eq!(next.tiers.keys().collect::<Vec<_>>(), ["cost/0.050"]);
+        assert!(next.versions.is_empty());
     }
 
     #[test]

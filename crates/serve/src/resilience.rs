@@ -360,6 +360,21 @@ impl ResilienceStats {
         self.tolerance_violations_under_fault += usize::from(request.violated);
         self.dropped_requests += usize::from(request.dropped);
     }
+
+    /// Add another fold's counts, field by field.
+    pub fn merge(&mut self, other: &ResilienceStats) {
+        self.total_requests += other.total_requests;
+        self.failed_invocations += other.failed_invocations;
+        self.slow_invocations += other.slow_invocations;
+        self.retries += other.retries;
+        self.hedges += other.hedges;
+        self.breaker_sheds += other.breaker_sheds;
+        self.breaker_transitions += other.breaker_transitions;
+        self.degraded_responses += other.degraded_responses;
+        self.tolerance_violations_under_fault += other.tolerance_violations_under_fault;
+        self.deadline_misses += other.deadline_misses;
+        self.dropped_requests += other.dropped_requests;
+    }
 }
 
 /// A deployment's recovery rules, fixed for its life: the retry budget

@@ -91,6 +91,9 @@ impl TierAgg {
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
     events: VecDeque<TraceEvent>,
+    /// Bounded mode: each retained event's number, in step with
+    /// `events` (see [`TraceRecorder::record_numbered`]).
+    numbers: VecDeque<u64>,
     /// `Some(retain)` in bounded mode: the ring keeps at most `retain`
     /// events while `aggs` folds every event ever recorded.
     retention: Option<usize>,
@@ -110,10 +113,8 @@ impl TraceRecorder {
     /// aggregates cover the entire stream.
     pub fn bounded(retain: usize) -> Self {
         TraceRecorder {
-            events: VecDeque::new(),
             retention: Some(retain.max(1)),
-            aggs: BTreeMap::new(),
-            total: 0,
+            ..TraceRecorder::default()
         }
     }
 
@@ -124,6 +125,14 @@ impl TraceRecorder {
 
     /// Record one served request.
     pub fn record(&mut self, event: TraceEvent) {
+        self.record_numbered(self.total as u64, event);
+    }
+
+    /// Record one served request as the `number`-th of a stream that
+    /// several bounded recorders share: [`TraceRecorder::merged`]
+    /// orders their events by it. Numbers must ascend within one
+    /// recorder. An unbounded recorder keeps no numbers.
+    pub fn record_numbered(&mut self, number: u64, event: TraceEvent) {
         self.total += 1;
         if let Some(retain) = self.retention {
             let agg = self
@@ -133,13 +142,90 @@ impl TraceRecorder {
             agg.requests += 1;
             agg.err_nanos += (event.quality_err.max(0.0) * ERR_NANOS).round() as u128;
             agg.latency.record(event.response_time());
-            self.events.push_back(event);
-            while self.events.len() > retain {
+            // Evict before pushing, so a full ring never grows its
+            // buffer past `retain`.
+            if self.events.len() == retain {
                 self.events.pop_front();
+                self.numbers.pop_front();
             }
+            self.events.push_back(event);
+            self.numbers.push_back(number);
         } else {
             self.events.push_back(event);
         }
+    }
+
+    /// One bounded recorder holding what `parts` hold together: every
+    /// part's per-tier aggregates (integer sums and histogram buckets,
+    /// so the fold does not depend on how events were spread over the
+    /// parts) and, in its ring, the newest of their retained events in
+    /// number order, as many as the largest part retains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part is unbounded: it keeps no numbers to order by.
+    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a TraceRecorder>) -> TraceRecorder {
+        let parts: Vec<&TraceRecorder> = parts.into_iter().collect();
+        let mut out = TraceRecorder::bounded(1);
+        for part in &parts {
+            let retain = part
+                .retention
+                .expect("only bounded recorders number their events");
+            out.retention = out.retention.max(Some(retain));
+            out.total += part.total;
+            for (&key, agg) in &part.aggs {
+                match out.aggs.get_mut(&key) {
+                    Some(mine) => {
+                        mine.requests += agg.requests;
+                        mine.err_nanos += agg.err_nanos;
+                        mine.latency.merge(&agg.latency);
+                    }
+                    None => {
+                        out.aggs.insert(key, agg.clone());
+                    }
+                }
+            }
+        }
+        // Each part's numbers ascend. Count how many of each part's
+        // newest events the ring takes, walking back from every part's
+        // newest and taking the newest overall; then merge those tails
+        // forward, oldest first.
+        let retain = out.retention.unwrap_or(1);
+        let mut newest: Vec<_> = parts
+            .iter()
+            .map(|part| part.numbers.iter().rev().peekable())
+            .collect();
+        let mut taken = vec![0; parts.len()];
+        for _ in 0..retain {
+            let next = (0..parts.len())
+                .filter_map(|i| newest[i].peek().map(|&&number| (number, i)))
+                .max();
+            let Some((_, i)) = next else { break };
+            newest[i].next();
+            taken[i] += 1;
+        }
+        let mut tails: Vec<_> = parts
+            .iter()
+            .zip(&taken)
+            .map(|(part, &n)| {
+                let from = part.numbers.len() - n;
+                part.numbers
+                    .range(from..)
+                    .zip(part.events.range(from..))
+                    .peekable()
+            })
+            .collect();
+        out.numbers.reserve_exact(taken.iter().sum());
+        out.events.reserve_exact(taken.iter().sum());
+        while let Some((_, i)) = (0..tails.len())
+            .filter_map(|i| tails[i].peek().map(|&(&number, _)| (number, i)))
+            .min()
+        {
+            let (&number, event) = tails[i].next().expect("peeked");
+            out.numbers.push_back(number);
+            out.events.push_back(event.clone());
+        }
+        out
     }
 
     /// Retained events in recording order — the complete stream for an
@@ -300,6 +386,23 @@ mod tests {
         assert_eq!(tier.latency.len(), 20);
         // CSV exports just the retained window.
         assert_eq!(rec.to_csv().lines().count(), 5);
+    }
+
+    #[test]
+    fn merged_parts_hold_the_newest_events_in_number_order() {
+        let mut whole = TraceRecorder::bounded(5);
+        let mut parts = [TraceRecorder::bounded(5), TraceRecorder::bounded(5)];
+        for i in 0..17u64 {
+            let e = event(0.05 * (i % 2) as f64, Objective::Cost, i * 10, 100 + i, 0.1);
+            whole.record(e.clone());
+            // Uneven spread: the second part takes every third event.
+            parts[usize::from(i % 3 == 0)].record_numbered(i, e);
+        }
+        let merged = TraceRecorder::merged(&parts);
+        assert_eq!(merged.events(), whole.events());
+        assert_eq!(merged.total_recorded(), 17);
+        let render = |rec: &TraceRecorder| format!("{:?}", rec.by_tier());
+        assert_eq!(render(&merged), render(&whole));
     }
 
     #[test]

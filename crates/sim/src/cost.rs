@@ -41,6 +41,89 @@ impl Money {
     pub fn scaled(self, factor: f64) -> Money {
         Money(self.0 * factor)
     }
+
+    /// `count` charges of this amount as a running total adds them up:
+    /// bit-identical to adding `self` to zero `count` times, one at a
+    /// time, but in O(log count) steps. Unlike `scaled(count)`, this
+    /// is the figure a ledger that charged each call would hold, so a
+    /// bill kept as a count can be priced at read time without moving
+    /// a bit.
+    pub fn repeated(self, count: u64) -> Money {
+        Money(repeated_sum(self.0, count))
+    }
+}
+
+/// `(0..count).fold(0.0, |sum, _| sum + x)`, without the loop.
+///
+/// While the running sum stays inside one binade `[2^e, 2^(e+1))` and
+/// the exact sum `sum + x` stays below `2^(e+1)`, every addition rounds
+/// onto the binade's grid of ulps. Off a tie that adds the same number
+/// of ulps each time; on a tie (`x` is a whole number of ulps plus one
+/// half) round-half-to-even leaves an even mantissa after one step and
+/// from there on also adds the same number each time. So after two
+/// additions inside one binade the increment is fixed until the binade
+/// ends, and the additions left in it are skipped in one jump. The sum
+/// crosses at most one binade per doubling, so there are O(log count)
+/// real additions.
+fn repeated_sum(x: f64, count: u64) -> f64 {
+    if count == 0 {
+        return 0.0;
+    }
+    if x < 0.0 {
+        // Round-to-nearest is symmetric in sign.
+        return -repeated_sum(-x, count);
+    }
+    if !x.is_normal() {
+        return (0..count).fold(0.0, |sum, _| sum + x);
+    }
+    // Biased exponent and mantissa (implicit bit included) of a
+    // positive normal value: it is `mantissa · 2^(exponent - 1075)`.
+    let parts = |v: f64| {
+        let bits = v.to_bits();
+        (bits >> 52, (bits & ((1 << 52) - 1)) | (1 << 52))
+    };
+    let (x_exponent, x_mantissa) = parts(x);
+    let mut sum = 0.0_f64;
+    let mut left = count;
+    // Consecutive additions that began and ended in one binade, and
+    // the last one's increment in ulps.
+    let mut streak = 0;
+    let mut step = 0;
+    while left > 0 {
+        if streak >= 2 {
+            // `sum` is past its first addition in this binade, so every
+            // addition whose exact result stays below the binade's top
+            // adds `step` ulps. With `sum` at mantissa `m` and `x` at
+            // `m_x` ulps of this binade (its fraction dropped), the
+            // addition from `m + j·step` qualifies while
+            // `m + j·step + m_x < 2^53`.
+            let (exponent, mantissa) = parts(sum);
+            let shift = exponent - x_exponent;
+            let x_ulps = if shift >= 64 { 0 } else { x_mantissa >> shift };
+            let room = (1_u64 << 53).saturating_sub(mantissa + x_ulps);
+            let jumps = if step == 0 {
+                left
+            } else {
+                room.div_ceil(step).min(left)
+            };
+            // Landing exactly on the binade's top carries into the
+            // exponent bits, which is that value's encoding.
+            sum = f64::from_bits(sum.to_bits() + jumps * step);
+            left -= jumps;
+            streak = 0;
+            continue;
+        }
+        let next = sum + x;
+        if sum > 0.0 && parts(next).0 == parts(sum).0 {
+            streak += 1;
+            step = next.to_bits() - sum.to_bits();
+        } else {
+            streak = 0;
+        }
+        sum = next;
+        left -= 1;
+    }
+    sum
 }
 
 impl Add for Money {
@@ -236,6 +319,54 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.invocations(), 2);
         assert!((a.invocation_cost().as_dollars() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn repeated_charges_match_a_running_total_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let naive = |x: f64, n: u64| (0..n).fold(0.0_f64, |sum, _| sum + x);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(45);
+        // List prices, amounts that land on rounding ties (a whole
+        // number of ulps plus a half, once the sum outgrows them),
+        // powers of two, and random magnitudes.
+        let mut amounts = vec![
+            0.001,
+            0.0008,
+            0.0005,
+            0.00035,
+            0.1,
+            1.0 / 3.0,
+            3.0 * 2f64.powi(-40),
+            (1u64 << 52 | 1) as f64 * 2f64.powi(-60),
+            (1u64 << 52 | 3) as f64 * 2f64.powi(-60),
+            0.5,
+            1.0,
+            -0.0008,
+        ];
+        amounts.extend((0..40).map(|_| rng.gen::<f64>() * 10f64.powi(rng.gen_range(-9..4))));
+        let counts = (0..70).chain([127, 128, 129, 1_000, 4_097, 65_537, 300_001]);
+        for &x in &amounts {
+            for n in counts.clone() {
+                let expected = naive(x, n);
+                let got = Money::from_dollars(x).repeated(n).as_dollars();
+                assert_eq!(got.to_bits(), expected.to_bits(), "{x:e} x {n}");
+            }
+        }
+        for _ in 0..200 {
+            let x = rng.gen::<f64>() * 10f64.powi(rng.gen_range(-12..6));
+            let n = rng.gen_range(0..200_000);
+            let expected = naive(x, n);
+            assert_eq!(
+                Money::from_dollars(x).repeated(n).as_dollars().to_bits(),
+                expected.to_bits(),
+                "{x:e} x {n}"
+            );
+        }
+        assert_eq!(Money::ZERO.repeated(10), Money::ZERO);
+        assert_eq!(
+            Money::from_dollars(1e-310).repeated(3).as_dollars(),
+            naive(1e-310, 3)
+        );
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! End-to-end determinism contract for the epoll reactor and the
 //! request batcher: serving a seeded mixed-tier load through the
-//! reactor (with batching enabled) must bill bit-identically per tier,
-//! and render a byte-identical `/metrics` `"totals"` object, to the
-//! same requests answered one by one in process through
-//! `HttpHandler::handle` — batch membership and dispatch may change
-//! wall-clock timing, never an accounted or billed value. Strict
-//! tolerance-0 requests must never hop through the batcher at all,
-//! which the trace spans prove.
+//! reactor (with batching enabled) must bill bit-identically per tier
+//! and in compute cost, and render a byte-identical `/metrics`
+//! `"totals"` object, to the same requests answered one by one in
+//! process through `HttpHandler::handle` — batch membership and
+//! dispatch may change wall-clock timing, never an accounted or billed
+//! value. Strict tolerance-0 requests must never hop through the
+//! batcher at all, which the trace spans prove.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
@@ -33,6 +33,8 @@ struct EngineRun {
     tiers: BTreeMap<(String, u32), (usize, u64)>,
     /// Total revenue, bitwise.
     revenue_bits: u64,
+    /// Compute cost, bitwise.
+    compute_cost_bits: u64,
     /// The `/metrics` `"totals"` object, byte-for-byte.
     totals: String,
     /// Finished request traces (newest-first ring contents).
@@ -154,6 +156,7 @@ fn billed(service: &ComputeService, metrics_body: &str) -> EngineRun {
             .map(|(k, v)| (k.clone(), (v.requests, v.revenue.as_dollars().to_bits())))
             .collect(),
         revenue_bits: snapshot.billing.revenue.as_dollars().to_bits(),
+        compute_cost_bits: snapshot.billing.compute_cost.as_dollars().to_bits(),
         totals: extract_totals(metrics_body),
         traces: service
             .observability()
@@ -208,6 +211,10 @@ fn reactor_with_batching_bills_bit_identically_to_in_process_handle() {
         assert_eq!(
             reference.revenue_bits, reactor.revenue_bits,
             "total revenue diverged bitwise at {http_workers} workers"
+        );
+        assert_eq!(
+            reference.compute_cost_bits, reactor.compute_cost_bits,
+            "compute cost diverged bitwise at {http_workers} workers"
         );
         assert_eq!(
             reference.totals, reactor.totals,
