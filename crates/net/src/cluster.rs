@@ -549,7 +549,7 @@ impl FrontTier {
             }
         }
         handle.close(route, self.now_us());
-        self.tracer.finish(&handle);
+        self.tracer.retire(handle);
         let reply = relayed.unwrap_or_else(|| {
             Reply::json(
                 503,

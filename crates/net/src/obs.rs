@@ -36,7 +36,8 @@ pub struct ObsConfig {
     /// sentinel entirely (the uninstrumented baseline the overhead
     /// benchmark compares against).
     pub enabled: bool,
-    /// Finished request traces retained in the tracer's ring.
+    /// Finished request traces the tracer retains (the newest, merged
+    /// from its per-thread rings).
     pub trace_capacity: usize,
     /// Optional JSONL file sink mirroring every finished trace.
     pub trace_file: Option<PathBuf>,

@@ -874,7 +874,7 @@ impl ComputeCall {
         let (service_request, tier, brownout) =
             match parse_and_admit(service, request, handle.as_ref()) {
                 Ok(admitted) => admitted,
-                Err(reply) => return Err(seal(obs, handle.as_ref(), reply)),
+                Err(reply) => return Err(seal(obs, handle, reply)),
             };
         let mut call = ComputeCall {
             service_request,
@@ -991,18 +991,21 @@ impl ComputeCall {
         if let Some(kind) = self.cache_match {
             reply = reply.with_header("X-Cache-Match", kind);
         }
-        seal(obs, self.handle.as_ref(), reply)
+        seal(obs, self.handle, reply)
     }
 }
 
 /// The exit every `/compute` reply takes, early or executed: finish
 /// the request's trace, and echo its id so a client (or the relaying
-/// front tier) can drill into `GET /trace/{id}` with one curl.
-fn seal(obs: Option<&Arc<Observability>>, handle: Option<&TraceHandle>, reply: Reply) -> Reply {
+/// front tier) can drill into `GET /trace/{id}` with one curl. The
+/// handle is retired here, so when nothing else holds it the thread's
+/// next request traces on it again.
+fn seal(obs: Option<&Arc<Observability>>, handle: Option<TraceHandle>, reply: Reply) -> Reply {
     match obs.zip(handle) {
         Some((obs, handle)) => {
-            obs.tracer().finish(handle);
-            reply.with_header(TRACE_ID_HEADER, handle.trace_id())
+            let trace_id = handle.trace_id();
+            obs.tracer().retire(handle);
+            reply.with_header(TRACE_ID_HEADER, trace_id)
         }
         None => reply,
     }
@@ -1031,18 +1034,23 @@ fn compute(service: &ComputeService, request: &Request) -> Reply {
 /// [`ComputeService::execute_shaped_async`], so a batched request
 /// parks in the coalescing queue without pinning the worker, and
 /// `done` fires with the finished reply wherever settlement happens.
+/// The call lends its trace handle to execution, which hands it back
+/// with the result, so an unbatched request seals the only reference.
 fn compute_async(service: &ComputeService, request: &Request, done: ReplySink) {
     match ComputeCall::prepare(service, request) {
-        Ok((call, tier)) => {
+        Ok((mut call, tier)) => {
             let obs = service.observability().cloned();
             let matrix = Arc::clone(service.shared_matrix());
-            let (executed, handle) = (call.service_request.clone(), call.handle.clone());
+            let (executed, handle) = (call.service_request.clone(), call.handle.take());
             service.execute_tier_async(
                 &executed,
                 tier,
                 call.brownout,
-                handle.as_ref(),
-                Box::new(move |result| done(call.finish(obs.as_ref(), &matrix, result))),
+                handle,
+                move |result, handle| {
+                    call.handle = handle;
+                    done(call.finish(obs.as_ref(), &matrix, result));
+                },
             );
         }
         Err(reply) => done(reply),
@@ -1079,10 +1087,12 @@ fn parse_and_admit(
     let parsed = annotations(request);
     let close_parse = |error: Option<&str>| {
         if let (Some(h), Some(id)) = (handle, parse_span) {
-            if let Some(why) = error {
-                h.attr_text(id, "error", why);
-            }
-            h.close(id, service.wall_us());
+            h.edit(|t| {
+                if let Some(why) = error {
+                    t.attr_text(id, "error", why);
+                }
+                t.close(id, service.wall_us());
+            });
         }
     };
     let (tolerance, objective) = match parsed {
@@ -1108,14 +1118,16 @@ fn parse_and_admit(
         }
     };
     if let (Some(h), Some(id)) = (handle, parse_span) {
-        h.attr_int(
-            id,
-            "tolerance_milli",
-            (tolerance.value() * 1000.0).round() as i64,
-        );
-        h.attr_int(id, "payload", payload as i64);
+        h.edit(|t| {
+            t.attr_int(
+                id,
+                "tolerance_milli",
+                (tolerance.value() * 1000.0).round() as i64,
+            );
+            t.attr_int(id, "payload", payload as i64);
+            t.close(id, service.wall_us());
+        });
     }
-    close_parse(None);
 
     let service_request = tt_core::request::ServiceRequest::new(payload, tolerance, objective);
 

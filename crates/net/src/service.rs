@@ -515,13 +515,16 @@ impl Accounts {
         let price = billed.price;
         let responded = arrival + SimDuration::from_micros(stage.sim_latency_us);
         let bill_span = span.map(|(handle, parent)| {
-            let id = handle.open("bill", Some(parent), self.wall_us());
-            handle.attr_int(
-                id,
-                "price_microusd",
-                (price.as_dollars() * 1e6).round() as i64,
-            );
-            handle.attr_int(id, "invocations", stage.invocations as i64);
+            let id = handle.edit(|t| {
+                let id = t.open("bill", Some(parent), self.wall_us());
+                t.attr_int(
+                    id,
+                    "price_microusd",
+                    (price.as_dollars() * 1e6).round() as i64,
+                );
+                t.attr_int(id, "invocations", stage.invocations as i64);
+                id
+            });
             (handle, id)
         });
         {
@@ -563,15 +566,17 @@ impl Accounts {
             );
         }
         if let Some((handle, id)) = span {
-            handle.attr_int(id, "answered_by", stage.answered_by as i64);
-            handle.attr_int(id, "sim_latency_us", stage.sim_latency_us as i64);
-            if let Some(level) = brownout {
-                handle.attr_str(id, "brownout", level.label());
-            }
-            if stage.degraded {
-                handle.attr_str(id, "outcome", "degraded");
-            }
-            handle.close(id, self.wall_us());
+            handle.edit(|t| {
+                t.attr_int(id, "answered_by", stage.answered_by as i64);
+                t.attr_int(id, "sim_latency_us", stage.sim_latency_us as i64);
+                if let Some(level) = brownout {
+                    t.attr_str(id, "brownout", level.label());
+                }
+                if stage.degraded {
+                    t.attr_str(id, "outcome", "degraded");
+                }
+                t.close(id, self.wall_us());
+            });
         }
 
         ComputeOutcome {
@@ -602,9 +607,12 @@ fn model_call(
 ) -> (FaultOutcome, f64) {
     let wall_us = || started.elapsed().as_micros() as u64;
     let call_span = span.map(|(handle, parent, attempt)| {
-        let id = handle.open("model_call", Some(parent), wall_us());
-        handle.attr_int(id, "version", version as i64);
-        handle.attr_int(id, "attempt", i64::from(attempt));
+        let id = handle.edit(|t| {
+            let id = t.open("model_call", Some(parent), wall_us());
+            t.attr_int(id, "version", version as i64);
+            t.attr_int(id, "attempt", i64::from(attempt));
+            id
+        });
         (handle, id)
     });
     let occupancy = fault.occupancy(SimDuration::from_micros(obs.latency_us));
@@ -620,8 +628,10 @@ fn model_call(
             FaultOutcome::Crash { .. } => "crash",
             FaultOutcome::Transient => "transient",
         };
-        handle.attr_str(id, "outcome", outcome);
-        handle.close(id, wall_us());
+        handle.edit(|t| {
+            t.attr_str(id, "outcome", outcome);
+            t.close(id, wall_us());
+        });
     }
     (fault, obs.confidence)
 }
@@ -1084,13 +1094,16 @@ impl ComputeService {
                                 return (handle, root);
                             }
                             if hop.map(|(v, _)| v) != Some(version) {
-                                if let Some((_, id)) = hop {
-                                    handle.attr_str(id, "outcome", "failed");
-                                    handle.close(id, self.wall_us());
-                                }
-                                let id = handle.open("degrade", Some(root), self.wall_us());
-                                handle.attr_int(id, "from", request.rerouted_from() as i64);
-                                handle.attr_int(id, "to", version as i64);
+                                let id = handle.edit(|t| {
+                                    if let Some((_, id)) = hop {
+                                        t.attr_str(id, "outcome", "failed");
+                                        t.close(id, self.wall_us());
+                                    }
+                                    let id = t.open("degrade", Some(root), self.wall_us());
+                                    t.attr_int(id, "from", request.rerouted_from() as i64);
+                                    t.attr_int(id, "to", version as i64);
+                                    id
+                                });
                                 hop = Some((version, id));
                             }
                             (handle, hop.map_or(root, |(_, id)| id))
@@ -1144,8 +1157,10 @@ impl ComputeService {
         }
         if let (Some((handle, _)), Some((_, id))) = (span, hop) {
             let served = request.answered_by().is_some();
-            handle.attr_str(id, "outcome", if served { "served" } else { "failed" });
-            handle.close(id, self.wall_us());
+            handle.edit(|t| {
+                t.attr_str(id, "outcome", if served { "served" } else { "failed" });
+                t.close(id, self.wall_us());
+            });
         }
         if request.eventful() {
             self.accounts.shards.local().stats.record(&request);
@@ -1222,21 +1237,26 @@ impl ComputeService {
         let arrival = self.now();
         self.accounts.shards.local().stats.total_requests += 1;
         let payload = request.payload % self.matrix.requests().max(1);
-        let root = trace.map(|handle| {
-            let id = handle.open("execute", None, self.wall_us());
-            handle.attr_str(id, "objective", request.objective.name());
-            handle.attr_int(
-                id,
-                "tolerance_milli",
-                (request.tolerance.value() * 1000.0).round() as i64,
-            );
-            handle.attr_int(id, "payload", payload as i64);
-            id
+        // The root and, for an executed request, its `route` child open
+        // under one lock.
+        let spans = trace.map(|handle| {
+            handle.edit(|t| {
+                let id = t.open("execute", None, self.wall_us());
+                t.attr_str(id, "objective", request.objective.name());
+                t.attr_int(
+                    id,
+                    "tolerance_milli",
+                    (request.tolerance.value() * 1000.0).round() as i64,
+                );
+                t.attr_int(id, "payload", payload as i64);
+                (
+                    id,
+                    routed.then(|| t.open("route", Some(id), self.wall_us())),
+                )
+            })
         });
-        let route_span = trace
-            .zip(root)
-            .filter(|_| routed)
-            .map(|(handle, parent)| (handle, handle.open("route", Some(parent), self.wall_us())));
+        let root = spans.map(|(root, _)| root);
+        let route_span = trace.zip(spans.and_then(|(_, route)| route));
         // A brownout's billed tier is looked up on the request's own
         // table generation, not the live one.
         let (policy, rebilled) = match brownout {
@@ -1250,15 +1270,17 @@ impl ComputeService {
             // The billed entry's policy was rendered when its table was
             // built; only a rewritten brownout plan is rendered here.
             let billed = rebilled.as_ref().unwrap_or(&tier);
-            if policy == billed.policy {
-                handle.attr_text(id, "policy", billed.policy_text.as_str());
-            } else {
-                handle.attr_text(id, "policy", format_args!("{policy:?}"));
-            }
-            if let Some((_, _, level)) = brownout {
-                handle.attr_str(id, "brownout", level.label());
-            }
-            handle.close(id, self.wall_us());
+            handle.edit(|t| {
+                if policy == billed.policy {
+                    t.attr_text(id, "policy", billed.policy_text.as_str());
+                } else {
+                    t.attr_text(id, "policy", format_args!("{policy:?}"));
+                }
+                if let Some((_, _, level)) = brownout {
+                    t.attr_str(id, "brownout", level.label());
+                }
+                t.close(id, self.wall_us());
+            });
         }
         Opened {
             tier,
@@ -1287,8 +1309,10 @@ impl ComputeService {
             obs.record_dropped(&opened.tier);
         }
         if let Some((handle, id)) = span {
-            handle.attr_str(id, "outcome", "unavailable");
-            handle.close(id, self.wall_us());
+            handle.edit(|t| {
+                t.attr_str(id, "outcome", "unavailable");
+                t.close(id, self.wall_us());
+            });
         }
         Err(ServiceError::Unavailable)
     }
@@ -1358,10 +1382,12 @@ impl ComputeService {
         // execution facts are synthetic.
         let opened = self.open_request(request, tier.clone(), None, trace, false);
         if let Some((handle, parent)) = trace.zip(opened.root) {
-            let id = handle.open("cache", Some(parent), self.wall_us());
-            handle.attr_str(id, "match", if exact { "exact" } else { "semantic" });
-            handle.attr_int(id, "answered_by", answer.answered_by as i64);
-            handle.close(id, self.wall_us());
+            handle.edit(|t| {
+                let id = t.open("cache", Some(parent), self.wall_us());
+                t.attr_str(id, "match", if exact { "exact" } else { "semantic" });
+                t.attr_int(id, "answered_by", answer.answered_by as i64);
+                t.close(id, self.wall_us());
+            });
         }
         let outcome = self.accounts.settle(
             opened,
@@ -1445,20 +1471,26 @@ impl ComputeService {
         trace: Option<&TraceHandle>,
         done: OutcomeSink,
     ) {
-        self.execute_tier_async(request, self.tier_of(request), brownout, trace, done);
+        let tier = self.tier_of(request);
+        self.execute_tier_async(request, tier, brownout, trace.cloned(), |result, _| {
+            done(result);
+        });
     }
 
     /// [`ComputeService::execute_shaped_async`] for a request whose
-    /// tier is already resolved.
+    /// tier is already resolved. The caller lends the request's trace
+    /// handle, and `done` gets it back with the result: an unbatched
+    /// request never clones it, so the caller can retire the only
+    /// reference.
     pub(crate) fn execute_tier_async(
         &self,
         request: &ServiceRequest,
         tier: Tier,
         brownout: Option<(Policy, f64, BrownoutLevel)>,
-        trace: Option<&TraceHandle>,
-        done: OutcomeSink,
+        trace: Option<TraceHandle>,
+        done: impl FnOnce(Result<ComputeOutcome, ServiceError>, Option<TraceHandle>) + Send + 'static,
     ) {
-        let opened = self.open_request(request, tier, brownout, trace, true);
+        let opened = self.open_request(request, tier, brownout, trace.as_ref(), true);
         // The matrix walk stands for the live one only while every
         // version it invoked would have been let through.
         let parked = match (&self.batcher, &self.faults) {
@@ -1470,7 +1502,7 @@ impl ComputeService {
             _ => None,
         };
         let Some((batcher, walk)) = parked else {
-            return done(self.run_opened(opened, trace));
+            return done(self.run_opened(opened, trace.as_ref()), trace);
         };
         // The tuner's surge knob scales formation deadlines down so
         // tolerant requests stop waiting for batchmates while the
@@ -1483,6 +1515,7 @@ impl ComputeService {
         // The batch span stays open across the hand-off; the executor
         // stamps the group facts and closes it before settling.
         let batch_span = trace
+            .as_ref()
             .zip(opened.root)
             .map(|(handle, parent)| handle.open("batch", Some(parent), self.wall_us()));
         let key = (request.objective, opened.policy);
@@ -1499,7 +1532,6 @@ impl ComputeService {
         let accounts = Arc::clone(&self.accounts);
         let health = Arc::clone(&self.health);
         let breakers = Arc::clone(&self.breakers);
-        let handle = trace.cloned();
         let finish = Box::new(move |batch_size: u64, waited_us: u64| {
             // The health/breaker bookkeeping the live path does per
             // model call; fault-free, so every invocation succeeds.
@@ -1510,12 +1542,15 @@ impl ComputeService {
                     b.record(true, now);
                 }
             }
-            if let (Some(handle), Some(id)) = (&handle, batch_span) {
-                handle.attr_int(id, "batch_size", batch_size as i64);
-                handle.attr_int(id, "waited_us", waited_us as i64);
-                handle.close(id, accounts.wall_us());
+            if let (Some(handle), Some(id)) = (&trace, batch_span) {
+                handle.edit(|t| {
+                    t.attr_int(id, "batch_size", batch_size as i64);
+                    t.attr_int(id, "waited_us", waited_us as i64);
+                    t.close(id, accounts.wall_us());
+                });
             }
-            done(Ok(accounts.settle(opened, stage, handle.as_ref())));
+            let outcome = accounts.settle(opened, stage, trace.as_ref());
+            done(Ok(outcome), trace);
         });
         batcher.enqueue(BatchItem {
             key,

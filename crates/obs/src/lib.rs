@@ -10,8 +10,8 @@
 //!   gauges, and mergeable log-linear histograms ([`hist`]) with O(1)
 //!   record and bounded memory;
 //! * [`span`] — request-scoped tracing whose handles survive
-//!   thread-pool hand-offs, retained in a bounded ring with an
-//!   optional JSONL file sink;
+//!   thread-pool hand-offs, retained in bounded per-thread rings with
+//!   an optional JSONL file sink;
 //! * [`slo`] — a sentinel that folds live telemetry against each
 //!   tier's advertised guarantee over sliding windows and publishes
 //!   in/out-of-contract verdicts;
@@ -46,5 +46,5 @@ pub use hist::{AtomicHistogram, BucketScheme, Histogram};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot};
 pub use shard::Shards;
 pub use slo::{SloSentinel, SloTarget, SloVerdict, TierTelemetry};
-pub use span::{AttrValue, RequestTrace, SpanEvent, TraceContext, TraceHandle, Tracer};
+pub use span::{AttrValue, RequestTrace, SpanEvent, TraceContext, TraceEdit, TraceHandle, Tracer};
 pub use window::{AdmissionOutcome, SealedWindow, TierWindow, WindowAccum, WindowStore};

@@ -1,34 +1,47 @@
 //! Request-scoped tracing: timed spans with propagated request IDs,
-//! retained in a bounded ring of slots and optionally mirrored to a
-//! JSONL file sink.
+//! retained in bounded per-thread rings of slots and optionally
+//! mirrored to a JSONL file sink.
 //!
 //! A [`Tracer`] mints one [`TraceHandle`] per request. The handle is a
 //! cheap `Arc` clone, so it survives arbitrary hand-offs between
 //! thread pools (HTTP worker → model-call worker): any clone can open
 //! child spans or attach attributes, and the request's span tree is
-//! assembled no matter which thread closed which span. Timestamps are
+//! assembled no matter which thread closed which span. An
+//! instrumentation site that records several facts at once takes the
+//! handle's lock once, through [`TraceHandle::edit`]. Timestamps are
 //! injected by the caller (simulation clock or a monotonic anchor) —
 //! the tracer itself never reads a clock, which keeps simulated traces
 //! deterministic.
 //!
 //! A trace is a flat record ([`RequestTrace`]): spans, one attribute
 //! list for the whole trace, and one text buffer, all plain data.
-//! Finished traces are *copied* into a ring of preallocated slots
-//! (oldest overwritten first), readable via [`Tracer::recent`]; each
-//! finished trace can also be appended as one JSON line to a file sink
-//! for offline correlation with load-generator logs.
+//! Finished traces are *copied* into the finishing thread's ring of
+//! slots (oldest overwritten first); [`Tracer::recent`] merges the
+//! rings by finish number. Each finished trace can also be appended as
+//! one JSON line to a file sink for offline correlation with
+//! load-generator logs.
+//!
+//! At steady state tracing a request touches neither the allocator nor
+//! a lock another thread takes: [`Tracer::retire`] keeps a handle no
+//! clone outlives as the thread's spare, and the next
+//! [`Tracer::begin`] on that thread resets it in place, buffers and
+//! all.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use crate::shard::Shards;
 
 /// Spans a handle keeps inside its own `Arc` block before spilling to
 /// a `Vec`, and the room it reserves for attributes and per-request
 /// attribute text the first time it needs either: enough for a
-/// single-version or two-stage request, whose trace is then built in
-/// three allocations (the handle, the attribute list, the text).
+/// single-version or two-stage request, whose first trace on a thread
+/// is then built in three allocations (the handle, the attribute list,
+/// the text) and every later one, on the recycled handle, in none.
 const INLINE_SPANS: usize = 8;
 const ATTRS_RESERVED: usize = 24;
 const TEXT_RESERVED: usize = 128;
@@ -373,6 +386,13 @@ struct HandleInner {
     state: Mutex<Building>,
 }
 
+thread_local! {
+    /// The calling thread's spare handle: the last one
+    /// [`Tracer::retire`] got back with no clone alive, kept with its
+    /// buffers for the thread's next [`Tracer::begin`].
+    static SPARE: Cell<Option<Arc<HandleInner>>> = const { Cell::new(None) };
+}
+
 /// A per-request tracing handle. Clone freely across threads; all
 /// clones append to the same span tree.
 #[derive(Debug, Clone)]
@@ -400,6 +420,33 @@ impl TraceHandle {
         }
     }
 
+    /// A handle for a new request: the calling thread's spare, emptied
+    /// and renamed in place, or a new block when the thread has none.
+    fn recycled(request_id: u64, context: TraceContext) -> Self {
+        if let Some(mut inner) = SPARE.try_with(Cell::take).ok().flatten() {
+            // A spare is kept only while no clone of it is alive, so
+            // this always succeeds; a poisoned one is never reused.
+            if let Some(spare) = Arc::get_mut(&mut inner) {
+                if let Ok(building) = spare.state.get_mut() {
+                    building.clear();
+                    spare.request_id = request_id;
+                    spare.context = context;
+                    return TraceHandle { inner };
+                }
+            }
+        }
+        Self::detached_with_context(request_id, context)
+    }
+
+    /// Keep this handle as the calling thread's spare if it is the
+    /// last clone; drop it otherwise.
+    fn into_spare(self) {
+        let mut inner = self.inner;
+        if Arc::get_mut(&mut inner).is_some() {
+            let _ = SPARE.try_with(|spare| spare.set(Some(inner)));
+        }
+    }
+
     /// The propagated request ID.
     pub fn request_id(&self) -> u64 {
         self.inner.request_id
@@ -415,49 +462,57 @@ impl TraceHandle {
         self.inner.context
     }
 
-    fn state(&self) -> std::sync::MutexGuard<'_, Building> {
+    fn state(&self) -> MutexGuard<'_, Building> {
         self.inner.state.lock().expect("trace handle poisoned")
+    }
+
+    /// Record several facts at one instrumentation site under a single
+    /// acquisition of the handle's lock: `f` opens, closes and
+    /// annotates spans through the [`TraceEdit`] it is lent, exactly as
+    /// the handle's own one-call methods would.
+    pub fn edit<R>(&self, f: impl FnOnce(&mut TraceEdit<'_>) -> R) -> R {
+        f(&mut TraceEdit {
+            building: &mut self.state(),
+        })
     }
 
     /// Open a span; returns its ID for closing and parenting.
     pub fn open(&self, name: &'static str, parent: Option<u32>, start_us: u64) -> u32 {
-        self.state().open(name, parent, start_us)
+        self.edit(|t| t.open(name, parent, start_us))
     }
 
     /// Close a span at `end_us`. Unknown IDs and double-closes are
     /// ignored (a cancelled hedge call may race the trace finishing).
     pub fn close(&self, id: u32, end_us: u64) {
-        if let Some(span) = self.state().span_mut(id) {
-            if !span.closed() {
-                span.end_us = end_us;
-            }
-        }
+        self.edit(|t| t.close(id, end_us));
     }
 
     /// Attach an integer attribute to a span. Attributes for unknown
     /// span IDs are ignored, as in [`TraceHandle::close`].
     pub fn attr_int(&self, id: u32, key: &'static str, value: i64) {
-        self.state().push_attr(id, key, Stored::Int(value));
+        self.edit(|t| t.attr_int(id, key, value));
     }
 
     /// Attach a static label (an outcome, a level, an objective) to a
     /// span: kept by reference, nothing is copied or allocated.
     pub fn attr_str(&self, id: u32, key: &'static str, value: &'static str) {
-        self.state().push_attr(id, key, Stored::Label(value));
+        self.edit(|t| t.attr_str(id, key, value));
     }
 
     /// Attach text built for this request (an error message, a policy
     /// rendering) to a span, formatted straight into the trace's own
     /// text buffer.
     pub fn attr_text(&self, id: u32, key: &'static str, value: impl std::fmt::Display) {
-        self.state().push_text(id, key, value);
+        self.edit(|t| t.attr_text(id, key, value));
     }
 
     /// Record an already-timed span in one call.
     pub fn span(&self, name: &'static str, parent: Option<u32>, start_us: u64, end_us: u64) -> u32 {
-        let id = self.open(name, parent, start_us);
-        self.close(id, end_us);
-        id
+        self.edit(|t| {
+            let id = t.open(name, parent, start_us);
+            t.close(id, end_us);
+            id
+        })
     }
 
     /// A copy of the trace as built so far.
@@ -469,26 +524,72 @@ impl TraceHandle {
     }
 }
 
-/// The retained traces. Slot `n % capacity` holds the `n`-th finished
-/// trace, so the ring is `slots` read from `finished % capacity` on
-/// once it has wrapped.
+/// A trace held under one acquisition of its handle's lock (see
+/// [`TraceHandle::edit`]). Its operations are the handle's, and mean
+/// the same.
 #[derive(Debug)]
+pub struct TraceEdit<'a> {
+    building: &'a mut Building,
+}
+
+impl TraceEdit<'_> {
+    /// Open a span; returns its ID for closing and parenting.
+    pub fn open(&mut self, name: &'static str, parent: Option<u32>, start_us: u64) -> u32 {
+        self.building.open(name, parent, start_us)
+    }
+
+    /// Close a span at `end_us`. Unknown IDs and double-closes are
+    /// ignored.
+    pub fn close(&mut self, id: u32, end_us: u64) {
+        if let Some(span) = self.building.span_mut(id) {
+            if !span.closed() {
+                span.end_us = end_us;
+            }
+        }
+    }
+
+    /// Attach an integer attribute to a span.
+    pub fn attr_int(&mut self, id: u32, key: &'static str, value: i64) {
+        self.building.push_attr(id, key, Stored::Int(value));
+    }
+
+    /// Attach a static label to a span.
+    pub fn attr_str(&mut self, id: u32, key: &'static str, value: &'static str) {
+        self.building.push_attr(id, key, Stored::Label(value));
+    }
+
+    /// Attach text built for this request to a span.
+    pub fn attr_text(&mut self, id: u32, key: &'static str, value: impl std::fmt::Display) {
+        self.building.push_text(id, key, value);
+    }
+}
+
+/// One thread's retained traces, each stamped with its finish number.
+/// The slot table is reserved at the ring's first finish, so a ring no
+/// thread finishes into costs nothing and one that fills never moves;
+/// the slots are made one at a time as traces arrive, up to the
+/// tracer's capacity, and from then on `next` is the oldest, which the
+/// next finish overwrites in place.
+#[derive(Debug, Default)]
 struct Ring {
-    slots: Vec<RequestTrace>,
-    finished: u64,
+    slots: Vec<(u64, RequestTrace)>,
+    next: usize,
 }
 
 impl Ring {
-    /// How many traces are retained.
-    fn retained(&self) -> usize {
-        self.finished.min(self.slots.len() as u64) as usize
-    }
-
-    /// The retained traces, oldest finish first.
-    fn iter(&self) -> impl Iterator<Item = &RequestTrace> {
-        let capacity = self.slots.len() as u64;
-        (self.finished - self.retained() as u64..self.finished)
-            .map(move |n| &self.slots[(n % capacity) as usize])
+    /// The slot for the trace finishing as number `finished`.
+    fn slot(&mut self, finished: u64, capacity: usize) -> &mut RequestTrace {
+        let at = if self.slots.len() < capacity {
+            self.slots.reserve_exact(capacity - self.slots.len());
+            self.slots.push((finished, RequestTrace::default()));
+            self.slots.len() - 1
+        } else {
+            let oldest = self.next;
+            self.next = (oldest + 1) % capacity;
+            self.slots[oldest].0 = finished;
+            oldest
+        };
+        &mut self.slots[at].1
     }
 }
 
@@ -496,12 +597,20 @@ impl Ring {
 /// last `capacity` finished traces, and optionally appends each as a
 /// JSON line to `file_sink`.
 ///
+/// Each thread finishes into its own ring (a [`Shards`] part), which
+/// keeps that thread's newest `capacity` traces. Every finish takes
+/// the next number from one counter while it holds its ring's lock, so
+/// the newest `capacity` numbers — what one shared ring would hold —
+/// are all in some ring whenever a reader holds every ring;
+/// [`Tracer::recent`] and [`Tracer::find`] merge them by that number.
+///
 /// Retention follows one ownership rule: **a heap block allocated
 /// while serving a request is freed by the thread that allocated it.**
-/// The ring is `capacity` slots made once; [`Tracer::finish`] copies
-/// the finished trace into the next slot, overwriting the slot's own
-/// buffers in place, and the handle's buffers die with the handle on
-/// the thread that served the request. No block changes owner, so no
+/// A ring's slots are made by the thread that finishes into it and
+/// overwritten in place, buffers and all; [`Tracer::finish`] copies
+/// the trace into the next slot, and the handle stays with the thread
+/// that served the request — as its spare, through
+/// [`Tracer::retire`], or dropped there. No block changes owner, so no
 /// thread frees into another's allocator arena: a ring that takes a
 /// trace's blocks has them dropped `capacity` requests later by
 /// whichever thread finishes next, and that cross-arena traffic costs
@@ -509,25 +618,27 @@ impl Ring {
 pub struct Tracer {
     capacity: usize,
     next_id: AtomicU64,
-    ring: Mutex<Ring>,
+    /// Traces finished so far: the next one's finish number. `Relaxed`
+    /// throughout: it publishes no trace, the rings' locks do, and a
+    /// reader that holds them all sees every number taken under them.
+    finished: AtomicU64,
+    rings: Shards<Ring>,
     sink: Option<Mutex<std::fs::File>>,
     sink_path: Option<PathBuf>,
     sink_error: AtomicBool,
 }
 
 impl Tracer {
-    /// A tracer retaining the last `capacity` traces in memory. The
-    /// slot table is built here; each slot's buffers grow to the
+    /// A tracer retaining the last `capacity` traces in memory. No
+    /// ring storage is made here: a ring's slots are made as its
+    /// thread first fills them, and each slot's buffers grow to the
     /// largest trace it has held and are never handed back.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Tracer {
-            capacity,
+            capacity: capacity.max(1),
             next_id: AtomicU64::new(1),
-            ring: Mutex::new(Ring {
-                slots: (0..capacity).map(|_| RequestTrace::default()).collect(),
-                finished: 0,
-            }),
+            finished: AtomicU64::new(0),
+            rings: Shards::new(Ring::default),
             sink: None,
             sink_path: None,
             sink_error: AtomicBool::new(false),
@@ -550,9 +661,10 @@ impl Tracer {
 
     /// Begin a trace for a new request, minting the next request ID.
     /// The request is the origin of its own fleet-wide trace (hop 0).
+    /// The handle is the thread's spare when it has one.
     pub fn begin(&self) -> TraceHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        TraceHandle::detached(id)
+        TraceHandle::recycled(id, TraceContext::local(id))
     }
 
     /// Begin a trace for a request that arrived with a remote trace
@@ -562,15 +674,15 @@ impl Tracer {
     /// assembler can join this node's span tree to the remote parent.
     pub fn begin_remote(&self, context: TraceContext) -> TraceHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        TraceHandle::detached_with_context(id, context)
+        TraceHandle::recycled(id, context)
     }
 
-    /// Finish a trace: copy its spans into the next ring slot (over
-    /// the oldest retained trace once the ring is full), mirror to the
-    /// file sink if attached, and empty the handle. Spans opened or
-    /// closed on surviving handle clones *after* this call never reach
-    /// the published copy — a cancelled hedge call that loses the race
-    /// cannot resurrect or amend the request's trace.
+    /// Finish a trace: copy its spans into the next slot of the calling
+    /// thread's ring (over its oldest trace once the ring is full),
+    /// mirror to the file sink if attached, and empty the handle. Spans
+    /// opened or closed on surviving handle clones *after* this call
+    /// never reach the published copy — a cancelled hedge call that
+    /// loses the race cannot resurrect or amend the request's trace.
     pub fn finish(&self, handle: &TraceHandle) {
         let HandleInner {
             request_id,
@@ -589,10 +701,10 @@ impl Tracer {
                 )
             });
             {
-                let mut ring = self.ring.lock().expect("tracer poisoned");
-                let slot = (ring.finished % self.capacity as u64) as usize;
-                building.copy_into(*request_id, *context, &mut ring.slots[slot]);
-                ring.finished += 1;
+                let mut ring = self.rings.local();
+                // Numbered under the ring's lock: see the type's docs.
+                let finished = self.finished.fetch_add(1, Ordering::Relaxed);
+                building.copy_into(*request_id, *context, ring.slot(finished, self.capacity));
             }
             building.clear();
             line
@@ -605,33 +717,54 @@ impl Tracer {
         }
     }
 
+    /// [`Tracer::finish`] by the handle's owner, which then gives the
+    /// handle up: if no clone of it is alive, it becomes the calling
+    /// thread's spare, kept with its buffers for the thread's next
+    /// [`Tracer::begin`] to reset in place. A handle with a live clone
+    /// (a raced stage still running on another thread) is dropped as
+    /// [`Tracer::finish`]'s caller would drop it.
+    pub fn retire(&self, handle: TraceHandle) {
+        self.finish(&handle);
+        handle.into_spare();
+    }
+
+    /// Copies of the newest `newest` (at most `capacity`) finished
+    /// traces that pass `keep`, oldest finish first: every ring is
+    /// held at once, so each number taken has its trace in one.
+    fn newest(&self, newest: usize, keep: impl Fn(&RequestTrace) -> bool) -> Vec<RequestTrace> {
+        let rings: Vec<MutexGuard<'_, Ring>> = self.rings.each().collect();
+        let finished = self.finished.load(Ordering::Relaxed);
+        let from = finished.saturating_sub(newest.min(self.capacity) as u64);
+        let mut kept: Vec<&(u64, RequestTrace)> = rings
+            .iter()
+            .flat_map(|ring| ring.slots.iter())
+            .filter(|(number, trace)| *number >= from && keep(trace))
+            .collect();
+        kept.sort_unstable_by_key(|(number, _)| *number);
+        kept.into_iter().map(|(_, trace)| trace.clone()).collect()
+    }
+
     /// The most recent finished traces, newest last, at most `limit`.
     pub fn recent(&self, limit: usize) -> Vec<RequestTrace> {
-        let ring = self.ring.lock().expect("tracer poisoned");
-        let skip = ring.retained().saturating_sub(limit);
-        ring.iter().skip(skip).cloned().collect()
+        self.newest(limit, |_| true)
     }
 
     /// Every retained trace belonging to fleet-wide trace `trace_id`,
     /// oldest first. A node that served several hops of the same trace
     /// (e.g. a retry relanded here) returns them all.
     pub fn find(&self, trace_id: u64) -> Vec<RequestTrace> {
-        let ring = self.ring.lock().expect("tracer poisoned");
-        ring.iter()
-            .filter(|t| t.trace_id == trace_id)
-            .cloned()
-            .collect()
+        self.newest(self.capacity, |trace| trace.trace_id == trace_id)
     }
 
     /// Total traces finished (including overwritten ones).
     pub fn finished_count(&self) -> u64 {
-        self.ring.lock().expect("tracer poisoned").finished
+        self.finished.load(Ordering::Relaxed)
     }
 
-    /// Finished traces overwritten in the bounded ring — the tracer's
-    /// drop count, exactly `finished − capacity` once the ring has
-    /// wrapped. Zero in any run whose request count stays within the
-    /// configured retention.
+    /// Finished traces no longer retained — the tracer's drop count,
+    /// exactly `finished − capacity` once more than `capacity` have
+    /// finished, however they spread over the rings. Zero in any run
+    /// whose request count stays within the configured retention.
     pub fn dropped_traces(&self) -> u64 {
         self.finished_count().saturating_sub(self.capacity as u64)
     }
@@ -754,6 +887,28 @@ mod tests {
         tracer.finish(&h);
         h.open("straggler", None, 6); // cancelled hedge, lost the race
         assert_eq!(tracer.recent(10)[0].spans.len(), 1);
+    }
+
+    #[test]
+    fn a_spare_written_to_after_its_finish_is_emptied_before_reuse() {
+        let tracer = Tracer::new(4);
+        let handle = tracer.begin();
+        handle.span("request", None, 0, 1);
+        let raced = handle.clone();
+        // `retire`, with the raced clone writing and going away between
+        // the finish and the hand-back.
+        tracer.finish(&handle);
+        raced.span("straggler", None, 2, 3);
+        drop(raced);
+        handle.into_spare();
+
+        let next = tracer.begin();
+        assert!(next.snapshot().spans.is_empty());
+        next.span("request", None, 4, 5);
+        tracer.retire(next);
+        let published = tracer.recent(10);
+        assert_eq!(published.len(), 2);
+        assert!(published.iter().all(|t| t.span("straggler").is_none()));
     }
 
     #[test]

@@ -1,11 +1,51 @@
-//! The tracer's slot ring: finished traces are copied into `capacity`
-//! slots that are overwritten in place, oldest first. These tests pin
+//! The tracer's slot rings: each thread copies its finished traces
+//! into its own ring of `capacity` slots, overwritten in place oldest
+//! first, and readers merge the rings by finish number. These tests pin
 //! what that must not change — which traces are retained, in what
 //! order, what is counted as dropped, and the bytes a retained trace
-//! renders to.
+//! renders to — and that a handle reused for the thread's next request
+//! carries nothing over.
 
-use std::sync::{Arc, Barrier};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::{Arc, Barrier, Mutex};
 use tt_obs::{AttrValue, RequestTrace, TraceContext, TraceHandle, Tracer};
+
+/// Counts this thread's allocations, so a test can tell a reused
+/// handle from a new one. The counter is a `const`-initialized non-`Drop`
+/// thread-local, so touching it from inside the allocator cannot
+/// itself allocate or recurse.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations the current thread made while running `f`.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATED.with(Cell::get);
+    let result = f();
+    (ALLOCATED.with(Cell::get) - before, result)
+}
 
 fn int_attr(trace: &RequestTrace, span: u32, key: &str) -> Option<i64> {
     trace.attrs(span).find_map(|(k, v)| match v {
@@ -225,4 +265,185 @@ fn work_on_a_surviving_clone_after_finish_leaves_the_published_copy_alone() {
         .to_json_line()
         .contains("\"name\": \"model_call\", \"start_us\": 1, \"end_us\": null}"));
     assert_eq!(tracer.finished_count(), 1);
+}
+
+/// A trace with a bit of everything, in a remote context: more spans
+/// than a handle keeps inline, labels, text and an open span — all of
+/// which a handle recycled from it must forget.
+fn rich(tracer: &Tracer) -> TraceHandle {
+    let handle = tracer.begin_remote(TraceContext {
+        trace_id: 4_242,
+        parent_span: Some(7),
+        hop: 2,
+    });
+    let root = handle.open("request", None, 10);
+    handle.attr_str(root, "outcome", "ok");
+    handle.attr_text(root, "note", format_args!("previous request {}", 1));
+    for stage in 0..12 {
+        let id = handle.span("stage", Some(root), 11 + stage, 12 + stage);
+        handle.attr_int(id, "stage", stage as i64);
+    }
+    handle.open("straggler", Some(root), 30);
+    handle
+}
+
+/// The same small trace on `handle`: a root with a text attribute.
+fn small(handle: &TraceHandle) {
+    let root = handle.open("request", None, 1);
+    handle.attr_text(root, "note", "fresh");
+    handle.close(root, 2);
+}
+
+#[test]
+fn a_recycled_handle_carries_nothing_from_its_previous_request() {
+    let tracer = Tracer::new(8);
+    for remote in [
+        None,
+        Some(TraceContext {
+            trace_id: 9,
+            parent_span: Some(1),
+            hop: 1,
+        }),
+    ] {
+        // The rich trace's handle becomes this thread's spare.
+        tracer.retire(rich(&tracer));
+        let previous = tracer.recent(1).pop().expect("retained");
+        assert_eq!(previous.spans.len(), 14);
+
+        // The next begin reuses it: not one block is made.
+        let (allocated, handle) = allocations(|| match remote {
+            Some(context) => tracer.begin_remote(context),
+            None => tracer.begin(),
+        });
+        assert_eq!(allocated, 0, "begin reused the thread's spare");
+        let id = handle.request_id();
+        assert_eq!(id, previous.request_id + 1);
+        let context = remote.unwrap_or(TraceContext::local(id));
+        assert_eq!(handle.context(), context);
+        assert_eq!(
+            handle.snapshot(),
+            TraceHandle::detached_with_context(id, context).snapshot(),
+            "no span, attribute or text survives"
+        );
+
+        // What it publishes is exactly what a new handle would: the
+        // record's spans, attributes and text all compare.
+        let reference = TraceHandle::detached_with_context(id, context);
+        small(&reference);
+        small(&handle);
+        tracer.retire(handle);
+        assert_eq!(
+            tracer.recent(1).pop().expect("retained"),
+            reference.snapshot()
+        );
+    }
+}
+
+#[test]
+fn a_handle_with_a_live_clone_is_not_recycled_and_its_late_spans_publish_nowhere() {
+    let tracer = Tracer::new(16);
+    // This thread has a spare.
+    let warm = tracer.begin();
+    warm.span("request", None, 0, 1);
+    tracer.retire(warm);
+
+    let handle = tracer.begin();
+    let root = handle.open("request", None, 2);
+    let raced = handle.clone();
+    handle.close(root, 5);
+    tracer.retire(handle);
+
+    // The clone held the handle at the seal, so it is not this thread's
+    // spare: the next request's handle is a new block.
+    let (allocated, next) = allocations(|| tracer.begin());
+    assert!(allocated > 0, "a handle with a live clone became the spare");
+
+    // The raced stage comes home late, on another thread, while this
+    // thread serves its next request and the one after.
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let id = raced.open("straggler", Some(root), 6);
+            raced.attr_str(id, "outcome", "late");
+            raced.attr_text(root, "note", "late");
+            raced.close(id, 7);
+        });
+    });
+    next.span("request", None, 10, 11);
+    tracer.retire(next);
+    drop(raced);
+    let after = tracer.begin();
+    after.span("request", None, 20, 21);
+    tracer.retire(after);
+
+    let published = tracer.recent(usize::MAX);
+    assert_eq!(published.len(), 4);
+    for trace in &published {
+        assert_eq!(trace.spans.len(), 1, "{}", trace.to_json_line());
+        assert!(trace.attrs(0).next().is_none(), "{}", trace.to_json_line());
+    }
+}
+
+#[test]
+fn the_merged_rings_hold_exactly_the_newest_traces_in_finish_order() {
+    const THREADS: usize = 4;
+    const PER_THREAD: u64 = 300;
+    const CAPACITY: usize = 50;
+    let tracer = Tracer::new(CAPACITY);
+    // `(request_id, trace_id)` in finish order: each finish happens
+    // under this lock, so the log is the order, while the threads still
+    // finish into their own rings, interleaved.
+    let log = Mutex::new(Vec::new());
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS as u64 {
+            let (tracer, log, start) = (&tracer, &log, &start);
+            scope.spawn(move || {
+                start.wait();
+                for seq in 0..PER_THREAD {
+                    // Every third request joins its thread's fleet trace.
+                    let handle = if seq % 3 == 0 {
+                        tracer.begin_remote(TraceContext {
+                            trace_id: 1_000_000 + thread,
+                            parent_span: Some(seq as u32),
+                            hop: 1,
+                        })
+                    } else {
+                        tracer.begin()
+                    };
+                    handle.span("request", None, seq, seq + 1);
+                    let entry = (handle.request_id(), handle.trace_id());
+                    let mut log = log.lock().unwrap();
+                    tracer.retire(handle);
+                    log.push(entry);
+                }
+            });
+        }
+    });
+    let log = log.into_inner().unwrap();
+    let ids =
+        |traces: Vec<RequestTrace>| -> Vec<u64> { traces.iter().map(|t| t.request_id).collect() };
+    let finished = THREADS as u64 * PER_THREAD;
+    assert_eq!(tracer.finished_count(), finished);
+    assert_eq!(tracer.dropped_traces(), finished - CAPACITY as u64);
+
+    let newest = &log[log.len() - CAPACITY..];
+    let newest_ids: Vec<u64> = newest.iter().map(|&(id, _)| id).collect();
+    assert_eq!(ids(tracer.recent(CAPACITY)), newest_ids);
+    assert_eq!(ids(tracer.recent(usize::MAX)), newest_ids);
+    assert_eq!(ids(tracer.recent(7)), newest_ids[CAPACITY - 7..]);
+
+    // `find` sees every retained trace and no other.
+    for &(id, trace_id) in &log {
+        let found = tracer.find(trace_id).iter().any(|t| t.request_id == id);
+        assert_eq!(found, newest_ids.contains(&id), "request {id}");
+    }
+    for thread in 0..THREADS as u64 {
+        let fleet = 1_000_000 + thread;
+        let expected: Vec<u64> = newest
+            .iter()
+            .filter(|&&(_, trace_id)| trace_id == fleet)
+            .map(|&(id, _)| id)
+            .collect();
+        assert_eq!(ids(tracer.find(fleet)), expected, "fleet trace {fleet}");
+    }
 }

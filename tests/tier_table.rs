@@ -198,11 +198,13 @@ fn no_request_sees_a_torn_install() {
         Arc::clone(&matrix),
         generations[0].clone(),
         ServiceConfig {
-            // Pressure 1 (the other caller in flight) is already the
-            // brownout band, so admission outcomes are mixed.
+            // Pressure 1 is already the brownout band, so admission
+            // outcomes are mixed; rejection starts at 3, which the held
+            // guard below and the other caller in flight never reach.
             admission: AdmissionConfig {
                 initial_limit: 1,
                 min_limit: 1,
+                reject_factor: 3.0,
                 ..AdmissionConfig::defaults()
             },
             supervisor: None,
@@ -217,41 +219,52 @@ fn no_request_sees_a_torn_install() {
     let shutdown = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        for caller in 0..2 {
-            let (service, mix, generations) = (&service, &mix, &generations);
-            let (swapping, start, shutdown) = (&swapping, &start, &shutdown);
-            scope.spawn(move || {
-                start.wait();
-                let mut i = caller;
-                // Keeps calling for as long as the swapper swaps.
-                while swapping.load(Ordering::SeqCst) || i < 400 {
-                    let (objective, tolerance) = mix[i % mix.len()];
-                    if i % 4 < 2 {
-                        let reply = service.handle(&compute(objective, tolerance, i), shutdown);
-                        assert_eq!(reply.status, 200);
-                    } else {
-                        let tol = Tolerance::new(tolerance).unwrap();
-                        let outcome = service
-                            .execute(&ServiceRequest::new(i, tol, objective))
-                            .expect("fault-free service");
-                        // Tier, policy and price all come from one
-                        // generation's answer to this tolerance.
-                        let served = (outcome.billed_tolerance, outcome.policy);
-                        let coherent = generations.iter().any(|frontend| {
-                            let rules = frontend.rules().find(|r| r.objective() == objective);
-                            reference_tier(rules.unwrap(), tolerance) == served
-                        });
-                        assert!(coherent, "{objective} @ {tolerance}: {outcome:?}");
-                        assert_eq!(outcome.price, service.schedule().price_for(tolerance));
+        let callers: Vec<_> = (0..2)
+            .map(|caller| {
+                let (service, mix, generations) = (&service, &mix, &generations);
+                let (swapping, start, shutdown) = (&swapping, &start, &shutdown);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut i = caller;
+                    // Keeps calling for as long as the swapper swaps.
+                    while swapping.load(Ordering::SeqCst) || i < 400 {
+                        let (objective, tolerance) = mix[i % mix.len()];
+                        if i % 4 < 2 {
+                            let reply = service.handle(&compute(objective, tolerance, i), shutdown);
+                            assert_eq!(reply.status, 200);
+                        } else {
+                            let tol = Tolerance::new(tolerance).unwrap();
+                            let outcome = service
+                                .execute(&ServiceRequest::new(i, tol, objective))
+                                .expect("fault-free service");
+                            // Tier, policy and price all come from one
+                            // generation's answer to this tolerance.
+                            let served = (outcome.billed_tolerance, outcome.policy);
+                            let coherent = generations.iter().any(|frontend| {
+                                let rules = frontend.rules().find(|r| r.objective() == objective);
+                                reference_tier(rules.unwrap(), tolerance) == served
+                            });
+                            assert!(coherent, "{objective} @ {tolerance}: {outcome:?}");
+                            assert_eq!(outcome.price, service.schedule().price_for(tolerance));
+                        }
+                        i += 2;
                     }
-                    i += 2;
-                }
-            });
-        }
+                })
+            })
+            .collect();
         start.wait();
+        // One request's worth of pressure, held across the swaps and
+        // until some caller has been browned out: the brownout band is
+        // reached however the callers' requests happen to overlap. (A
+        // caller ends early only by failing, which ends the wait too.)
+        let held = service.admission().begin();
         for swap in 1..=SWAPS {
             service.adopt_rules(generations[(swap % 2) as usize].clone(), swap + 1);
         }
+        while service.admission().totals().1 == 0 && !callers.iter().any(|c| c.is_finished()) {
+            std::thread::yield_now();
+        }
+        drop(held);
         swapping.store(false, Ordering::SeqCst);
     });
 
