@@ -369,7 +369,9 @@ pub struct ComputeOutcome {
 pub struct ServiceSnapshot {
     /// Requests answered.
     pub served: usize,
-    /// Per-request trace (per-tier sliceable).
+    /// Per-tier aggregates of every settled request. It retains no
+    /// event: `/stats` renders only the tiers, so a read folds the
+    /// settle shards' aggregates and leaves their rings alone.
     pub trace: TraceRecorder,
     /// Resilience counters.
     pub resilience: ResilienceStats,
@@ -1055,13 +1057,45 @@ impl ComputeService {
         }
     }
 
+    /// Run a launch the walk made after it answered (a sequential
+    /// finish-out's later stage) on the pool, unwaited: the walk has
+    /// already accounted it and ignores how it ends, so it is booked
+    /// as it drew and its `model_call` span opens and closes now,
+    /// `detached`. A call with no time to sleep has nothing left to run.
+    fn detach(
+        &self,
+        version: usize,
+        obs: Observation,
+        fault: FaultOutcome,
+        span: Option<(&TraceHandle, u32, u32)>,
+    ) {
+        self.book(version, fault);
+        if let Some((handle, parent, attempt)) = span {
+            let now = self.wall_us();
+            handle.edit(|t| {
+                let id = t.open("model_call", Some(parent), now);
+                t.attr_int(id, "version", version as i64);
+                t.attr_int(id, "attempt", i64::from(attempt));
+                t.attr_str(id, "outcome", "detached");
+                t.close(id, now);
+            });
+        }
+        let (started, scale) = (self.started, self.config.latency_scale);
+        let occupancy = fault.occupancy(SimDuration::from_micros(obs.latency_us));
+        if scale > 0.0 && occupancy > SimDuration::ZERO {
+            let call = move || model_call(started, scale, version, obs, fault, None);
+            drop(self.pool.submit(Box::new(call)));
+        }
+    }
+
     /// Drive `opened`'s [`ResilientWalk`] on the worker pool, under the
     /// breakers and the fault plan. A launch draws its fault when it
     /// launches and runs on this thread; a second launch at once (a
     /// concurrent cascade's accurate stage) runs on a pool worker, where
-    /// an early-terminating answer can cancel it. A retry sleeps its
+    /// an early-terminating answer can cancel it. A launch after the
+    /// answer runs on the pool and is not waited for. A retry sleeps its
     /// backoff. A call is booked when it ends here: a cancelled one
-    /// never, a finish-out still running at the answer as it drew.
+    /// never, one still running or launched after the answer as it drew.
     /// Returns what the request accounted, or `None` if it dropped.
     fn run_policy(
         &self,
@@ -1111,7 +1145,9 @@ impl ComputeService {
                         let call_span =
                             parent.map(|(handle, id)| (handle, id, request.attempt(slot)));
                         let obs = row[version];
-                        if inline.is_none() {
+                        if request.answered_by().is_some() {
+                            self.detach(version, obs, fault, call_span);
+                        } else if inline.is_none() {
                             inline = Some((slot, version, obs, fault, call_span));
                         } else {
                             let span = call_span.map(|(h, parent, n)| (h.clone(), parent, n));
@@ -2005,7 +2041,7 @@ impl ComputeService {
             }
             resilience.merge(&shard.stats);
         }
-        let trace = TraceRecorder::merged(shards.iter().map(|shard| &shard.trace));
+        let trace = TraceRecorder::folded(shards.iter().map(|shard| &shard.trace));
         drop(shards);
         // Bill from the request counts, not the event trace: a bounded
         // trace evicts events, the counts never lose a billed request.
@@ -2486,6 +2522,13 @@ mod tests {
         policies
     }
 
+    /// The settle shards' event rings merged in settle order: the
+    /// newest settled requests, which a snapshot does not carry.
+    fn settled_events(svc: &ComputeService) -> TraceRecorder {
+        let shards: Vec<_> = svc.accounts.shards.each().collect();
+        TraceRecorder::merged(shards.iter().map(|shard| &shard.trace))
+    }
+
     #[test]
     fn batched_and_synchronous_execution_agree_for_every_policy_flavour() {
         let m = matrix3();
@@ -2554,8 +2597,8 @@ mod tests {
         assert_eq!(sync_snap.served, batched_snap.served);
         assert_eq!(sync_snap.resilience, batched_snap.resilience);
         assert_eq!(sync_snap.billing, batched_snap.billing);
-        let ledger_rows = |snap: &ServiceSnapshot| {
-            snap.trace
+        let ledger_rows = |svc: &ComputeService| {
+            settled_events(svc)
                 .events()
                 .iter()
                 .map(|e| {
@@ -2570,7 +2613,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(ledger_rows(&sync_snap), ledger_rows(&batched_snap));
+        assert_eq!(ledger_rows(&sync_svc), ledger_rows(&batched_svc));
         let counters = |svc: &ComputeService| {
             svc.observability()
                 .expect("defaults enable obs")
@@ -2614,6 +2657,130 @@ mod tests {
             svc.snapshot().billing.compute_cost.as_dollars().to_bits(),
             expected.as_dollars().to_bits()
         );
+    }
+
+    /// Response-time requests on the demo's sequential finish-out
+    /// tiers under a seeded fault plan, served one after another; what
+    /// each answered and the books as read the moment the last reply
+    /// returned, with no wait for the calls left running.
+    fn finish_out_books(latency_scale: f64) -> (Vec<(usize, u64)>, ResilienceStats, Vec<u64>) {
+        // The finish-out stage fails most.
+        let rates = |p: f64| FaultRates {
+            crash: p,
+            transient: p,
+            ..FaultRates::NONE
+        };
+        let svc = crate::demo::demo_service(
+            80,
+            42,
+            ServiceConfig {
+                faults: Some(FaultPlan::new(
+                    9,
+                    vec![rates(0.05), rates(0.05), rates(0.25)],
+                )),
+                // A cooldown no run outlasts keeps the breakers off the
+                // wall clock.
+                breaker: Some(BreakerPolicy {
+                    failure_threshold: 3,
+                    cooldown: SimDuration::from_secs_f64(600.0),
+                }),
+                supervisor: None,
+                latency_scale,
+                ..ServiceConfig::defaults()
+            },
+        );
+        let answers = (0..80)
+            .flat_map(|payload| [0.01, 0.1].map(|t| (payload, t)))
+            .filter_map(|(payload, tolerance)| {
+                let tolerance = Tolerance::new(tolerance).unwrap();
+                let req = ServiceRequest::new(payload, tolerance, Objective::ResponseTime);
+                let out = svc.execute(&req).ok()?;
+                Some((out.answered_by, out.simulated_latency_us))
+            })
+            .collect();
+        let health = [&svc.health.attempts, &svc.health.failures]
+            .into_iter()
+            .flatten()
+            .map(|n| n.load(Ordering::SeqCst))
+            .collect();
+        (answers, svc.snapshot().resilience, health)
+    }
+
+    #[test]
+    fn a_detached_finish_out_is_booked_before_the_reply_returns() {
+        let tier = crate::demo::demo_service(80, 42, ServiceConfig::defaults())
+            .resolve(Objective::ResponseTime, Tolerance::new(0.1).unwrap());
+        assert!(
+            matches!(
+                tier.policy,
+                Policy::Cascade {
+                    scheduling: Scheduling::Sequential,
+                    termination: Termination::FinishOut,
+                    ..
+                }
+            ),
+            "the demo's 10 % response-time tier finishes out sequentially: {:?}",
+            tier.policy
+        );
+        let (answers, resilience, health) = finish_out_books(0.02);
+        assert!(resilience.failed_invocations > 0 && resilience.breaker_sheds > 0);
+        assert_eq!((answers, resilience, health), finish_out_books(0.0));
+    }
+
+    #[test]
+    fn detached_calls_neither_deadlock_one_worker_nor_outlive_the_service() {
+        let m = matrix3();
+        let svc = Arc::new(ComputeService::new(
+            Arc::clone(&m),
+            frontend3(&m),
+            ServiceConfig {
+                latency_scale: 0.05,
+                model_workers: 1,
+                ..ServiceConfig::defaults()
+            },
+        ));
+        let (done_tx, done) = std::sync::mpsc::channel();
+        for caller in 0..2 {
+            let (svc, done_tx) = (Arc::clone(&svc), done_tx.clone());
+            std::thread::spawn(move || {
+                for payload in 0..40 {
+                    let scheduling = if (payload + caller) % 2 == 0 {
+                        Scheduling::Sequential
+                    } else {
+                        Scheduling::Concurrent
+                    };
+                    let policy = Policy::Cascade {
+                        cheap: 0,
+                        accurate: 2,
+                        threshold: 0.5,
+                        scheduling,
+                        termination: Termination::FinishOut,
+                    };
+                    let req = ServiceRequest::new(
+                        payload,
+                        Tolerance::new(0.10).unwrap(),
+                        Objective::ResponseTime,
+                    );
+                    let plan = Some((policy, 0.05, BrownoutLevel::LooserTier));
+                    svc.execute_shaped(&req, plan, None).unwrap();
+                }
+                done_tx.send(()).unwrap();
+            });
+        }
+        let patience = std::time::Duration::from_secs(60);
+        for _ in 0..2 {
+            done.recv_timeout(patience)
+                .expect("one model worker serves both finish-outs");
+        }
+        // The last requests' accurate stages are still running: dropping
+        // the service joins the pool behind them.
+        let svc = Arc::try_unwrap(svc).expect("the callers are done");
+        std::thread::spawn(move || {
+            drop(svc);
+            done_tx.send(()).unwrap();
+        });
+        done.recv_timeout(patience)
+            .expect("dropping the service joins its detached calls");
     }
 
     #[test]

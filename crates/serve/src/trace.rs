@@ -166,26 +166,7 @@ impl TraceRecorder {
     /// Panics if a part is unbounded: it keeps no numbers to order by.
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a TraceRecorder>) -> TraceRecorder {
         let parts: Vec<&TraceRecorder> = parts.into_iter().collect();
-        let mut out = TraceRecorder::bounded(1);
-        for part in &parts {
-            let retain = part
-                .retention
-                .expect("only bounded recorders number their events");
-            out.retention = out.retention.max(Some(retain));
-            out.total += part.total;
-            for (&key, agg) in &part.aggs {
-                match out.aggs.get_mut(&key) {
-                    Some(mine) => {
-                        mine.requests += agg.requests;
-                        mine.err_nanos += agg.err_nanos;
-                        mine.latency.merge(&agg.latency);
-                    }
-                    None => {
-                        out.aggs.insert(key, agg.clone());
-                    }
-                }
-            }
-        }
+        let mut out = TraceRecorder::folded(parts.iter().copied());
         // Each part's numbers ascend. Count how many of each part's
         // newest events the ring takes, walking back from every part's
         // newest and taking the newest overall; then merge those tails
@@ -224,6 +205,39 @@ impl TraceRecorder {
             let (&number, event) = tails[i].next().expect("peeked");
             out.numbers.push_back(number);
             out.events.push_back(event.clone());
+        }
+        out
+    }
+
+    /// [`TraceRecorder::merged`] without the ring: every part's
+    /// per-tier aggregates and stream length, and no retained event.
+    /// What [`TraceRecorder::by_tier`] and
+    /// [`TraceRecorder::total_recorded`] read of the merge, at the cost
+    /// of the aggregates alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part is unbounded.
+    pub fn folded<'a>(parts: impl IntoIterator<Item = &'a TraceRecorder>) -> TraceRecorder {
+        let mut out = TraceRecorder::bounded(1);
+        for part in parts {
+            let retain = part
+                .retention
+                .expect("only bounded recorders number their events");
+            out.retention = out.retention.max(Some(retain));
+            out.total += part.total;
+            for (&key, agg) in &part.aggs {
+                match out.aggs.get_mut(&key) {
+                    Some(mine) => {
+                        mine.requests += agg.requests;
+                        mine.err_nanos += agg.err_nanos;
+                        mine.latency.merge(&agg.latency);
+                    }
+                    None => {
+                        out.aggs.insert(key, agg.clone());
+                    }
+                }
+            }
         }
         out
     }
@@ -403,6 +417,10 @@ mod tests {
         assert_eq!(merged.total_recorded(), 17);
         let render = |rec: &TraceRecorder| format!("{:?}", rec.by_tier());
         assert_eq!(render(&merged), render(&whole));
+        let folded = TraceRecorder::folded(&parts);
+        assert!(folded.events().is_empty());
+        assert_eq!(folded.total_recorded(), 17);
+        assert_eq!(render(&folded), render(&whole));
     }
 
     #[test]
